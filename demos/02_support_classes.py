@@ -1,4 +1,4 @@
-"""Support topology: components under grid adjacency, then equivalence classes.
+"""Support topology: path-connected components, then equivalence classes.
 
 Two path-connected components of a joint support belong to the same
 coordinate-wise class when their projections onto either axis overlap;
@@ -12,7 +12,6 @@ from ciprop import (
     coordinatewise_classes,
     path_components,
     render_labels,
-    uc_of_cell,
 )
 
 # Seven blocks, drawn so that projection overlaps chain some of them
@@ -26,16 +25,14 @@ cells[2:4, 7:9] = True
 cells[7:9, 6] = True     # third chain, isolated columns
 cells[7:9, 9] = True
 
+# Cells that share an edge are connected; blocks touching only at a
+# corner, like the first and the fourth, stay apart.
 labeling = path_components(cells)
-print(f"components (4-adjacency): {labeling.count}")
+print(f"components: {labeling.count}")
 print(render_labels(labeling.labels))
 
-# Corner contacts count as adjacent only under the 8-neighbor rule.
-print(f"\ncomponents (8-adjacency): {path_components(cells, adjacency=8).count}")
-
-assignment = coordinatewise_classes(labeling)
+assignment = coordinatewise_classes(cells)
 print(f"\nclasses: {assignment.class_count}")
-print("component -> class:", dict(assignment.class_of_component))
 for cls in range(1, assignment.class_count + 1):
     print(f"  class {cls}: A bins {assignment.proj_a[cls]}  B bins {assignment.proj_b[cls]}")
 
@@ -44,6 +41,5 @@ for cls in range(1, assignment.class_count + 1):
 # the value is a function of the A coordinate alone (and of B alone).
 print("\nclass variable over the lattice:")
 print(render_labels(assignment.uc))
-print("\nvalue at (0, 0):", uc_of_cell(assignment, 0, 0))
-print("value at (5, 5):", uc_of_cell(assignment, 5, 5))
-print("value at (9, 0):", uc_of_cell(assignment, 9, 0), "(off support)")
+for a_bin, b_bin in ((0, 0), (5, 5), (9, 0)):
+    print(f"value at ({a_bin}, {b_bin}): {assignment.uc[a_bin, b_bin]}")

@@ -33,7 +33,7 @@ print("total mass:", grid.prob.sum())
 # The support of (A, B) splits into two blocks tied to A's two bands.
 mask = support_mask(grid, "A", "B")
 labeling = path_components(mask)
-classes = coordinatewise_classes(labeling)
+classes = coordinatewise_classes(mask)
 print(f"\n(A, B) support: {labeling.count} components, {classes.class_count} classes")
 print(render_labels(labeling.labels[:, ::2]))  # every other B column, for width
 

@@ -20,9 +20,9 @@ from ciprop import (
     AffineMechanism,
     Axis,
     SemSpec,
-    dependence_conclusion,
     example1,
     example1_alternative,
+    is_ci,
     joint_support_components,
     noise_support_path_connected,
     non_constancy_check,
@@ -51,7 +51,7 @@ print("witnessed conditioning sets:", sorted(report.witnesses))
 print("first failing conditioning set:", report.failing_set)
 # Given A, the support only sees one plateau of f_X at a time -- and
 # indeed X becomes independent of B once A is known:
-print("X vs B given A:", dependence_conclusion(g_chain, "X", "B", given=("A",)).holds)
+print("X vs B given A:", is_ci(g_chain, "X", "B", ("A",)).holds)
 
 # Replace the plateaus with a strictly increasing map and the certificate
 # comes back, together with genuine dependence.
@@ -65,6 +65,6 @@ g_monotone = propagate(monotone)
 report = non_constancy_check(monotone, "X", "B", g_monotone)
 print("\nafter the repair --")
 print("non-constancy of f_X in B:", report.holds)
-verdict = dependence_conclusion(g_monotone, "X", "B", given=("A",))
+verdict = is_ci(g_monotone, "X", "B", ("A",))
 print("X vs B given A still independent:", verdict.holds)
 print("dependence strength:", round(verdict.deviation, 6))

@@ -21,6 +21,7 @@ Layers, bottom up:
 """
 
 from .errors import (
+    AdversaryCheckFailed,
     BinOverflow,
     BudgetExceeded,
     CipropError,
@@ -75,7 +76,6 @@ from .sem import (
     PiecewisePiece,
     SemSpec,
     TableMechanism,
-    dependence_conclusion,
     example1,
     example1_alternative,
     joint_support_components,
@@ -97,9 +97,7 @@ from .topology import (
     label_support_nd,
     path_components,
     render_labels,
-    render_mask,
     support_mask,
-    uc_of_cell,
 )
 
 __version__ = "0.1.0"

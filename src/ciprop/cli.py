@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 a ``--assert`` expectation failed, 2 usage error,
 3 data error (unreadable or invalid input).  Reports are deterministic
 given the same inputs and flags; the one wall-clock line in ``report`` is
 suppressed under ``--deterministic``.
+
+The topology subcommands (``components``, ``classes``, ``intersection``,
+``adversary``, ``weak-intersection`` and ``report``) read the support as
+the cells of positive mass, or of mass above ``--tau`` when it is given,
+and find the classes of all conditioning cells in one pass over one
+marginal.
 """
 
 from __future__ import annotations
@@ -20,16 +26,16 @@ import numpy as np
 from .errors import CipropError
 from .grids import (
     DEFAULT_TOL,
-    ZERO_TOL,
     CiReport,
     DensityGrid,
     is_ci,
     load_grid,
+    marginalize,
     save_grid,
 )
-from .grids import marginalize
 from .intersection import (
     IntersectionVerdict,
+    _verdict,
     classes_per_c,
     construct_adversary,
     intersection_condition,
@@ -47,6 +53,7 @@ from .sem import (
     save_sem,
 )
 from .topology import (
+    UcAssignment,
     coordinatewise_classes,
     path_components,
     render_labels,
@@ -130,23 +137,25 @@ def _cond_axes(grid: DensityGrid, a: str, b: str, x: str | None) -> tuple[str, .
     return tuple(n for n in grid.axis_names if n not in (a, b) and n != x)
 
 
-def _topology_slices(args: argparse.Namespace, grid: DensityGrid):
+def _classes_by_cell(
+    args: argparse.Namespace, grid: DensityGrid
+) -> dict[tuple[int, ...], UcAssignment]:
+    """Classes of the ``--c`` slice, or of every positive conditioning cell.
+
+    Each slice's support is the set of its cells with ``uc > 0``.
+    """
     fixed = _parse_fixed(args.c)
     if fixed:
-        return [(tuple(fixed[k] for k in sorted(fixed)), fixed)]
+        mask = support_mask(grid, args.a, args.b, fixed, args.tau)
+        return {tuple(fixed[k] for k in sorted(fixed)): coordinatewise_classes(mask)}
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    if not cond:
-        return [((), {})]
-    from .intersection import _c_cells  # shared positive-cell enumeration
-
-    return _c_cells(grid, cond, args.tau)
+    return classes_per_c(grid, args.a, args.b, cond, args.tau)
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
-    for cell, fixed in _topology_slices(args, grid):
-        mask = support_mask(grid, args.a, args.b, fixed, args.tau)
-        labeling = path_components(mask, args.adjacency)
+    for cell, assignment in _classes_by_cell(args, grid).items():
+        labeling = path_components(assignment.uc > 0)
         print(f"c-cell {_cell_name(cell)}: components={labeling.count}")
         print(render_labels(labeling.labels))
     return 0
@@ -155,10 +164,8 @@ def _cmd_components(args: argparse.Namespace) -> int:
 def _cmd_classes(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     single_class = True
-    for cell, fixed in _topology_slices(args, grid):
-        mask = support_mask(grid, args.a, args.b, fixed, args.tau)
-        labeling = path_components(mask, args.adjacency)
-        assignment = coordinatewise_classes(labeling)
+    for cell, assignment in _classes_by_cell(args, grid).items():
+        labeling = path_components(assignment.uc > 0)
         single_class = single_class and assignment.class_count <= 1
         print(
             f"c-cell {_cell_name(cell)}: components={labeling.count} "
@@ -176,9 +183,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 def _cmd_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    verdict = intersection_condition(
-        grid, args.a, args.b, cond, args.tau, args.adjacency
-    )
+    verdict = intersection_condition(grid, args.a, args.b, cond, args.tau)
     for cell in sorted(verdict.per_c_class_counts):
         print(f"c-cell {_cell_name(cell)}: classes={verdict.per_c_class_counts[cell]}")
     print(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
@@ -188,8 +193,7 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
             base = marginalize(grid, (args.a, args.b, *cond))
             target = dict(zip(cond, verdict.failing_c)) if cond else None
             adversary = construct_adversary(
-                base, target, a=args.a, b=args.b, tau=args.tau,
-                adjacency=args.adjacency,
+                base, target, a=args.a, b=args.b, tau=args.tau
             )
             save_grid(adversary, args.out)
             print(f"adversary grid written to {args.out}")
@@ -208,7 +212,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         b=args.b,
         name=args.x,
         tau=args.tau,
-        adjacency=args.adjacency,
     )
     save_grid(adversary, args.out)
     cond = tuple(n for n in grid.axis_names if n not in (args.a, args.b))
@@ -224,7 +227,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 def _cmd_weak_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     report = verify_weak_intersection(
-        grid, args.x, args.a, args.b, None, args.tol, args.tau, args.adjacency
+        grid, args.x, args.a, args.b, None, args.tol, args.tau
     )
     for (cell, cls), residual in sorted(report.per_class.items()):
         print(f"c-cell {_cell_name(cell)} class {cls}: residual={residual:.6e}")
@@ -239,7 +242,7 @@ def _cmd_sem_propagate(args: argparse.Namespace) -> int:
     save_grid(grid, args.out)
     shape = " x ".join(f"{ax.name}({ax.size})" for ax in grid.axes)
     print(f"propagated grid over {shape} written to {args.out}")
-    print(f"support cells: {int(np.count_nonzero(grid.prob > ZERO_TOL))}")
+    print(f"support cells: {int(np.count_nonzero(grid.prob))}")
     return 0
 
 
@@ -309,12 +312,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     grid = load_grid(args.grid)
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    assignments = classes_per_c(grid, args.a, args.b, cond, args.tau, args.adjacency)
-    per_c = {}
-    for cell, assignment in assignments.items():
-        mask = support_mask(grid, args.a, args.b, dict(zip(cond, cell)), args.tau)
-        comp = path_components(mask, args.adjacency).count
-        per_c[cell] = (comp, assignment.class_count)
+    assignments = classes_per_c(grid, args.a, args.b, cond, args.tau)
+    per_c = {
+        cell: (path_components(asg.uc > 0).count, asg.class_count)
+        for cell, asg in assignments.items()
+    }
     ci_rows: list[tuple[str, CiReport]] = []
     if args.x in grid.axis_names:
         ci_rows = [
@@ -331,9 +333,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 is_ci(grid, args.x, (args.a, args.b), cond, args.tol),
             ),
         ]
-    verdict = intersection_condition(
-        grid, args.a, args.b, cond, args.tau, args.adjacency
-    )
+    verdict = _verdict(assignments)
     elapsed = None if args.deterministic else time.perf_counter() - started
     report = AnalysisReport(
         digest=digest,
@@ -357,10 +357,9 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
         "--x", default="X",
         help="dependent-variable axis, kept out of the conditioning set",
     )
-    p.add_argument("--tau", type=float, default=ZERO_TOL, help="positivity cutoff")
     p.add_argument(
-        "--adjacency", type=int, choices=(4, 8), default=4,
-        help="component adjacency rule",
+        "--tau", type=float, default=0.0,
+        help="support cutoff: cells with mass above it are support (default 0)",
     )
 
 
@@ -373,7 +372,6 @@ def _add_assert_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="CI tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     p.add_argument(
         "--deterministic", action="store_true",
         help="suppress timing output for byte-identical reports",

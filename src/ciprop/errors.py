@@ -70,3 +70,21 @@ class BinOverflow(CipropError, ValueError):
 
 class BudgetExceeded(CipropError, ValueError):
     """An enumeration guard (noise configurations, conditioning sets) tripped."""
+
+
+class AdversaryCheckFailed(CipropError, RuntimeError):
+    """A constructed adversary misses its guarantees.
+
+    The premises must hold within 1e-9, the pointwise margin must reach
+    0.1 and the conclusion must fail; the measured values are kept.
+    """
+
+    def __init__(self, dev_xa: float, dev_xb: float, margin: float) -> None:
+        super().__init__(
+            f"adversary misses its guarantees: premise deviations {dev_xa!r} / "
+            f"{dev_xb!r} (bound 1e-9), pointwise margin {margin!r} (bound 0.1), "
+            "conclusion must fail"
+        )
+        self.dev_xa = dev_xa
+        self.dev_xb = dev_xb
+        self.margin = margin

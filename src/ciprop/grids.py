@@ -43,9 +43,10 @@ from .errors import (
 )
 from .jsonio import render_json
 
-# A cell counts as positive iff its mass exceeds ZERO_TOL; the discrete
-# analogue of the p(.) > 0 quantifiers needs a cutoff robust to float
-# accumulation.
+# A conditioning cell counts as positive in the CI residuals and in
+# ``condition`` iff its mass exceeds ZERO_TOL: dividing by a mass that is
+# float accumulation noise would blow it up.  Support (topology, sem) is
+# exact, mass > 0.
 ZERO_TOL = 1e-12
 # |sum - 1| tolerance for a valid probability table.
 NORM_TOL = 1e-9

@@ -8,11 +8,17 @@ It can fail when the joint density of (A, B) has gaps.  The decision
 criterion implemented here is purely topological: the implication holds
 for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
-coordinate-wise-connected equivalence class.  With two or more classes a
-violating X always exists and :func:`construct_adversary` builds one; with
-one class the conclusion is forced, and even in the failing case a weak
-form survives: the conclusion holds conditionally on the class variable
-``uc`` (:func:`verify_weak_intersection`).
+coordinate-wise-connected equivalence class.  The support is exact: a
+cell belongs to it when its mass is positive (above ``tau`` when one is
+given).  :func:`classes_per_c` takes one marginal over (A, B) and the
+conditioning axes and finds the classes of every conditioning cell in
+one call to the components kernel of :mod:`ciprop.topology`.
+
+With two or more classes a violating X always exists and
+:func:`construct_adversary` builds one; with one class the conclusion is
+forced, and even in the failing case a weak form survives: the
+conclusion holds conditionally on the class variable ``uc``
+(:func:`verify_weak_intersection`).
 
 The adversary follows the constructive failure proof: a new variable
 
@@ -24,7 +30,8 @@ function of A alone and of B alone, which makes both premises hold
 exactly, while the two well-separated X-bands tied to distinct classes
 break the conclusion by at least ``max(w, 1-w) / 5 >= 0.1`` in the
 pointwise conditional residual, where ``w`` is the class-1 mass of the
-target slice.
+target slice.  These guarantees are checked on every constructed grid;
+a miss raises :class:`AdversaryCheckFailed`.
 """
 
 from __future__ import annotations
@@ -35,13 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AdversaryCheckFailed,
+    OverlappingRoles,
     PremiseViolated,
     ShapeMismatch,
     SingleClass,
 )
 from .grids import (
     DEFAULT_TOL,
-    ZERO_TOL,
     Axis,
     CiReport,
     DensityGrid,
@@ -51,12 +59,7 @@ from .grids import (
     marginalize,
     validate,
 )
-from .topology import (
-    UcAssignment,
-    coordinatewise_classes,
-    path_components,
-    support_mask,
-)
+from .topology import UcAssignment, _class_assignments
 
 
 @dataclass(frozen=True)
@@ -98,19 +101,28 @@ def _cond_names(
     return tuple(cond)
 
 
-def _c_cells(
-    grid: DensityGrid, cond: tuple[str, ...], tau: float
-) -> list[tuple[tuple[int, ...], dict[str, int]]]:
-    """Positive-mass conditioning cells in row-major order."""
-    if not cond:
-        return [((), {})]
-    marg = marginalize(grid, cond)
-    order = tuple(n for n in marg.axis_names)
-    cells = []
-    for idx in np.argwhere(marg.prob > tau):
-        cell = tuple(int(v) for v in idx)
-        cells.append((cell, dict(zip(order, cell))))
-    return cells
+def _by_c(
+    grid: DensityGrid, axes: tuple[str, ...], cond: tuple[str, ...], tau: float
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """One marginal over ``axes`` plus ``cond``, laid out as (C..., *axes).
+
+    Returns the conditioning cells whose mass exceeds ``tau`` in row-major
+    order, the marginal table with the conditioning axes first (in grid
+    order), and the boolean table of those cells over the conditioning
+    axes.
+    """
+    if tau < 0:
+        raise ShapeMismatch(f"tau must be nonnegative, got {tau!r}")
+    roles = (*axes, *cond)
+    if len(set(roles)) != len(roles):
+        raise OverlappingRoles(f"roles overlap: {axes} and conditioning {cond}")
+    sub = marginalize(grid, roles)
+    c_ord = tuple(n for n in sub.axis_names if n in cond)
+    table = np.transpose(sub.prob, [sub.axis_index(n) for n in (*c_ord, *axes)])
+    lead = tuple(range(len(c_ord), table.ndim))
+    positive = table.sum(axis=lead) > tau
+    cells = [tuple(int(v) for v in idx) for idx in np.argwhere(positive)]
+    return cells, table, positive
 
 
 def classes_per_c(
@@ -118,16 +130,24 @@ def classes_per_c(
     a: str,
     b: str,
     cond: Iterable[str] | None = None,
-    tau: float = ZERO_TOL,
-    adjacency: int = 4,
+    tau: float = 0.0,
 ) -> dict[tuple[int, ...], UcAssignment]:
-    """Class assignment of the (a, b) support for every conditioning cell."""
+    """Class assignment of the (a, b) support for every conditioning cell.
+
+    Keys are positive-mass conditioning cells, as bin tuples over the
+    conditioning axes in grid order, in row-major order.
+    """
     cond_names = _cond_names(grid, (a, b), cond)
-    out: dict[tuple[int, ...], UcAssignment] = {}
-    for cell, fixed in _c_cells(grid, cond_names, tau):
-        mask = support_mask(grid, a, b, fixed, tau)
-        out[cell] = coordinatewise_classes(path_components(mask, adjacency))
-    return out
+    cells, table, positive = _by_c(grid, (a, b), cond_names, tau)
+    return dict(zip(cells, _class_assignments((table > tau)[positive])))
+
+
+def _verdict(
+    assignments: Mapping[tuple[int, ...], UcAssignment],
+) -> IntersectionVerdict:
+    counts = {cell: asg.class_count for cell, asg in assignments.items()}
+    failing = next((cell for cell, n in counts.items() if n > 1), None)
+    return IntersectionVerdict(counts, failing is None, failing)
 
 
 def intersection_condition(
@@ -135,8 +155,7 @@ def intersection_condition(
     a: str = "A",
     b: str = "B",
     cond: Iterable[str] | None = None,
-    tau: float = ZERO_TOL,
-    adjacency: int = 4,
+    tau: float = 0.0,
 ) -> IntersectionVerdict:
     """Decide whether the intersection property holds for every X.
 
@@ -145,10 +164,7 @@ def intersection_condition(
     one support class; the first cell with two or more classes (row-major)
     is reported as ``failing_c``.
     """
-    assignments = classes_per_c(grid, a, b, cond, tau, adjacency)
-    counts = {cell: asg.class_count for cell, asg in assignments.items()}
-    failing = next((cell for cell, n in counts.items() if n > 1), None)
-    return IntersectionVerdict(counts, failing is None, failing)
+    return _verdict(classes_per_c(grid, a, b, cond, tau))
 
 
 def verify_intersection(
@@ -180,20 +196,6 @@ def verify_intersection(
     )
 
 
-def _xab_block(
-    grid: DensityGrid, x: str, a: str, b: str, fixed: Mapping[str, int]
-) -> np.ndarray:
-    """Unnormalized mass table over (x, a, b) at a fixed conditioning cell."""
-    sub = marginalize(grid, (x, a, b, *fixed))
-    slicer: list[object] = [slice(None)] * len(sub.axes)
-    for name, bin_idx in fixed.items():
-        slicer[sub.axis_index(name)] = int(bin_idx)
-    block = sub.prob[tuple(slicer)]
-    rest = [n for n in sub.axis_names if n not in fixed]
-    perm = tuple(rest.index(n) for n in (x, a, b))
-    return np.transpose(block, perm)
-
-
 def verify_weak_intersection(
     grid: DensityGrid,
     x: str = "X",
@@ -201,8 +203,7 @@ def verify_weak_intersection(
     b: str = "B",
     cond: Iterable[str] | None = None,
     tol: float = DEFAULT_TOL,
-    tau: float = ZERO_TOL,
-    adjacency: int = 4,
+    tau: float = 0.0,
 ) -> WeakIntersectionReport:
     """Check the conclusion conditionally on the support class.
 
@@ -222,18 +223,16 @@ def verify_weak_intersection(
             "premise deviations "
             f"{premise_xa.deviation!r} / {premise_xb.deviation!r} exceed {tol!r}"
         )
+    cells, table, positive = _by_c(grid, (x, a, b), cond_names, tau)
+    support = (table.sum(axis=-3) > tau)[positive]
     per_class: dict[tuple[tuple[int, ...], int], float] = {}
-    for cell, fixed in _c_cells(grid, cond_names, tau):
-        mask = support_mask(grid, a, b, fixed, tau)
-        assignment = coordinatewise_classes(path_components(mask, adjacency))
-        block = _xab_block(grid, x, a, b, fixed)
-        cell_mass = block.sum(axis=0)
+    for cell, assignment in zip(cells, _class_assignments(support)):
+        block = table[cell]
         for cls in range(1, assignment.class_count + 1):
             a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
             mixture = block[:, a_bins, :].sum(axis=(1, 2))
             mixture = mixture / mixture.sum()
-            on_class = (assignment.uc == cls) & (cell_mass > tau)
-            cols = block[:, on_class]
+            cols = block[:, assignment.uc == cls]
             cond_laws = cols / cols.sum(axis=0)
             residual = float(np.abs(cond_laws - mixture[:, None]).max())
             per_class[(cell, cls)] = residual
@@ -251,8 +250,7 @@ def attach_class_variable(
     a: str = "A",
     b: str = "B",
     name: str = "X",
-    tau: float = ZERO_TOL,
-    adjacency: int = 4,
+    tau: float = 0.0,
 ) -> DensityGrid:
     """Join a new variable ``name = g(c, uc) + noise`` onto ``base``.
 
@@ -262,6 +260,21 @@ def attach_class_variable(
     threshold get class 0.  The new axis is placed first; its points are
     the distinct level-plus-noise values.
     """
+    assignments = classes_per_c(base, a, b, None, tau)
+    return _attach(base, assignments, g, noise_points, noise_probs, a, b, name)
+
+
+def _attach(
+    base: DensityGrid,
+    assignments: Mapping[tuple[int, ...], UcAssignment],
+    g: Callable[[tuple[int, ...], int], float],
+    noise_points: Sequence[float],
+    noise_probs: Sequence[float] | None,
+    a: str,
+    b: str,
+    name: str,
+) -> DensityGrid:
+    """:func:`attach_class_variable` given the classes of ``base``."""
     if name in base.axis_names:
         raise ShapeMismatch(f"axis {name!r} already exists")
     pts = np.asarray(noise_points, dtype=float)
@@ -274,7 +287,6 @@ def attach_class_variable(
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
     cond_names = _cond_names(base, (a, b), None)
-    assignments = classes_per_c(base, a, b, cond_names, tau, adjacency)
     a_pos, b_pos = base.axis_index(a), base.axis_index(b)
     cond_pos = [base.axis_index(n) for n in cond_names]
 
@@ -305,8 +317,7 @@ def construct_adversary(
     a: str = "A",
     b: str = "B",
     name: str = "X",
-    tau: float = ZERO_TOL,
-    adjacency: int = 4,
+    tau: float = 0.0,
 ) -> DensityGrid:
     """Build a variable violating the intersection implication on ``base``.
 
@@ -316,8 +327,9 @@ def construct_adversary(
     variable exists.  The output joint satisfies both premises within
     1e-9 and breaks the conclusion: the pointwise conditional residual of
     x vs b at the target cell is at least ``max(w, 1-w) / 5 >= 0.1`` with
-    ``w`` the class-1 mass of the target slice.  Both postconditions are
-    asserted before returning.
+    ``w`` the class-1 mass of the target slice.  Both postconditions, and
+    the failure of the conclusion, are checked before returning;
+    :class:`AdversaryCheckFailed` carries the measured values otherwise.
     """
     lo, hi = float(levels[0]), float(levels[1])
     if abs(hi - lo) <= 2.0 * noise_halfwidth:
@@ -326,7 +338,7 @@ def construct_adversary(
             f"{2.0 * noise_halfwidth}; bands must not overlap"
         )
     cond_names = _cond_names(base, (a, b), None)
-    assignments = classes_per_c(base, a, b, cond_names, tau, adjacency)
+    assignments = classes_per_c(base, a, b, cond_names, tau)
     if target_c is None:
         target = next(
             (cell for cell, asg in assignments.items() if asg.class_count >= 2),
@@ -354,13 +366,15 @@ def construct_adversary(
         return hi if (c_cell == target and uc == 1) else lo
 
     noise = np.linspace(-noise_halfwidth, noise_halfwidth, 5)
-    result = attach_class_variable(
-        base, g, noise, a=a, b=b, name=name, tau=tau, adjacency=adjacency
-    )
+    result = _attach(base, assignments, g, noise, None, a, b, name)
     dev_xa, _ = ci_deviation(result, name, a, (b, *cond_names))
     dev_xb, _ = ci_deviation(result, name, b, (a, *cond_names))
-    assert dev_xa <= 1e-9 and dev_xb <= 1e-9, (dev_xa, dev_xb)
-    pointwise = pointwise_deviation(result, name, b, cond_names)
-    assert pointwise >= 0.1 * (1.0 - 1e-9), pointwise
-    assert not is_ci(result, name, (a, b), cond_names).holds
+    margin = pointwise_deviation(result, name, b, cond_names)
+    if not (
+        dev_xa <= 1e-9
+        and dev_xb <= 1e-9
+        and margin >= 0.1 * (1.0 - 1e-9)
+        and not is_ci(result, name, (a, b), cond_names).holds
+    ):
+        raise AdversaryCheckFailed(dev_xa, dev_xb, margin)
     return result

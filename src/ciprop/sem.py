@@ -42,12 +42,8 @@ from .errors import (
     UnknownNode,
 )
 from .grids import (
-    DEFAULT_TOL,
-    ZERO_TOL,
     Axis,
-    CiReport,
     DensityGrid,
-    is_ci,
     marginalize,
     validate,
 )
@@ -465,7 +461,7 @@ def noise_support_path_connected(sem: SemSpec) -> dict[str, bool]:
     out = {}
     for node in sem.dag.nodes:
         noise = sem.noises[node]
-        pts = np.asarray(noise.points)[np.asarray(noise.probs) > ZERO_TOL]
+        pts = np.asarray(noise.points)[np.asarray(noise.probs) > 0]
         if pts.size <= 1:
             out[node] = True
             continue
@@ -477,9 +473,12 @@ def noise_support_path_connected(sem: SemSpec) -> dict[str, bool]:
 def joint_support_components(
     grid: DensityGrid, variables: Iterable[str] | None = None
 ) -> int:
-    """Face-adjacency component count of the (marginal) support lattice."""
+    """Component count of the (marginal) support lattice; see label_support_nd.
+
+    The support is exact: every cell of positive mass belongs to it.
+    """
     sub = grid if variables is None else marginalize(grid, tuple(variables))
-    _, count = label_support_nd(sub.prob > ZERO_TOL)
+    _, count = label_support_nd(sub.prob > 0)
     return count
 
 
@@ -550,7 +549,7 @@ def non_constancy_check(
             for pos, val in zip(group_axes, group_idx):
                 slicer[pos] = val
             column = marg.prob[tuple(slicer)]
-            j_bins = np.flatnonzero(column > ZERO_TOL)
+            j_bins = np.flatnonzero(column > 0)
             if j_bins.size < 2:
                 continue
             group_bins = dict(zip((marg.axes[i].name for i in group_axes), group_idx))
@@ -604,21 +603,6 @@ def _mech_scalar(
         bins[p] = np.asarray(b)
         values[p] = np.asarray(float(sem.axes[p].points[b]))
     return float(mech.evaluate(values, bins, parent_order))
-
-
-def dependence_conclusion(
-    grid: DensityGrid,
-    node: str,
-    other: str,
-    given: Iterable[str] = (),
-    tol: float = DEFAULT_TOL,
-) -> CiReport:
-    """CI verdict for ``node`` vs ``other`` given ``given``.
-
-    Dependence — the conclusion the non-constancy condition is meant to
-    secure — corresponds to ``holds`` being false (deviation above tol).
-    """
-    return is_ci(grid, node, other, tuple(given), tol)
 
 
 # -- file format ---------------------------------------------------------

@@ -1,12 +1,21 @@
 """Support decomposition for pairs of grid variables.
 
 Given a joint grid over axes ``A`` and ``B`` (optionally sliced at a cell
-of further conditioning axes), this module builds the boolean support mask,
-labels its path-connected components under 4-neighbor adjacency, and merges
-components into equivalence classes under coordinate-wise connection: two
-components are directly connected when their projections onto the A axis
-intersect or their projections onto the B axis intersect, and classes are
-the transitive closure of that relation.
+of further conditioning axes), this module builds the boolean support mask
+(the cells of positive mass), labels its path-connected components (cells
+sharing an edge are neighbors), and merges components into equivalence
+classes under coordinate-wise connection: two components are directly
+connected when their projections onto the A axis intersect or their
+projections onto the B axis intersect, and classes are the transitive
+closure of that relation.
+
+Both questions are connected components of a graph, answered by one
+kernel.  Labeling takes the support cells as nodes and face neighbors as
+edges.  Classes take the A bins and the B bins as nodes and the support
+cells as edges: neighboring cells share a row or a column, so two cells
+share a class exactly when this bipartite graph joins them (Fink 2011,
+*The binomial ideal of the intersection axiom for conditional
+probabilities*).
 
 The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
@@ -17,20 +26,19 @@ and of the B bin alone.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    CipropError,
     IndexOutOfRange,
     OverlappingRoles,
     ShapeMismatch,
-    UnknownAxis,
     ZeroMassCondition,
 )
-from .grids import ZERO_TOL, Axis, DensityGrid, marginalize
+from .grids import Axis, DensityGrid, marginalize
 
 _CHARSET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -42,7 +50,7 @@ class SupportMask:
     a_axis: Axis
     b_axis: Axis
     cells: np.ndarray
-    tau: float = ZERO_TOL
+    tau: float = 0.0
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells, dtype=bool)
@@ -75,13 +83,13 @@ class ComponentLabeling:
 class UcAssignment:
     """Equivalence classes of components and the derived cell variable.
 
-    ``uc`` holds class index i >= 1 on cells of class i and 0 off support.
+    ``uc`` holds class index i >= 1 on cells of class i and 0 off support;
+    classes are numbered by their first cell in row-major order.
     ``proj_a`` / ``proj_b`` give each class's occupied bins per axis; the
     sets are pairwise disjoint across classes on both axes.
     """
 
     uc: np.ndarray
-    class_of_component: Mapping[int, int]
     class_count: int
     proj_a: Mapping[int, tuple[int, ...]]
     proj_b: Mapping[int, tuple[int, ...]]
@@ -97,7 +105,7 @@ def support_mask(
     a: str,
     b: str,
     c_fixed: Mapping[str, int] | None = None,
-    tau: float = ZERO_TOL,
+    tau: float = 0.0,
 ) -> SupportMask:
     """Mask of (a, b) cells whose mass at the fixed slice exceeds ``tau``.
 
@@ -129,155 +137,115 @@ def support_mask(
     return SupportMask(sub.axis(a), sub.axis(b), cells, tau)
 
 
-def _neighbor_offsets(adjacency: int) -> tuple[tuple[int, int], ...]:
-    if adjacency == 4:
-        return ((-1, 0), (1, 0), (0, -1), (0, 1))
-    if adjacency == 8:
-        return tuple(
-            (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
-        )
-    raise ShapeMismatch(f"adjacency must be 4 or 8, got {adjacency!r}")
+def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest node id in each node's component; nodes 0..n-1, edges u[k]-v[k].
 
-
-def label_cells(cells: np.ndarray, adjacency: int = 4) -> tuple[np.ndarray, int]:
-    """Flood-fill labeling of a 2-D boolean table; returns (labels, count)."""
-    cells = np.asarray(cells, dtype=bool)
-    if cells.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D table, got shape {cells.shape}")
-    offsets = _neighbor_offsets(adjacency)
-    n_rows, n_cols = cells.shape
-    labels = np.zeros(cells.shape, dtype=np.int64)
-    count = 0
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if not cells[i, j] or labels[i, j]:
-                continue
-            count += 1
-            labels[i, j] = count
-            queue = deque([(i, j)])
-            while queue:
-                ci, cj = queue.popleft()
-                for di, dj in offsets:
-                    ni, nj = ci + di, cj + dj
-                    if (
-                        0 <= ni < n_rows
-                        and 0 <= nj < n_cols
-                        and cells[ni, nj]
-                        and not labels[ni, nj]
-                    ):
-                        labels[ni, nj] = count
-                        queue.append((ni, nj))
-    return labels, count
-
-
-def path_components(
-    mask: SupportMask | np.ndarray, adjacency: int = 4
-) -> ComponentLabeling:
-    """Path-connected components of the support under grid adjacency.
-
-    4-adjacency (cells sharing an edge) is the default: a continuous
-    positive path crossing a fine grid induces edge-adjacent positive
-    cells, while corner contact does not imply a path through the support.
-    ``adjacency=8`` additionally joins diagonal contacts.
+    Min-label hooking with pointer jumping (Shiloach and Vishkin 1982):
+    each round hooks every tree root onto the smallest root across its
+    edges, then compresses the forest to depth one.  A round that does
+    not finish merges at least two trees, so ``n`` rounds always suffice.
     """
-    cells = mask.cells if isinstance(mask, SupportMask) else np.asarray(mask, bool)
-    labels, count = label_cells(cells, adjacency)
-    return ComponentLabeling(labels, count)
-
-
-class _Dsu:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
-def coordinatewise_classes(labeling: ComponentLabeling) -> UcAssignment:
-    """Merge components sharing an A-projection bin or a B-projection bin.
-
-    Union-find computes the transitive closure of the direct overlap
-    relation (chains of coordinate-wise connections).  Class indices are
-    canonical by the smallest member component label.
-    """
-    labels = labeling.labels
-    count = labeling.count
-    dsu = _Dsu(count + 1)
-    # all components occupying a common A bin (row) or B bin (column) are
-    # pairwise connected; unioning each against the first seen suffices
-    for axis in (0, 1):
-        for k in range(labels.shape[axis]):
-            comps = np.unique(labels.take(k, axis=axis))
-            comps = comps[comps > 0]
-            for other in comps[1:]:
-                dsu.union(int(comps[0]), int(other))
-    roots = sorted({dsu.find(k) for k in range(1, count + 1)})
-    class_of_root = {root: i + 1 for i, root in enumerate(roots)}
-    class_of_component = {k: class_of_root[dsu.find(k)] for k in range(1, count + 1)}
-    remap = np.zeros(count + 1, dtype=np.int64)
-    for k, cls in class_of_component.items():
-        remap[k] = cls
-    uc = remap[labels]
-    proj_a = {
-        cls: tuple(int(i) for i in np.flatnonzero((uc == cls).any(axis=1)))
-        for cls in class_of_root.values()
-    }
-    proj_b = {
-        cls: tuple(int(j) for j in np.flatnonzero((uc == cls).any(axis=0)))
-        for cls in class_of_root.values()
-    }
-    return UcAssignment(uc, class_of_component, len(roots), proj_a, proj_b)
-
-
-def uc_of_cell(assignment: UcAssignment, a_bin: int, b_bin: int) -> int:
-    """Class index at a cell: i >= 1 on class i, 0 where the mass is zero."""
-    n_rows, n_cols = assignment.uc.shape
-    if not (0 <= a_bin < n_rows and 0 <= b_bin < n_cols):
-        raise IndexOutOfRange(
-            f"cell ({a_bin}, {b_bin}) out of range for shape {(n_rows, n_cols)}"
-        )
-    return int(assignment.uc[a_bin, b_bin])
+    parent = np.arange(n)
+    for _ in range(n + 1):
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return parent
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    raise CipropError(f"components of {n} nodes did not converge in {n} rounds")
 
 
 def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
-    """Face-adjacency components of an n-D boolean lattice.
+    """Path-connected components of an n-D boolean lattice.
 
-    Two cells are adjacent when they differ by one step on exactly one
-    axis (the n-D analogue of 4-adjacency).  Returns (labels, count) with
-    the same 0 / 1..count convention as the 2-D labeling.
+    Two cells are neighbors when they differ by one step on exactly one
+    axis, the n-D analogue of sharing an edge.  Returns (labels, count)
+    with 0 off support and 1..count on it, numbered by each component's
+    first cell in row-major order.
     """
     support = np.asarray(support, dtype=bool)
-    labels = np.zeros(support.shape, dtype=np.int64)
-    count = 0
-    for start in np.argwhere(support):
-        start = tuple(int(v) for v in start)
-        if labels[start]:
-            continue
-        count += 1
-        labels[start] = count
-        queue = deque([start])
-        while queue:
-            cell = queue.popleft()
-            for axis in range(support.ndim):
-                for step in (-1, 1):
-                    coord = cell[axis] + step
-                    if not 0 <= coord < support.shape[axis]:
-                        continue
-                    neighbor = cell[:axis] + (coord,) + cell[axis + 1 :]
-                    if support[neighbor] and not labels[neighbor]:
-                        labels[neighbor] = count
-                        queue.append(neighbor)
-    return labels, count
+    # node k is the k-th support cell in row-major order
+    cells = np.flatnonzero(support)
+    u, v = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    stride = 1
+    for size in reversed(support.shape):
+        # the neighbor one step ahead along this axis, if on support and
+        # not wrapped around from the axis' last bin
+        ahead = cells + stride
+        pos = np.searchsorted(cells, ahead)
+        hit = cells.take(pos, mode="clip") == ahead
+        hit &= (cells // stride) % size != size - 1
+        u.append(np.flatnonzero(hit))
+        v.append(pos[hit])
+        stride *= size
+    roots = _roots(cells.size, np.concatenate(u), np.concatenate(v))
+    is_root = roots == np.arange(cells.size)
+    labels = np.zeros(support.size, dtype=np.int64)
+    labels[cells] = np.cumsum(is_root)[roots]
+    return labels.reshape(support.shape), int(is_root.sum())
+
+
+def _mask_cells(mask: SupportMask | np.ndarray) -> np.ndarray:
+    cells = mask.cells if isinstance(mask, SupportMask) else np.asarray(mask, bool)
+    if cells.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-D table, got shape {cells.shape}")
+    return cells
+
+
+def path_components(mask: SupportMask | np.ndarray) -> ComponentLabeling:
+    """Path-connected components of the support: cells sharing an edge touch.
+
+    A continuous positive path crossing a fine grid induces positive cells
+    that share edges, while corner contact does not imply a path through
+    the support.
+    """
+    return ComponentLabeling(*label_support_nd(_mask_cells(mask)))
+
+
+def _bins_of(classes: np.ndarray, count: int) -> dict[int, tuple[int, ...]]:
+    return {
+        cls: tuple(np.flatnonzero(classes == cls).tolist())
+        for cls in range(1, count + 1)
+    }
+
+
+def _class_assignments(support: np.ndarray) -> list[UcAssignment]:
+    """Coordinate-wise classes of every (A, B) slice of a (C, A, B) stack.
+
+    All slices go through one kernel call.  Slice k owns the nodes
+    ``k * (nA + nB) + i`` for its A bins and ``k * (nA + nB) + nA + j`` for
+    its B bins, and its support cells are the edges.  A class's root is
+    its smallest A bin, which holds the class's first row-major cell, so
+    ranking the roots of a slice numbers its classes by first cell.
+    """
+    support = np.asarray(support, dtype=bool)
+    n_c, n_a, n_b = support.shape
+    width = n_a + n_b
+    k, i, j = np.nonzero(support)
+    roots = _roots(n_c * width, k * width + i, k * width + n_a + j)
+    roots = roots.reshape(n_c, width) - np.arange(n_c)[:, None] * width
+    rows, cols = support.any(axis=2), support.any(axis=1)
+    root_a = np.where(rows, roots[:, :n_a], 0)
+    root_b = np.where(cols, roots[:, n_a:], 0)
+    rank = np.cumsum(rows & (root_a == np.arange(n_a)), axis=1)
+    cls_a = np.where(rows, np.take_along_axis(rank, root_a, axis=1), 0)
+    cls_b = np.where(cols, np.take_along_axis(rank, root_b, axis=1), 0)
+    uc = np.where(support, cls_a[:, :, None], 0)
+    return [
+        UcAssignment(uc[s], count, _bins_of(cls_a[s], count), _bins_of(cls_b[s], count))
+        for s, count in enumerate(rank[:, -1].tolist())
+    ]
+
+
+def coordinatewise_classes(mask: SupportMask | np.ndarray) -> UcAssignment:
+    """Merge components sharing an A-projection bin or a B-projection bin.
+
+    Classes are the transitive closure of the direct overlap relation
+    (chains of coordinate-wise connections), numbered by their first cell
+    in row-major order.
+    """
+    return _class_assignments(_mask_cells(mask)[None])[0]
 
 
 def render_labels(labels: np.ndarray) -> str:
@@ -292,10 +260,3 @@ def render_labels(labels: np.ndarray) -> str:
             "".join("." if v == 0 else _CHARSET[int(v) % 36] for v in row)
         )
     return "\n".join(rows)
-
-
-def render_mask(mask: SupportMask) -> str:
-    """ASCII view of a support mask: '#' on support, '.' off."""
-    return "\n".join(
-        "".join("#" if v else "." for v in row) for row in mask.cells
-    )

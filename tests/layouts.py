@@ -19,10 +19,9 @@ def seven_block_mask():
 
     Class 1 chains three blocks through pairwise projection overlaps
     (the outer two share nothing directly, exercising transitivity);
-    class 2 shares rows only; class 3 lives on isolated columns.  Corner
-    contacts at (1,1)/(2,2), (1,4)/(2,3), and (3,3)/(4,4) chain the first
-    four blocks together under 8-neighbor adjacency, dropping the
-    component count from 7 to 4.
+    class 2 shares rows only; class 3 lives on isolated columns.  The
+    corner contacts at (1,1)/(2,2), (1,4)/(2,3), and (3,3)/(4,4) join no
+    blocks, since cells touching only at a corner are not connected.
     """
     cells = np.zeros((10, 10), dtype=bool)
     cells[0:2, 0:2] = True  # block 1: class 1

@@ -26,7 +26,6 @@ from ciprop import (
     condition,
     construct_adversary,
     coordinatewise_classes,
-    dependence_conclusion,
     example1,
     example1_alternative,
     intersection_condition,
@@ -79,7 +78,7 @@ def all_3x3_masks():
         cells = np.array([(bits >> k) & 1 for k in range(9)], dtype=bool)
         cells = cells.reshape(3, 3)
         if cells.any():
-            classes = coordinatewise_classes(path_components(cells)).class_count
+            classes = coordinatewise_classes(cells).class_count
         else:
             classes = 0
         out.append((cells, classes))
@@ -100,9 +99,9 @@ def test_criterion_1_benchmark_chain_ci_profile():
 def test_criterion_2_benchmark_support_topology(ex1):
     with criterion(2, "benchmark support topology"):
         _, grid = ex1
-        labeling = path_components(support_mask(grid, "A", "B"))
-        assert labeling.count == 2
-        assert coordinatewise_classes(labeling).class_count == 2
+        mask = support_mask(grid, "A", "B")
+        assert path_components(mask).count == 2
+        assert coordinatewise_classes(mask).class_count == 2
         assert not intersection_condition(grid, "A", "B", cond=()).holds
 
 
@@ -110,7 +109,7 @@ def test_criterion_3_block_layout_classes():
     with criterion(3, "block-layout classes"):
         cells = layouts.seven_block_mask()
         labeling = path_components(cells)
-        assert coordinatewise_classes(labeling).class_count == 3
+        assert coordinatewise_classes(cells).class_count == 3
         assert labeling.count == oracles.flood_recursive(cells.tolist())
 
 
@@ -248,7 +247,7 @@ def test_criterion_7_non_constancy_and_dependence(ex1):
         )
         pushed = propagate(monotone)
         assert non_constancy_check(monotone, "X", "B", pushed).holds
-        verdict = dependence_conclusion(pushed, "X", "B", given=("A",))
+        verdict = is_ci(pushed, "X", "B", ("A",))
         assert not verdict.holds and verdict.deviation > 0.01
         assert not non_constancy_check(sem, "X", "B", grid).holds
 

@@ -107,9 +107,6 @@ def test_components_and_classes_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "components=7" in out
 
-    assert run(["components", str(path), "--adjacency", "8"]) == 0
-    assert "components=4" in capsys.readouterr().out
-
     assert run(["classes", str(path), "--assert", "fails"]) == 0
     out = capsys.readouterr().out
     assert "components=7 classes=3" in out

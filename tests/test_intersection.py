@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ciprop import (
+    AdversaryCheckFailed,
     Axis,
     DensityGrid,
     PremiseViolated,
@@ -20,7 +21,6 @@ from ciprop import (
     is_ci,
     pointwise_deviation,
     marginalize,
-    path_components,
     verify_intersection,
     verify_weak_intersection,
 )
@@ -50,7 +50,7 @@ def class_mixture_grid(cells, n_x, rng):
     construction; the conclusion holds only when all classes share one law.
     """
     cells = np.asarray(cells, dtype=bool)
-    assignment = coordinatewise_classes(path_components(cells))
+    assignment = coordinatewise_classes(cells)
     mass = np.where(cells, rng.uniform(0.2, 1.0, cells.shape), 0.0)
     mass /= mass.sum()
     laws = rng.dirichlet(np.ones(n_x), size=max(assignment.class_count, 1))
@@ -71,7 +71,7 @@ def random_multiclass_mask(rng, rows, cols):
         cells = rng.random((rows, cols)) < rng.uniform(0.3, 0.7)
         if not cells.any():
             continue
-        asg = coordinatewise_classes(path_components(cells))
+        asg = coordinatewise_classes(cells)
         if asg.class_count >= 2:
             return cells, asg
 
@@ -194,7 +194,7 @@ def test_single_class_mixture_forces_the_conclusion():
         cells = rng.random((4, 4)) < 0.6
         if not cells.any():
             continue
-        asg = coordinatewise_classes(path_components(cells))
+        asg = coordinatewise_classes(cells)
         if asg.class_count != 1:
             continue
         g, _ = class_mixture_grid(cells, 3, rng)
@@ -363,6 +363,19 @@ def test_adversary_is_deterministic():
     two = construct_adversary(base)
     assert one.axes == two.axes
     assert np.array_equal(one.prob, two.prob)
+
+
+def test_adversary_postconditions_raise(monkeypatch):
+    # a margin below the guaranteed 0.1 is reported with the measured values,
+    # also under python -O
+    monkeypatch.setattr(
+        "ciprop.intersection.pointwise_deviation", lambda *args, **kwargs: 0.0
+    )
+    with pytest.raises(AdversaryCheckFailed) as info:
+        construct_adversary(mask_grid(layouts.two_block_mask()))
+    assert info.value.margin == 0.0
+    assert info.value.dev_xa <= 1e-12 and info.value.dev_xb <= 1e-12
+    assert not isinstance(info.value, AssertionError)
 
 
 def test_adversary_satisfies_the_weak_form():

@@ -27,9 +27,10 @@ from ciprop import (
     TableMechanism,
     UnknownNode,
     ci_deviation,
-    dependence_conclusion,
     example1,
     example1_alternative,
+    intersection_condition,
+    is_ci,
     joint_support_components,
     load_sem,
     marginalize,
@@ -389,6 +390,33 @@ def test_joint_support_component_counts():
     assert joint_support_components(g, ("A",)) == 1
 
 
+def test_tiny_masses_are_support():
+    # the cells A = 0, B = +-1 carry delta^2 = 1e-14 and join the three
+    # blocks into one component and one class; a cutoff of 1e-12 would
+    # split the support into 3 of each
+    delta = 1e-7
+    dag = Dag(("A", "B"), {"B": ("A",)})
+    sem = SemSpec(
+        dag,
+        {
+            "A": NoiseSpec(
+                (-1.0, 0.0, 1.0), (0.5 - delta / 2, delta, 0.5 - delta / 2)
+            ),
+            "B": NoiseSpec((-1.0, 0.0, 1.0), (delta, 1.0 - 2 * delta, delta)),
+        },
+        {"B": TableMechanism(np.array([-2.0, 0.0, 2.0]))},
+        {
+            "A": Axis("A", (-1.0, 0.0, 1.0)),
+            "B": Axis("B", tuple(float(v) for v in range(-3, 4))),
+        },
+    )
+    grid = propagate(sem)
+    assert 0.0 < grid.prob[1, 2] < 1e-12
+    assert joint_support_components(grid) == 1
+    verdict = intersection_condition(grid, "A", "B")
+    assert verdict.holds and verdict.per_c_class_counts == {(): 1}
+
+
 def test_affine_mechanism_is_non_constant():
     report = non_constancy_check(chain_sem(), "B", "A")
     assert report.holds
@@ -419,11 +447,11 @@ def test_non_constancy_argument_validation(ex1):
 
 def test_dependence_conclusion_on_example1(ex1):
     _, grid = ex1
-    assert not dependence_conclusion(grid, "X", "B").holds
+    assert not is_ci(grid, "X", "B").holds
     # ... but conditioning on A restores independence: the regression of the
     # plateau mechanism is invisible given the source, matching the failed
     # witness search for C = {A}
-    assert dependence_conclusion(grid, "X", "B", given=("A",)).holds
+    assert is_ci(grid, "X", "B", ("A",)).holds
 
 
 # -- file format ------------------------------------------------------------------

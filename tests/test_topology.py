@@ -14,13 +14,12 @@ from ciprop import (
     ShapeMismatch,
     SupportMask,
     ZeroMassCondition,
+    classes_per_c,
     coordinatewise_classes,
     label_support_nd,
     path_components,
     render_labels,
-    render_mask,
     support_mask,
-    uc_of_cell,
 )
 
 import layouts
@@ -44,7 +43,7 @@ def canonical_relabel(labels):
     return out
 
 
-def unionfind_labels(cells, order, adjacency=4):
+def unionfind_labels(cells, order):
     """Order-independent labeling via union-find over a shuffled cell order."""
     cells = np.asarray(cells, dtype=bool)
     parent = {}
@@ -63,8 +62,6 @@ def unionfind_labels(cells, order, adjacency=4):
     for cell in order:
         parent[cell] = cell
     steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if adjacency == 8:
-        steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     for i, j in order:
         for di, dj in steps:
             n = (i + di, j + dj)
@@ -182,32 +179,26 @@ def test_labels_are_canonical_row_major():
 
 def test_adjacency_rule_on_diagonal_contact():
     cells = np.array([[1, 0], [0, 1]], dtype=bool)
-    assert path_components(cells, adjacency=4).count == 2
-    assert path_components(cells, adjacency=8).count == 1
+    assert path_components(cells).count == 2
     with pytest.raises(ShapeMismatch):
-        path_components(cells, adjacency=6)
+        path_components(np.ones((2, 2, 2), dtype=bool))
 
 
 def test_components_against_recursive_oracle():
     rng = np.random.default_rng(13)
     for _ in range(40):
         cells = random_mask(rng, 9, 11, density=rng.uniform(0.2, 0.8))
-        for adjacency in (4, 8):
-            got = path_components(cells, adjacency).count
-            ref = oracles.flood_recursive(cells.tolist(), adjacency)
-            assert got == ref
+        got = path_components(cells).count
+        assert got == oracles.flood_recursive(cells.tolist())
 
 
 def test_components_against_scipy():
     rng = np.random.default_rng(17)
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    eight = np.ones((3, 3))
     for _ in range(40):
         cells = random_mask(rng, 12, 12, density=rng.uniform(0.2, 0.8))
         _, n4 = scipy.ndimage.label(cells, structure=four)
-        _, n8 = scipy.ndimage.label(cells, structure=eight)
-        assert path_components(cells, 4).count == n4
-        assert path_components(cells, 8).count == n8
+        assert path_components(cells).count == n4
 
 
 def test_labeling_is_visit_order_independent():
@@ -223,20 +214,17 @@ def test_labeling_is_visit_order_independent():
 
 def test_seven_block_layout_component_counts():
     cells = layouts.seven_block_mask()
-    assert path_components(cells, 4).count == 7
+    assert path_components(cells).count == 7
     assert oracles.flood_recursive(cells.tolist(), 4) == 7
-    # corner contacts chain the first four blocks under 8-adjacency
-    assert path_components(cells, 8).count == 4
-    assert oracles.flood_recursive(cells.tolist(), 8) == 4
 
 
 # -- coordinate-wise classes -------------------------------------------------
 
 
 def test_single_component_single_class():
-    asg = coordinatewise_classes(path_components(np.ones((3, 3), dtype=bool)))
+    asg = coordinatewise_classes(np.ones((3, 3), dtype=bool))
     assert asg.class_count == 1
-    assert asg.class_of_component == {1: 1}
+    assert np.array_equal(asg.uc, np.ones((3, 3)))
 
 
 def test_chain_of_overlaps_merges_transitively():
@@ -247,18 +235,18 @@ def test_chain_of_overlaps_merges_transitively():
     cells[4, 2:4] = True  # rows {4}, cols {2,3}  (col 2 shared with comp 2)
     lab = path_components(cells)
     assert lab.count == 3
-    asg = coordinatewise_classes(lab)
+    asg = coordinatewise_classes(cells)
     assert asg.class_count == 1
 
 
 def test_two_diagonal_blocks_stay_separate():
-    asg = coordinatewise_classes(path_components(layouts.two_block_mask()))
+    asg = coordinatewise_classes(layouts.two_block_mask())
     assert asg.class_count == 2
     assert asg.proj_a[1] == (0, 1, 2) and asg.proj_a[2] == (3, 4, 5)
 
 
 def test_seven_block_layout_classes():
-    asg = coordinatewise_classes(path_components(layouts.seven_block_mask()))
+    asg = coordinatewise_classes(layouts.seven_block_mask())
     assert asg.class_count == 3
     # chained class spans blocks 1, 2, 3
     assert asg.proj_a[1] == (0, 1, 4, 5)
@@ -276,7 +264,7 @@ def test_classes_against_bipartite_oracle():
             rng, rng.integers(2, 9), rng.integers(2, 9), density=rng.uniform(0.2, 0.7)
         )
         lab = path_components(cells)
-        asg = coordinatewise_classes(lab)
+        asg = coordinatewise_classes(cells)
         ref = oracles.classes_bipartite(lab.labels.tolist(), lab.count)
         assert asg.class_count == ref
 
@@ -285,7 +273,7 @@ def test_class_projections_are_disjoint():
     rng = np.random.default_rng(47)
     for _ in range(40):
         cells = random_mask(rng, 7, 7)
-        asg = coordinatewise_classes(path_components(cells))
+        asg = coordinatewise_classes(cells)
         for proj in (asg.proj_a, asg.proj_b):
             seen = set()
             for cls, bins in proj.items():
@@ -297,31 +285,19 @@ def test_uc_is_a_function_of_each_coordinate_alone():
     rng = np.random.default_rng(53)
     for _ in range(30):
         cells = random_mask(rng, 6, 8)
-        asg = coordinatewise_classes(path_components(cells))
+        asg = coordinatewise_classes(cells)
         for i in range(6):
             row = asg.uc[i][asg.uc[i] > 0]
             assert len(set(row.tolist())) <= 1
         for j in range(8):
             col = asg.uc[:, j][asg.uc[:, j] > 0]
             assert len(set(col.tolist())) <= 1
-
-
-def test_uc_of_cell_semantics():
-    cells = layouts.two_block_mask(4)
-    asg = coordinatewise_classes(path_components(cells))
-    assert uc_of_cell(asg, 0, 3) == 0  # off support
-    assert uc_of_cell(asg, 0, 0) == 1
-    assert uc_of_cell(asg, 3, 3) == 2
-    with pytest.raises(IndexOutOfRange):
-        uc_of_cell(asg, 4, 0)
-    with pytest.raises(IndexOutOfRange):
-        uc_of_cell(asg, 0, -1)
-    # uc at (a, b) == i exactly when a sits in class i's A-projection
-    for i in range(4):
-        for j in range(4):
-            v = uc_of_cell(asg, i, j)
-            if v:
-                assert i in asg.proj_a[v] and j in asg.proj_b[v]
+        # uc is 0 exactly off support, and on it names the class whose
+        # projections hold the cell: uc lies in proj_a x proj_b
+        assert np.array_equal(asg.uc > 0, cells)
+        for i, j in np.argwhere(cells):
+            v = int(asg.uc[i, j])
+            assert i in asg.proj_a[v] and j in asg.proj_b[v]
 
 
 def test_adding_a_cell_merges_or_adds_one_class():
@@ -331,16 +307,83 @@ def test_adding_a_cell_merges_or_adds_one_class():
         off = np.argwhere(~cells)
         if len(off) == 0:
             continue
-        old = coordinatewise_classes(path_components(cells))
+        old = coordinatewise_classes(cells)
         grown = cells.copy()
         i, j = off[rng.integers(len(off))]
         grown[i, j] = True
-        new = coordinatewise_classes(path_components(grown))
+        new = coordinatewise_classes(grown)
         assert new.class_count <= old.class_count + 1
         # the old partition only coarsens: same-class cells stay together
         for cls in range(1, old.class_count + 1):
             values = {int(v) for v in new.uc[old.uc == cls]}
             assert len(values) == 1
+
+
+def test_all_3x3_masks_as_conditioning_cells():
+    # every 3x3 mask is the support of one C cell of a single (A, B, C) grid,
+    # so all of them go through one kernel call with per-cell node offsets;
+    # mask 0 is a zero-mass C cell and gets no entry
+    rng = np.random.default_rng(67)
+    masks = np.array(
+        [[(bits >> k) & 1 for k in range(9)] for bits in range(512)], dtype=bool
+    ).reshape(512, 3, 3)
+    table = np.where(masks, rng.uniform(0.5, 1.5, masks.shape), 0.0)
+    table = np.moveaxis(table / table.sum(), 0, -1)
+    g = DensityGrid(
+        tuple(Axis(n, tuple(float(k) for k in range(s))) for n, s in
+              (("A", 3), ("B", 3), ("C", 512))),
+        table,
+    )
+    per = classes_per_c(g, "A", "B")
+    assert list(per) == [(c,) for c in range(1, 512)]
+    for (c,), asg in per.items():
+        cells = masks[c]
+        assert np.array_equal(asg.uc > 0, cells)
+        lab = path_components(cells)
+        assert lab.count == oracles.flood_recursive(cells.tolist())
+        assert asg.class_count == oracles.classes_bipartite(
+            lab.labels.tolist(), lab.count
+        )
+        alone = coordinatewise_classes(cells)
+        assert np.array_equal(asg.uc, alone.uc)
+        assert asg.proj_a == alone.proj_a and asg.proj_b == alone.proj_b
+
+
+def long_path_masks(n):
+    """A one-cell-wide staircase and a serpentine, with flipped copies."""
+    stair = np.zeros((n, n), dtype=bool)
+    steps = np.arange(n)
+    stair[steps, steps] = True
+    stair[steps[:-1], steps[:-1] + 1] = True
+    snake = np.zeros((n, n), dtype=bool)
+    snake[::2, :] = True
+    snake[1::4, -1] = True
+    snake[3::4, 0] = True
+    return {
+        "staircase": stair,
+        "staircase flipped": stair[::-1].copy(),
+        "serpentine": snake,
+        "serpentine by columns": snake.T.copy(),
+    }
+
+
+def test_long_paths_against_scipy():
+    four = scipy.ndimage.generate_binary_structure(2, 1)
+    for name, cells in long_path_masks(500).items():
+        ref, count = scipy.ndimage.label(cells, structure=four)
+        lab = path_components(cells)
+        assert count == 1 and lab.count == 1, name
+        assert np.array_equal(lab.labels, ref), name
+        assert coordinatewise_classes(cells).class_count == 1, name
+        # one cell out of the middle of the path leaves two components
+        cut = cells.copy()
+        cut[tuple(np.argwhere(cells)[cells.sum() // 2])] = False
+        ref, count = scipy.ndimage.label(cut, structure=four)
+        lab = path_components(cut)
+        assert count == 2 and np.array_equal(lab.labels, ref), name
+        assert coordinatewise_classes(cut).class_count == oracles.classes_bipartite(
+            lab.labels.tolist(), lab.count
+        ), name
 
 
 # -- n-dimensional labeling ---------------------------------------------------
@@ -368,10 +411,8 @@ def test_nd_labeling_against_scipy():
 # -- rendering ----------------------------------------------------------------
 
 
-def test_render_mask_and_labels():
+def test_render_labels():
     cells = np.array([[1, 0], [0, 1]], dtype=bool)
-    mask = SupportMask(Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0)), cells)
-    assert render_mask(mask) == "#.\n.#"
     lab = path_components(cells)
     assert render_labels(lab.labels) == "1.\n.2"
 
