@@ -46,7 +46,6 @@ from .grids import (
     DensityGrid,
     ci_deviation,
     condition,
-    flatten_axes,
     grid_from_json,
     grid_to_json,
     is_ci,

@@ -7,9 +7,11 @@ suppressed under ``--deterministic``.
 
 The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
-the cells of positive mass, or of mass above ``--tau`` when it is given,
-and find the classes of all conditioning cells in one pass over one
-marginal.
+the cells of positive mass and find the classes of all conditioning cells
+in one pass over one marginal.  Each command computes the classes once:
+``intersection -o`` builds its adversary from the classes behind its
+verdict, and ``report`` takes its three CI rows from one
+``verify_intersection``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .grids import (
 )
 from .intersection import (
     IntersectionVerdict,
+    _adversary,
     _verdict,
     classes_per_c,
     construct_adversary,
-    intersection_condition,
     verify_intersection,
     verify_weak_intersection,
 )
@@ -146,10 +148,10 @@ def _classes_by_cell(
     """
     fixed = _parse_fixed(args.c)
     if fixed:
-        mask = support_mask(grid, args.a, args.b, fixed, args.tau)
+        mask = support_mask(grid, args.a, args.b, fixed)
         return {tuple(fixed[k] for k in sorted(fixed)): coordinatewise_classes(mask)}
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    return classes_per_c(grid, args.a, args.b, cond, args.tau)
+    return classes_per_c(grid, args.a, args.b, cond)
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
@@ -183,7 +185,8 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 def _cmd_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    verdict = intersection_condition(grid, args.a, args.b, cond, args.tau)
+    assignments = classes_per_c(grid, args.a, args.b, cond)
+    verdict = _verdict(assignments)
     for cell in sorted(verdict.per_c_class_counts):
         print(f"c-cell {_cell_name(cell)}: classes={verdict.per_c_class_counts[cell]}")
     print(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
@@ -191,9 +194,8 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
         print(f"failing c-cell: {_cell_name(verdict.failing_c)}")
         if args.out:
             base = marginalize(grid, (args.a, args.b, *cond))
-            target = dict(zip(cond, verdict.failing_c)) if cond else None
-            adversary = construct_adversary(
-                base, target, a=args.a, b=args.b, tau=args.tau
+            adversary = _adversary(
+                base, assignments, verdict.failing_c, a=args.a, b=args.b
             )
             save_grid(adversary, args.out)
             print(f"adversary grid written to {args.out}")
@@ -211,7 +213,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         a=args.a,
         b=args.b,
         name=args.x,
-        tau=args.tau,
     )
     save_grid(adversary, args.out)
     cond = tuple(n for n in grid.axis_names if n not in (args.a, args.b))
@@ -226,9 +227,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 def _cmd_weak_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
-    report = verify_weak_intersection(
-        grid, args.x, args.a, args.b, None, args.tol, args.tau
-    )
+    report = verify_weak_intersection(grid, args.x, args.a, args.b, None, args.tol)
     for (cell, cls), residual in sorted(report.per_class.items()):
         print(f"c-cell {_cell_name(cell)} class {cls}: residual={residual:.6e}")
     status = "holds" if report.holds else "FAILS"
@@ -312,26 +311,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     grid = load_grid(args.grid)
     cond = _cond_axes(grid, args.a, args.b, args.x)
-    assignments = classes_per_c(grid, args.a, args.b, cond, args.tau)
+    assignments = classes_per_c(grid, args.a, args.b, cond)
     per_c = {
         cell: (path_components(asg.uc > 0).count, asg.class_count)
         for cell, asg in assignments.items()
     }
     ci_rows: list[tuple[str, CiReport]] = []
     if args.x in grid.axis_names:
+        checks = verify_intersection(grid, args.x, args.a, args.b, cond, args.tol)
         ci_rows = [
-            (
-                f"{args.x} _||_ {args.a} | {args.b}",
-                is_ci(grid, args.x, args.a, (args.b, *cond), args.tol),
-            ),
-            (
-                f"{args.x} _||_ {args.b} | {args.a}",
-                is_ci(grid, args.x, args.b, (args.a, *cond), args.tol),
-            ),
-            (
-                f"{args.x} _||_ ({args.a},{args.b})",
-                is_ci(grid, args.x, (args.a, args.b), cond, args.tol),
-            ),
+            (f"{args.x} _||_ {args.a} | {args.b}", checks.premise_xa),
+            (f"{args.x} _||_ {args.b} | {args.a}", checks.premise_xb),
+            (f"{args.x} _||_ ({args.a},{args.b})", checks.conclusion),
         ]
     verdict = _verdict(assignments)
     elapsed = None if args.deterministic else time.perf_counter() - started
@@ -356,10 +347,6 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--x", default="X",
         help="dependent-variable axis, kept out of the conditioning set",
-    )
-    p.add_argument(
-        "--tau", type=float, default=0.0,
-        help="support cutoff: cells with mass above it are support (default 0)",
     )
 
 

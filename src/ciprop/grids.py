@@ -201,13 +201,20 @@ def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
-def _role_layout(
+def _slices(
     grid: DensityGrid,
     x: str | Sequence[str],
     a: str | Sequence[str],
     cond: Iterable[str],
-) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Marginalize to the involved axes and reshape as (cond, x, a) masses."""
+) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...], tuple[int, ...]
+]:
+    """The (cond, x, a) masses of the conditioning cells above ``ZERO_TOL``.
+
+    Returns ``(sub, masses, valid, x_shape, a_shape, c_shape)``: ``sub``
+    holds one (x, a) slice per valid conditioning cell, ``masses`` their
+    masses and ``valid`` their flat indices over the conditioning axes.
+    """
     x_names, a_names, c_names = _as_names(x), _as_names(a), _as_names(cond)
     if not x_names or not a_names:
         raise ShapeMismatch("x and a must each name at least one axis")
@@ -229,29 +236,22 @@ def _role_layout(
         int(np.prod(x_shape, dtype=int)),
         int(np.prod(a_shape, dtype=int)),
     )
-    return flat, x_ord, a_ord, c_ord, x_shape, a_shape, c_shape
-
-
-def ci_deviation(
-    grid: DensityGrid,
-    x: str | Sequence[str],
-    a: str | Sequence[str],
-    cond: Iterable[str] = (),
-) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Factorization residual of ``x`` vs ``a`` given the ``cond`` axes.
-
-    Returns ``(deviation, witness)`` where deviation is the worst
-    total-variation distance between ``p(x, a | c)`` and
-    ``p(x | c) p(a | c)`` over conditioning cells with mass above
-    ``ZERO_TOL``, and witness locates the largest single-cell residual in
-    the worst slice (first maximum in row-major order).
-    """
-    flat, _, _, _, x_shape, a_shape, c_shape = _role_layout(grid, x, a, cond)
     masses = flat.sum(axis=(1, 2))
     valid = np.flatnonzero(masses > ZERO_TOL)
     if valid.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
-    slices = flat[valid] / masses[valid, None, None]
+    return flat[valid], masses[valid], valid, x_shape, a_shape, c_shape
+
+
+def _tv_residual(
+    sub: np.ndarray,
+    masses: np.ndarray,
+    valid: np.ndarray,
+    x_shape: tuple[int, ...],
+    a_shape: tuple[int, ...],
+    c_shape: tuple[int, ...],
+) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    slices = sub / masses[:, None, None]
     px = slices.sum(axis=2)
     pa = slices.sum(axis=1)
     resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
@@ -268,6 +268,33 @@ def ci_deviation(
     return float(tv[k]), (x_idx, a_idx, c_idx)
 
 
+def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:
+    px_c = sub.sum(axis=2) / masses[:, None]
+    m_ac = sub.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        px_ac = sub / m_ac[:, None, :]
+    resid = np.abs(px_ac - px_c[:, :, None])
+    resid[~np.broadcast_to((m_ac > ZERO_TOL)[:, None, :], resid.shape)] = 0.0
+    return float(resid.max())
+
+
+def ci_deviation(
+    grid: DensityGrid,
+    x: str | Sequence[str],
+    a: str | Sequence[str],
+    cond: Iterable[str] = (),
+) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Factorization residual of ``x`` vs ``a`` given the ``cond`` axes.
+
+    Returns ``(deviation, witness)`` where deviation is the worst
+    total-variation distance between ``p(x, a | c)`` and
+    ``p(x | c) p(a | c)`` over conditioning cells with mass above
+    ``ZERO_TOL``, and witness locates the largest single-cell residual in
+    the worst slice (first maximum in row-major order).
+    """
+    return _tv_residual(*_slices(grid, x, a, cond))
+
+
 def pointwise_deviation(
     grid: DensityGrid,
     x: str | Sequence[str],
@@ -280,19 +307,8 @@ def pointwise_deviation(
     ``ZERO_TOL``, mirroring the positivity quantifiers of the classical
     equivalent form of conditional independence.
     """
-    flat, *_ = _role_layout(grid, x, a, cond)
-    masses = flat.sum(axis=(1, 2))
-    valid = np.flatnonzero(masses > ZERO_TOL)
-    if valid.size == 0:
-        raise ZeroMassCondition("no conditioning cell has positive mass")
-    sub = flat[valid]
-    px_c = sub.sum(axis=2) / masses[valid, None]
-    m_ac = sub.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px_ac = sub / m_ac[:, None, :]
-    resid = np.abs(px_ac - px_c[:, :, None])
-    resid[~np.broadcast_to((m_ac > ZERO_TOL)[:, None, :], resid.shape)] = 0.0
-    return float(resid.max())
+    sub, masses, *_ = _slices(grid, x, a, cond)
+    return _pointwise_residual(sub, masses)
 
 
 def is_ci(
@@ -305,8 +321,9 @@ def is_ci(
     """Test ``x`` independent of ``a`` given ``cond`` at tolerance ``tol``."""
     if tol <= 0:
         raise ShapeMismatch(f"tol must be positive, got {tol!r}")
-    dev, witness = ci_deviation(grid, x, a, cond)
-    pointwise = pointwise_deviation(grid, x, a, cond)
+    layout = _slices(grid, x, a, cond)
+    dev, witness = _tv_residual(*layout)
+    pointwise = _pointwise_residual(layout[0], layout[1])
     return CiReport(
         holds=dev <= tol,
         deviation=dev,
@@ -314,48 +331,6 @@ def is_ci(
         tol=tol,
         pointwise_deviation=pointwise,
     )
-
-
-def flatten_axes(
-    grid: DensityGrid, names: Sequence[str], new_name: str
-) -> DensityGrid:
-    """Merge several axes into one product axis.
-
-    The merged axis sits at the position of the first named axis and runs
-    row-major over the constituents in grid order; its coordinates are the
-    synthetic values 0, 1, 2, ... (bin enumeration), since no single real
-    coordinate exists for a product cell.  Projection-overlap semantics
-    are preserved: two distributions agree on a product bin exactly when
-    they agree on the underlying bin tuple.
-    """
-    group = _as_names(names)
-    if len(group) < 2:
-        raise ShapeMismatch("flattening needs at least two axes")
-    if len(set(group)) != len(group):
-        raise OverlappingRoles(f"duplicate axes in {group}")
-    positions = sorted(grid.axis_index(n) for n in group)
-    keep_group = [grid.axes[i].name for i in positions]
-    others = [ax.name for ax in grid.axes if ax.name not in group]
-    if new_name in others:
-        raise ShapeMismatch(f"axis {new_name!r} already exists")
-    first = positions[0]
-    before = [n for n in others if grid.axis_index(n) < first]
-    after = [n for n in others if grid.axis_index(n) > first]
-    perm = tuple(grid.axis_index(n) for n in (*before, *keep_group, *after))
-    table = np.transpose(grid.prob, perm)
-    sizes = [grid.axis(n).size for n in keep_group]
-    merged = int(np.prod(sizes))
-    shape = (
-        tuple(grid.axis(n).size for n in before)
-        + (merged,)
-        + tuple(grid.axis(n).size for n in after)
-    )
-    axes = (
-        tuple(grid.axis(n) for n in before)
-        + (Axis(new_name, tuple(float(k) for k in range(merged))),)
-        + tuple(grid.axis(n) for n in after)
-    )
-    return DensityGrid(axes, table.reshape(shape))
 
 
 # -- file format ---------------------------------------------------------

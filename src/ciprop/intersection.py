@@ -9,10 +9,10 @@ criterion implemented here is purely topological: the implication holds
 for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
 coordinate-wise-connected equivalence class.  The support is exact: a
-cell belongs to it when its mass is positive (above ``tau`` when one is
-given).  :func:`classes_per_c` takes one marginal over (A, B) and the
-conditioning axes and finds the classes of every conditioning cell in
-one call to the components kernel of :mod:`ciprop.topology`.
+cell belongs to it when its mass is positive.  :func:`classes_per_c`
+takes one marginal over (A, B) and the conditioning axes and finds the
+classes of every conditioning cell in one call to the components kernel
+of :mod:`ciprop.topology`.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -31,7 +31,9 @@ exactly, while the two well-separated X-bands tied to distinct classes
 break the conclusion by at least ``max(w, 1-w) / 5 >= 0.1`` in the
 pointwise conditional residual, where ``w`` is the class-1 mass of the
 target slice.  These guarantees are checked on every constructed grid;
-a miss raises :class:`AdversaryCheckFailed`.
+a miss raises :class:`AdversaryCheckFailed`.  The new variable is laid
+out with array operations: ``g`` is called once per (c-cell, class), and
+one gather reads the level of every support cell.
 """
 
 from __future__ import annotations
@@ -102,17 +104,14 @@ def _cond_names(
 
 
 def _by_c(
-    grid: DensityGrid, axes: tuple[str, ...], cond: tuple[str, ...], tau: float
+    grid: DensityGrid, axes: tuple[str, ...], cond: tuple[str, ...]
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """One marginal over ``axes`` plus ``cond``, laid out as (C..., *axes).
 
-    Returns the conditioning cells whose mass exceeds ``tau`` in row-major
-    order, the marginal table with the conditioning axes first (in grid
-    order), and the boolean table of those cells over the conditioning
-    axes.
+    Returns the positive-mass conditioning cells in row-major order, the
+    marginal table with the conditioning axes first (in grid order), and
+    the boolean table of those cells over the conditioning axes.
     """
-    if tau < 0:
-        raise ShapeMismatch(f"tau must be nonnegative, got {tau!r}")
     roles = (*axes, *cond)
     if len(set(roles)) != len(roles):
         raise OverlappingRoles(f"roles overlap: {axes} and conditioning {cond}")
@@ -120,7 +119,7 @@ def _by_c(
     c_ord = tuple(n for n in sub.axis_names if n in cond)
     table = np.transpose(sub.prob, [sub.axis_index(n) for n in (*c_ord, *axes)])
     lead = tuple(range(len(c_ord), table.ndim))
-    positive = table.sum(axis=lead) > tau
+    positive = table.sum(axis=lead) > 0
     cells = [tuple(int(v) for v in idx) for idx in np.argwhere(positive)]
     return cells, table, positive
 
@@ -130,7 +129,6 @@ def classes_per_c(
     a: str,
     b: str,
     cond: Iterable[str] | None = None,
-    tau: float = 0.0,
 ) -> dict[tuple[int, ...], UcAssignment]:
     """Class assignment of the (a, b) support for every conditioning cell.
 
@@ -138,8 +136,8 @@ def classes_per_c(
     conditioning axes in grid order, in row-major order.
     """
     cond_names = _cond_names(grid, (a, b), cond)
-    cells, table, positive = _by_c(grid, (a, b), cond_names, tau)
-    return dict(zip(cells, _class_assignments((table > tau)[positive])))
+    cells, table, positive = _by_c(grid, (a, b), cond_names)
+    return dict(zip(cells, _class_assignments((table > 0)[positive])))
 
 
 def _verdict(
@@ -155,7 +153,6 @@ def intersection_condition(
     a: str = "A",
     b: str = "B",
     cond: Iterable[str] | None = None,
-    tau: float = 0.0,
 ) -> IntersectionVerdict:
     """Decide whether the intersection property holds for every X.
 
@@ -164,7 +161,7 @@ def intersection_condition(
     one support class; the first cell with two or more classes (row-major)
     is reported as ``failing_c``.
     """
-    return _verdict(classes_per_c(grid, a, b, cond, tau))
+    return _verdict(classes_per_c(grid, a, b, cond))
 
 
 def verify_intersection(
@@ -203,7 +200,6 @@ def verify_weak_intersection(
     b: str = "B",
     cond: Iterable[str] | None = None,
     tol: float = DEFAULT_TOL,
-    tau: float = 0.0,
 ) -> WeakIntersectionReport:
     """Check the conclusion conditionally on the support class.
 
@@ -223,8 +219,8 @@ def verify_weak_intersection(
             "premise deviations "
             f"{premise_xa.deviation!r} / {premise_xb.deviation!r} exceed {tol!r}"
         )
-    cells, table, positive = _by_c(grid, (x, a, b), cond_names, tau)
-    support = (table.sum(axis=-3) > tau)[positive]
+    cells, table, positive = _by_c(grid, (x, a, b), cond_names)
+    support = (table.sum(axis=-3) > 0)[positive]
     per_class: dict[tuple[tuple[int, ...], int], float] = {}
     for cell, assignment in zip(cells, _class_assignments(support)):
         block = table[cell]
@@ -250,17 +246,16 @@ def attach_class_variable(
     a: str = "A",
     b: str = "B",
     name: str = "X",
-    tau: float = 0.0,
 ) -> DensityGrid:
     """Join a new variable ``name = g(c, uc) + noise`` onto ``base``.
 
     ``g`` receives the conditioning cell (bin tuple over the non-(a, b)
-    axes of ``base``, in grid order) and the support class index at the
-    cell, and returns a level; positive-mass cells below the support
-    threshold get class 0.  The new axis is placed first; its points are
-    the distinct level-plus-noise values.
+    axes of ``base``, in grid order) and the support class index (>= 1) at
+    the cell, and returns a level; it is called once per (c-cell, class).
+    The new axis is placed first; its points are the distinct
+    level-plus-noise values.
     """
-    assignments = classes_per_c(base, a, b, None, tau)
+    assignments = classes_per_c(base, a, b)
     return _attach(base, assignments, g, noise_points, noise_probs, a, b, name)
 
 
@@ -287,15 +282,16 @@ def _attach(
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
     cond_names = _cond_names(base, (a, b), None)
-    a_pos, b_pos = base.axis_index(a), base.axis_index(b)
-    cond_pos = [base.axis_index(n) for n in cond_names]
+    pos = [base.axis_index(n) for n in (*cond_names, a, b)]
 
+    # level of every (c-cell, a-bin, b-bin): the c-cell's table of class
+    # levels indexed by its uc (class 0, off support, is never read)
+    by_cell = np.zeros(tuple(base.prob.shape[p] for p in pos))
+    for c_cell, asg in assignments.items():
+        table = [0.0] + [float(g(c_cell, cls)) for cls in range(1, asg.class_count + 1)]
+        by_cell[c_cell] = np.asarray(table)[asg.uc]
     cells = np.argwhere(base.prob > 0)
-    levels = np.empty(len(cells))
-    for row, idx in enumerate(cells):
-        c_cell = tuple(int(idx[p]) for p in cond_pos)
-        uc = int(assignments[c_cell].uc[idx[a_pos], idx[b_pos]])
-        levels[row] = float(g(c_cell, uc))
+    levels = by_cell[tuple(cells[:, pos].T)]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
@@ -317,7 +313,6 @@ def construct_adversary(
     a: str = "A",
     b: str = "B",
     name: str = "X",
-    tau: float = 0.0,
 ) -> DensityGrid:
     """Build a variable violating the intersection implication on ``base``.
 
@@ -331,14 +326,13 @@ def construct_adversary(
     the failure of the conclusion, are checked before returning;
     :class:`AdversaryCheckFailed` carries the measured values otherwise.
     """
-    lo, hi = float(levels[0]), float(levels[1])
-    if abs(hi - lo) <= 2.0 * noise_halfwidth:
+    if abs(float(levels[1]) - float(levels[0])) <= 2.0 * noise_halfwidth:
         raise ShapeMismatch(
             f"levels {levels} closer than the noise band width "
             f"{2.0 * noise_halfwidth}; bands must not overlap"
         )
     cond_names = _cond_names(base, (a, b), None)
-    assignments = classes_per_c(base, a, b, cond_names, tau)
+    assignments = classes_per_c(base, a, b, cond_names)
     if target_c is None:
         target = next(
             (cell for cell, asg in assignments.items() if asg.class_count >= 2),
@@ -361,10 +355,26 @@ def construct_adversary(
             raise SingleClass(
                 f"target cell has {assignments[target].class_count} class(es); need >= 2"
             )
+    return _adversary(base, assignments, target, noise_halfwidth, levels, a, b, name)
+
+
+def _adversary(
+    base: DensityGrid,
+    assignments: Mapping[tuple[int, ...], UcAssignment],
+    target: tuple[int, ...],
+    noise_halfwidth: float = 0.1,
+    levels: tuple[float, float] = (0.0, 10.0),
+    a: str = "A",
+    b: str = "B",
+    name: str = "X",
+) -> DensityGrid:
+    """:func:`construct_adversary` given the classes of ``base`` and its target."""
+    lo, hi = float(levels[0]), float(levels[1])
 
     def g(c_cell: tuple[int, ...], uc: int) -> float:
         return hi if (c_cell == target and uc == 1) else lo
 
+    cond_names = _cond_names(base, (a, b), None)
     noise = np.linspace(-noise_halfwidth, noise_halfwidth, 5)
     result = _attach(base, assignments, g, noise, None, a, b, name)
     dev_xa, _ = ci_deviation(result, name, a, (b, *cond_names))

@@ -15,7 +15,9 @@ not identifiable from the joint distribution when noise supports have
 gaps.  Identifiability diagnostics live here too: per-node noise-support
 connectivity and joint-support component counts (path-connectedness
 certificate), and the non-constancy witness search for mechanism/parent
-pairs.
+pairs.  That search reads one marginal per conditioning set and
+evaluates the mechanism once on the lattice of its parent bins, as
+:func:`propagate` does on the noise lattice.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ from .jsonio import render_json
 from .topology import label_support_nd
 
 DEFAULT_MAX_ENUM = 10_000_000
+# Largest dense output grid propagate builds: 2^28 float64 cells, 2 GiB.
+MAX_GRID_CELLS = 2**28
+# Most conditioning candidates non_constancy_check takes (2^k sets).
+MAX_CANDIDATES = 12
 
 
 def _max_enum() -> int:
@@ -330,11 +336,12 @@ def propagate(sem: SemSpec) -> DensityGrid:
     """Exact pushforward of the model onto its output axes.
 
     Every joint noise configuration is enumerated (product over nodes,
-    guarded by CIPROP_MAX_ENUM / 10^7); node values are computed on raw
-    parent values in topological order and snapped to output bins only
-    for mass accumulation and table lookups.  Output axes are ordered
-    alphabetically by node name.  Accumulation order is fixed, so results
-    are bit-reproducible.
+    guarded by CIPROP_MAX_ENUM / 10^7; the output grid is guarded by
+    ``MAX_GRID_CELLS``; both are checked before any allocation); node
+    values are computed on raw parent values in topological order and
+    snapped to output bins only for mass accumulation and table lookups.
+    Output axes are ordered alphabetically by node name.  Accumulation
+    order is fixed, so results are bit-reproducible.
     """
     order = topological_order(sem.dag)
     sizes = [len(sem.noises[n].points) for n in order]
@@ -342,6 +349,13 @@ def propagate(sem: SemSpec) -> DensityGrid:
     budget = _max_enum()
     if total > budget:
         raise BudgetExceeded(f"{total} noise configurations exceed budget {budget}")
+    alpha = sorted(sem.dag.nodes)
+    dims = tuple(sem.axes[n].size for n in alpha)
+    cells = math.prod(dims)
+    if cells > MAX_GRID_CELLS:
+        raise BudgetExceeded(
+            f"output grid of {cells} cells exceeds the limit {MAX_GRID_CELLS}"
+        )
 
     def along(node: str, arr: np.ndarray) -> np.ndarray:
         shape = [1] * len(order)
@@ -364,14 +378,12 @@ def propagate(sem: SemSpec) -> DensityGrid:
         values[node] = value
         bins[node] = _snap(sem.axes[node], value, node)
 
-    alpha = sorted(sem.dag.nodes)
-    dims = tuple(sem.axes[n].size for n in alpha)
     flat_bins = [np.broadcast_to(bins[n], full).ravel() for n in alpha]
     flat_index = np.ravel_multi_index(tuple(flat_bins), dims)
     mass = np.bincount(
         flat_index,
         weights=np.broadcast_to(weights, full).ravel(),
-        minlength=math.prod(dims),
+        minlength=cells,
     )
     grid = DensityGrid(tuple(sem.axes[n] for n in alpha), mass.reshape(dims))
     validate(grid)
@@ -504,32 +516,30 @@ def non_constancy_check(
     node: str,
     parent: str,
     grid: DensityGrid | None = None,
-    max_cond: int = 12,
 ) -> NonConstancyReport:
     """Is the mechanism of ``node`` non-constant in ``parent`` on-support?
 
     For every conditioning set C drawn from the non-descendants of
-    ``node`` minus ``parent``, search the propagated support for two
-    parent values that share the same other-parent and conditioning values
-    yet map to different mechanism outputs.  The overall verdict requires
-    a witness for every C; a single failing C (reported) sinks it, which
-    is exactly what happens when the mechanism has plateaus and the
-    off-plateau region carries no mass.
+    ``node`` minus ``parent`` (at most ``MAX_CANDIDATES`` of them), search
+    the propagated support for two parent values that share the same
+    other-parent and conditioning values yet map to different mechanism
+    outputs.  The overall verdict requires a witness for every C; a single
+    failing C (reported) sinks it, which is exactly what happens when the
+    mechanism has plateaus and the off-plateau region carries no mass.
     """
     if node not in sem.dag.nodes:
         raise UnknownNode(f"no node named {node!r}")
     if parent not in sem.dag.parents[node]:
         raise NotAParent(f"{parent!r} is not a parent of {node!r}")
     candidates = sorted(non_descendants(sem.dag, node) - {parent})
-    if len(candidates) > max_cond:
+    if len(candidates) > MAX_CANDIDATES:
         raise BudgetExceeded(
-            f"{len(candidates)} conditioning candidates exceed the limit {max_cond}"
+            f"{len(candidates)} conditioning candidates exceed the limit "
+            f"{MAX_CANDIDATES}"
         )
     if grid is None:
         grid = propagate(sem)
-    mech = sem.mechanisms[node]
     others = tuple(p for p in sem.dag.parents[node] if p != parent)
-    parent_order = sem.dag.parents[node]
 
     witnesses: dict[tuple[str, ...], tuple] = {}
     failing: tuple[str, ...] | None = None
@@ -539,42 +549,7 @@ def non_constancy_check(
         for cset in combinations(candidates, size)
     ]
     for cset in cond_sets:
-        involved = (parent,) + tuple(dict.fromkeys(others + cset))
-        marg = marginalize(grid, involved)
-        j_pos = marg.axis_index(parent)
-        group_axes = tuple(i for i in range(len(marg.axes)) if i != j_pos)
-        found = None
-        for group_idx in np.ndindex(*(marg.axes[i].size for i in group_axes)):
-            slicer: list[object] = [slice(None)] * len(marg.axes)
-            for pos, val in zip(group_axes, group_idx):
-                slicer[pos] = val
-            column = marg.prob[tuple(slicer)]
-            j_bins = np.flatnonzero(column > 0)
-            if j_bins.size < 2:
-                continue
-            group_bins = dict(zip((marg.axes[i].name for i in group_axes), group_idx))
-            outputs = [
-                _mech_scalar(sem, mech, parent_order, parent, int(jb), group_bins)
-                for jb in j_bins
-            ]
-            spread = [
-                (jb, out)
-                for jb, out in zip(j_bins, outputs)
-                if abs(out - outputs[0]) > 1e-9
-            ]
-            if spread:
-                j_axis = marg.axis(parent)
-                other_vals = {
-                    k: grid.axis(k).points[group_bins[k]] for k in others
-                }
-                cond_vals = {c: grid.axis(c).points[group_bins[c]] for c in cset}
-                found = (
-                    float(j_axis.points[int(j_bins[0])]),
-                    float(j_axis.points[int(spread[0][0])]),
-                    other_vals,
-                    cond_vals,
-                )
-                break
+        found = _first_witness(sem, grid, node, parent, others, cset)
         if found is None:
             failing = cset
             break
@@ -588,21 +563,54 @@ def non_constancy_check(
     )
 
 
-def _mech_scalar(
+def _first_witness(
     sem: SemSpec,
-    mech: Mechanism,
-    parent_order: tuple[str, ...],
+    grid: DensityGrid,
+    node: str,
     parent: str,
-    parent_bin: int,
-    group_bins: Mapping[str, int],
-) -> float:
-    values = {}
-    bins = {}
-    for p in parent_order:
-        b = parent_bin if p == parent else group_bins[p]
-        bins[p] = np.asarray(b)
-        values[p] = np.asarray(float(sem.axes[p].points[b]))
-    return float(mech.evaluate(values, bins, parent_order))
+    others: tuple[str, ...],
+    cset: tuple[str, ...],
+) -> tuple | None:
+    """The witness of the first group that has one, or None.
+
+    Groups are the cells of the (others, cset) axes of the marginal, in
+    row-major order.  A group has a witness when one of its positive
+    parent bins maps to an output more than 1e-9 away from the output of
+    its first positive parent bin.
+    """
+    marg = marginalize(grid, (parent,) + tuple(dict.fromkeys(others + cset)))
+    group = tuple(n for n in marg.axis_names if n != parent)
+    # (group..., parent) layout; the mechanism sees every parent bin on it
+    prob = np.moveaxis(marg.prob, marg.axis_index(parent), -1)
+    order = (*group, parent)
+    values: dict[str, np.ndarray] = {}
+    bins: dict[str, np.ndarray] = {}
+    for p in sem.dag.parents[node]:
+        i = order.index(p)
+        bins[p] = np.arange(prob.shape[i]).reshape(
+            [-1 if k == i else 1 for k in range(prob.ndim)]
+        )
+        values[p] = sem.axes[p].values()[bins[p]]
+    mech = sem.mechanisms[node]
+    out = np.broadcast_to(
+        mech.evaluate(values, bins, sem.dag.parents[node]), prob.shape
+    )
+    positive = prob > 0
+    first = np.argmax(positive, axis=-1)
+    base = np.take_along_axis(out, first[..., None], axis=-1)
+    spread = positive & (np.abs(out - base) > 1e-9)
+    hit = spread.any(axis=-1)
+    if not hit.any():
+        return None
+    at = np.unravel_index(int(np.argmax(hit)), hit.shape)
+    group_bins = dict(zip(group, (int(v) for v in at)))
+    j_axis = marg.axis(parent)
+    return (
+        float(j_axis.points[int(first[at])]),
+        float(j_axis.points[int(np.argmax(spread[at]))]),
+        {k: grid.axis(k).points[group_bins[k]] for k in others},
+        {c: grid.axis(c).points[group_bins[c]] for c in cset},
+    )
 
 
 # -- file format ---------------------------------------------------------

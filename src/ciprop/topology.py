@@ -50,7 +50,6 @@ class SupportMask:
     a_axis: Axis
     b_axis: Axis
     cells: np.ndarray
-    tau: float = 0.0
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells, dtype=bool)
@@ -105,16 +104,13 @@ def support_mask(
     a: str,
     b: str,
     c_fixed: Mapping[str, int] | None = None,
-    tau: float = 0.0,
 ) -> SupportMask:
-    """Mask of (a, b) cells whose mass at the fixed slice exceeds ``tau``.
+    """Mask of (a, b) cells with positive mass at the fixed slice.
 
     Axes other than ``a``, ``b`` and the fixed ones are summed out first,
     so the mask reflects the (A, B, C)-marginal support at the given
     C-cell.  With ``c_fixed`` empty the plain (A, B) marginal is used.
     """
-    if tau < 0:
-        raise ShapeMismatch(f"tau must be nonnegative, got {tau!r}")
     fixed = dict(c_fixed or {})
     if a == b or a in fixed or b in fixed:
         raise OverlappingRoles(f"roles overlap: a={a!r} b={b!r} c={sorted(fixed)}")
@@ -128,13 +124,13 @@ def support_mask(
             )
         slicer[i] = int(bin_idx)
     block = sub.prob[tuple(slicer)]
-    if fixed and float(block.sum()) <= tau:
+    if fixed and float(block.sum()) <= 0.0:
         raise ZeroMassCondition(f"slice {fixed} has mass {float(block.sum())!r}")
     ai = [n for n in sub.axis_names if n not in fixed].index(a)
-    cells = block > tau
+    cells = block > 0
     if ai != 0:
         cells = cells.T
-    return SupportMask(sub.axis(a), sub.axis(b), cells, tau)
+    return SupportMask(sub.axis(a), sub.axis(b), cells)
 
 
 def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,16 +1,33 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written in plain Python (dicts, recursion, Fractions)
+The first group is written in plain Python (dicts, recursion, Fractions)
 on purpose: no shared code paths with the package, so agreement is
-meaningful.  Grids are represented as (names, shape, mass) where mass maps
-index tuples to floats.
+meaningful.  Grids are represented there as (names, shape, mass) where
+mass maps index tuples to floats.
+
+The last group works on package grids: the axis flattening that grouped
+roles are checked against, and the per-bin and per-cell loops that the
+package replaced with array code, kept as references for the array paths.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
+
+from ciprop import (
+    Axis,
+    DensityGrid,
+    NonConstancyReport,
+    OverlappingRoles,
+    ShapeMismatch,
+    marginalize,
+    non_descendants,
+    validate,
+)
 
 
 def dict_grid(names, table):
@@ -214,3 +231,127 @@ def descendants_closure(nodes, parents):
                 desc[n] |= extra
                 changed = True
     return desc
+
+
+# -- references on package grids -----------------------------------------------
+
+
+def flatten_axes(grid, names, new_name):
+    """Merge several axes into one product axis.
+
+    The merged axis sits at the position of the first named axis and runs
+    row-major over the constituents in grid order; its coordinates are the
+    synthetic values 0, 1, 2, ... (bin enumeration).
+    """
+    group = (names,) if isinstance(names, str) else tuple(names)
+    if len(group) < 2:
+        raise ShapeMismatch("flattening needs at least two axes")
+    if len(set(group)) != len(group):
+        raise OverlappingRoles(f"duplicate axes in {group}")
+    positions = sorted(grid.axis_index(n) for n in group)
+    keep_group = [grid.axes[i].name for i in positions]
+    others = [ax.name for ax in grid.axes if ax.name not in group]
+    if new_name in others:
+        raise ShapeMismatch(f"axis {new_name!r} already exists")
+    first = positions[0]
+    before = [n for n in others if grid.axis_index(n) < first]
+    after = [n for n in others if grid.axis_index(n) > first]
+    perm = tuple(grid.axis_index(n) for n in (*before, *keep_group, *after))
+    table = np.transpose(grid.prob, perm)
+    merged = int(np.prod([grid.axis(n).size for n in keep_group]))
+    shape = (
+        tuple(grid.axis(n).size for n in before)
+        + (merged,)
+        + tuple(grid.axis(n).size for n in after)
+    )
+    axes = (
+        tuple(grid.axis(n) for n in before)
+        + (Axis(new_name, tuple(float(k) for k in range(merged))),)
+        + tuple(grid.axis(n) for n in after)
+    )
+    return DensityGrid(axes, table.reshape(shape))
+
+
+def non_constancy_reference(sem, node, parent, grid):
+    """Prop 4 witness search, one group and one parent bin at a time.
+
+    For each conditioning set, the groups of the marginal are scanned in
+    row-major order with ``np.ndindex``, and the mechanism is evaluated on
+    scalars for every positive parent bin of a group.
+    """
+    candidates = sorted(non_descendants(sem.dag, node) - {parent})
+    mech = sem.mechanisms[node]
+    parent_order = sem.dag.parents[node]
+    others = tuple(p for p in parent_order if p != parent)
+
+    def scalar(parent_bin, group_bins):
+        values, bins = {}, {}
+        for p in parent_order:
+            b = parent_bin if p == parent else group_bins[p]
+            bins[p] = np.asarray(b)
+            values[p] = np.asarray(float(sem.axes[p].points[b]))
+        return float(mech.evaluate(values, bins, parent_order))
+
+    witnesses, failing = {}, None
+    cond_sets = [
+        cset
+        for size in range(len(candidates) + 1)
+        for cset in combinations(candidates, size)
+    ]
+    for cset in cond_sets:
+        marg = marginalize(grid, (parent,) + tuple(dict.fromkeys(others + cset)))
+        j_pos = marg.axis_index(parent)
+        group_axes = [i for i in range(len(marg.axes)) if i != j_pos]
+        found = None
+        for group_idx in np.ndindex(*(marg.axes[i].size for i in group_axes)):
+            slicer = [slice(None)] * len(marg.axes)
+            for pos, val in zip(group_axes, group_idx):
+                slicer[pos] = val
+            j_bins = np.flatnonzero(marg.prob[tuple(slicer)] > 0)
+            if j_bins.size < 2:
+                continue
+            group_bins = dict(zip((marg.axes[i].name for i in group_axes), group_idx))
+            outputs = [scalar(int(jb), group_bins) for jb in j_bins]
+            spread = [
+                jb for jb, out in zip(j_bins, outputs) if abs(out - outputs[0]) > 1e-9
+            ]
+            if spread:
+                j_axis = marg.axis(parent)
+                found = (
+                    float(j_axis.points[int(j_bins[0])]),
+                    float(j_axis.points[int(spread[0])]),
+                    {k: grid.axis(k).points[group_bins[k]] for k in others},
+                    {c: grid.axis(c).points[group_bins[c]] for c in cset},
+                )
+                break
+        if found is None:
+            failing = cset
+            break
+        witnesses[cset] = found
+    return NonConstancyReport(node, parent, failing is None, witnesses, failing)
+
+
+def attach_reference(base, assignments, g, noise_points, noise_probs, a, b, name):
+    """Join ``name = g(c, uc) + noise``, calling ``g`` once per support cell."""
+    pts = np.asarray(noise_points, dtype=float)
+    if noise_probs is None:
+        probs = np.full(pts.size, 1.0 / pts.size)
+    else:
+        probs = np.asarray(noise_probs, dtype=float)
+    a_pos, b_pos = base.axis_index(a), base.axis_index(b)
+    cond_pos = [i for i, n in enumerate(base.axis_names) if n not in (a, b)]
+    cells = np.argwhere(base.prob > 0)
+    levels = np.empty(len(cells))
+    for row, idx in enumerate(cells):
+        c_cell = tuple(int(idx[p]) for p in cond_pos)
+        uc = int(assignments[c_cell].uc[idx[a_pos], idx[b_pos]])
+        levels[row] = float(g(c_cell, uc))
+    values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
+    out = np.zeros((values.size,) + base.prob.shape)
+    masses = base.prob[tuple(cells.T)]
+    for offset, p_k in zip(pts, probs):
+        x_idx = np.searchsorted(values, np.round(levels + offset, 9))
+        out[(x_idx, *cells.T)] += masses * p_k
+    result = DensityGrid((Axis(name, tuple(float(v) for v in values)), *base.axes), out)
+    validate(result)
+    return result

@@ -20,7 +20,6 @@ from ciprop import (
     ZeroMassCondition,
     ci_deviation,
     condition,
-    flatten_axes,
     grid_from_json,
     grid_to_json,
     is_ci,
@@ -30,6 +29,7 @@ from ciprop import (
 )
 
 import oracles
+from oracles import flatten_axes
 
 
 def make_grid(names_sizes, table):

@@ -263,6 +263,51 @@ def test_attach_conserves_the_base_margin():
     assert out.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "names", [("A", "B"), ("A", "B", "C"), ("C1", "A", "C2", "B")]
+)
+def test_attach_matches_per_cell_reference(names):
+    rng = np.random.default_rng(len(names))
+    most_classes = 0
+    for _ in range(5):
+        shape = tuple(
+            int(rng.integers(4, 9) if n in ("A", "B") else rng.integers(2, 5))
+            for n in names
+        )
+        table = np.where(rng.random(shape) < 0.2, rng.uniform(0.1, 1.0, shape), 0.0)
+        table[(0,) * len(names)] = 1.0
+        cond_axes = [k for k, n in enumerate(names) if n not in ("A", "B")]
+        if cond_axes:  # empty conditioning cells: bin 1 of the first C axis
+            empty = [slice(None)] * len(names)
+            empty[cond_axes[0]] = 1
+            table[tuple(empty)] = 0.0
+        base = DensityGrid(
+            tuple(index_axis(n, k) for n, k in zip(names, shape)), table / table.sum()
+        )
+        calls = []
+
+        def g(c_cell, uc):
+            calls.append((c_cell, uc))
+            return float(uc) + sum(10.0 ** (k + 1) * v for k, v in enumerate(c_cell))
+
+        out = attach_class_variable(base, g, (-0.1, 0.0, 0.1), (0.25, 0.5, 0.25))
+        assignments = classes_per_c(base, "A", "B")
+        assert sorted(calls) == [
+            (cell, cls)
+            for cell, asg in sorted(assignments.items())
+            for cls in range(1, asg.class_count + 1)
+        ]
+        ref = oracles.attach_reference(
+            base, assignments, g, (-0.1, 0.0, 0.1), (0.25, 0.5, 0.25), "A", "B", "X"
+        )
+        assert out.axes == ref.axes
+        assert np.array_equal(out.prob, ref.prob)
+        most_classes = max(
+            most_classes, *(asg.class_count for asg in assignments.values())
+        )
+    assert most_classes >= 2
+
+
 def test_attach_rejects_name_collisions_and_bad_noise():
     base = mask_grid(layouts.two_block_mask(4))
     with pytest.raises(ShapeMismatch):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ciprop.sem as sem_module
 from ciprop import (
     AffineMechanism,
     Axis,
@@ -309,6 +310,25 @@ def test_enumeration_budget(monkeypatch):
     assert propagate(sem).prob.sum() == pytest.approx(1.0)
 
 
+def test_output_grid_budget(monkeypatch):
+    sem = chain_sem()
+    cells = math.prod(ax.size for ax in sem.axes.values())
+    monkeypatch.setattr(sem_module, "MAX_GRID_CELLS", cells - 1)
+    with pytest.raises(BudgetExceeded, match="output grid"):
+        propagate(sem)
+    monkeypatch.setattr(sem_module, "MAX_GRID_CELLS", cells)
+    assert propagate(sem).prob.size == cells
+
+
+def test_output_grid_budget_admits_step_001_only():
+    # the model is only built here, never propagated
+    def cells(step):
+        return math.prod(ax.size for ax in example1(step).axes.values())
+
+    assert cells(0.01) == 98_802_442 <= sem_module.MAX_GRID_CELLS
+    assert cells(0.005) > sem_module.MAX_GRID_CELLS
+
+
 def test_propagate_is_deterministic():
     sem = chain_sem()
     one, two = propagate(sem), propagate(sem)
@@ -435,14 +455,94 @@ def test_example1_plateau_fails_non_constancy(ex1):
     assert non_constancy_check(sem, "B", "A", grid).holds
 
 
-def test_non_constancy_argument_validation(ex1):
+def test_non_constancy_argument_validation(ex1, monkeypatch):
     sem, grid = ex1
     with pytest.raises(UnknownNode):
         non_constancy_check(sem, "Z", "B", grid)
     with pytest.raises(NotAParent):
         non_constancy_check(sem, "X", "A", grid)
+    monkeypatch.setattr(sem_module, "MAX_CANDIDATES", 0)
     with pytest.raises(BudgetExceeded):
-        non_constancy_check(sem, "X", "B", grid, max_cond=0)
+        non_constancy_check(sem, "X", "B", grid)
+
+
+def lattice_axis(name, m):
+    return Axis(name, tuple(float(v) for v in range(-m, m + 1)))
+
+
+def random_multi_parent_sem(rng, kind):
+    """W -> P -> Y <- Q -> R, and R -> Y when three parents are drawn.
+
+    Integer noises (some with a gap at 0) and integer mechanisms keep every
+    value on the integer axes; ``kind`` picks Y's mechanism.
+    """
+    noises = [
+        NoiseSpec((-1.0, 0.0, 1.0), (0.5, 0.0, 0.5)),
+        NoiseSpec((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+        NoiseSpec((-2.0, 0.0, 2.0), (0.5, 0.0, 0.5)),
+        NoiseSpec((0.0,), (1.0,)),
+    ]
+    y_parents = ("P", "Q", "R") if rng.random() < 0.5 else ("P", "Q")
+    dag = Dag(
+        ("P", "Q", "R", "W", "Y"),
+        {"P": ("W",), "R": ("Q",), "Y": y_parents},
+    )
+    axes = {
+        "W": lattice_axis("W", 2),
+        "P": lattice_axis("P", 6),
+        "Q": lattice_axis("Q", 2),
+        "R": lattice_axis("R", 4),
+        "Y": lattice_axis("Y", 30),
+    }
+    if kind == "affine":
+        coeffs = {p: float(rng.integers(-2, 3)) for p in y_parents}
+        mech_y = AffineMechanism(float(rng.integers(-2, 3)), coeffs)
+    elif kind == "piecewise":
+        t = float(rng.integers(-3, 3)) + 0.5
+        mech_y = PiecewiseMechanism(
+            str(rng.choice(y_parents)),
+            (
+                PiecewisePiece(-math.inf, t, intercept=float(rng.integers(-2, 3))),
+                PiecewisePiece(
+                    t, math.inf, intercept=float(rng.integers(-2, 3)),
+                    slope=float(rng.integers(0, 2)),
+                ),
+            ),
+        )
+    else:
+        table = rng.integers(0, 3, tuple(axes[p].size for p in y_parents))
+        if rng.random() < 0.5:
+            table[:] = table[:1]  # constant in P
+        mech_y = TableMechanism(table.astype(float))
+    return SemSpec(
+        dag=dag,
+        noises={n: noises[int(rng.integers(len(noises)))] for n in dag.nodes},
+        mechanisms={
+            "P": AffineMechanism(0.0, {"W": float(rng.choice([-1, 1, 2]))}),
+            "R": AffineMechanism(0.0, {"Q": 1.0}),
+            "Y": mech_y,
+        },
+        axes=axes,
+    )
+
+
+@pytest.mark.parametrize("kind", ["affine", "piecewise", "table"])
+def test_non_constancy_matches_per_bin_reference(kind):
+    rng = np.random.default_rng({"affine": 3, "piecewise": 5, "table": 7}[kind])
+    verdicts, other_parent_sets = set(), 0
+    for _ in range(12):
+        sem = random_multi_parent_sem(rng, kind)
+        grid = propagate(sem)
+        for parent in sem.dag.parents["Y"]:
+            report = non_constancy_check(sem, "Y", parent, grid)
+            assert report == oracles.non_constancy_reference(sem, "Y", parent, grid)
+            verdicts.add(report.holds)
+            other_parent_sets += sum(
+                any(c in sem.dag.parents["Y"] for c in cset)
+                for cset in report.witnesses
+            )
+    assert verdicts == {True, False}
+    assert other_parent_sets > 0
 
 
 def test_dependence_conclusion_on_example1(ex1):

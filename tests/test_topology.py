@@ -139,8 +139,6 @@ def test_mask_errors():
     g = layouts.mask_grid_uniform(np.ones((2, 2), dtype=bool))
     with pytest.raises(OverlappingRoles):
         support_mask(g, "A", "A")
-    with pytest.raises(ShapeMismatch):
-        support_mask(g, "A", "B", tau=-1.0)
     table = np.zeros((2, 2, 2))
     table[:, :, 0] = 0.25
     g3 = DensityGrid(
