@@ -22,13 +22,22 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 ``2 * tv / pa*`` and the per-cell mass residual by ``2 * tv``, so verdict
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
+
+The residuals read only the occupied box: each axis is cut down to its
+bins that hold mass, found once per grid by one scan of the table, so a
+query costs in proportion to the product of the occupied bin counts, not
+to the full grid.  A bin without mass adds exactly 0 to every residual,
+so no verdict changes; the sums run over fewer terms, so deviations can
+differ from a sum over the full grid in the last bits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +92,15 @@ class Axis:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """A joint pmf over named axes; ``prob`` is row-major over axis order."""
+    """A joint pmf over named axes; ``prob`` is row-major over axis order.
+
+    The grid owns its table and the table is read-only.  An array that
+    owns its memory is taken over without a copy and made read-only in
+    place, so the handle the caller passed can no longer write it; an
+    array whose memory is reachable through a writeable base (a view of a
+    writeable array) is copied.  Views of a handed-over array that the
+    caller took before construction are not tracked.
+    """
 
     axes: tuple[Axis, ...]
     prob: np.ndarray
@@ -95,6 +112,12 @@ class DensityGrid:
             raise ShapeMismatch(f"duplicate axis names in {names}")
         shape = tuple(ax.size for ax in axes)
         table = np.asarray(self.prob, dtype=float)
+        base = table.base
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            table = table.copy()
+        table.flags.writeable = False
         if table.ndim == 1:
             if table.size != int(np.prod(shape)):
                 raise ShapeMismatch(
@@ -107,6 +130,17 @@ class DensityGrid:
         table.flags.writeable = False
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "prob", table)
+
+    @cached_property
+    def _occupied(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the ascending bins that hold mass: one scan of the table."""
+        # a boolean mask first: nonzero on it is several times faster than
+        # on the float table
+        cells = np.unravel_index(np.flatnonzero(self.prob != 0), self.prob.shape)
+        return tuple(
+            np.flatnonzero(np.bincount(idx, minlength=ax.size))
+            for idx, ax in zip(cells, self.axes)
+        )
 
     # -- axis lookup ----------------------------------------------------
 
@@ -130,8 +164,12 @@ class CiReport:
 
     ``deviation`` is the max-over-conditioning-cells total-variation
     residual of the factorization; ``witness`` is the (x-bins, a-bins,
-    cond-bins) index triple of the largest single-cell residual inside the
-    worst conditioning slice.  ``pointwise_deviation`` is the pointwise
+    cond-bins) index triple, in grid bins, of the largest single-cell
+    residual inside the worst conditioning slice.  On exact ties the first
+    cell in row-major order over the full slice is named, so a slice whose
+    residuals are all 0 names bin 0 of every x and a axis; residuals that
+    are equal in exact arithmetic may differ in the last bits, and then
+    either may be named.  ``pointwise_deviation`` is the pointwise
     residual of the equivalent form ``p(x | a, c) = p(x | c)``.
     """
 
@@ -201,19 +239,24 @@ def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
+_Bins = tuple[np.ndarray, ...]
+
+
 def _slices(
     grid: DensityGrid,
     x: str | Sequence[str],
     a: str | Sequence[str],
     cond: Iterable[str],
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...], tuple[int, ...]
-]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Bins, _Bins, _Bins]:
     """The (cond, x, a) masses of the conditioning cells above ``ZERO_TOL``.
 
-    Returns ``(sub, masses, valid, x_shape, a_shape, c_shape)``: ``sub``
+    Returns ``(sub, masses, valid, x_bins, a_bins, c_bins)``: ``sub``
     holds one (x, a) slice per valid conditioning cell, ``masses`` their
     masses and ``valid`` their flat indices over the conditioning axes.
+    Every axis is cut down to its bins that hold mass, in one gather that
+    is skipped when every bin is occupied, and ``*_bins`` list them per
+    axis of each role: a bin without mass adds 0 to every sum of the
+    residuals, so leaving it out changes no verdict.
     """
     x_names, a_names, c_names = _as_names(x), _as_names(a), _as_names(cond)
     if not x_names or not a_names:
@@ -222,34 +265,47 @@ def _slices(
     if len(set(roles)) != len(roles):
         raise OverlappingRoles(f"roles overlap: x={x_names} a={a_names} cond={c_names}")
     sub = marginalize(grid, roles) if set(roles) != set(grid.axis_names) else grid
+    # a sum of nonnegative masses is positive exactly when one term is, so
+    # the marginal's occupied bins are the grid's on the kept axes
+    occupied = dict(zip(grid.axis_names, grid._occupied))
+    keep = [occupied[n] for n in sub.axis_names]
+    arr = sub.prob
+    if any(bins.size < size for bins, size in zip(keep, arr.shape)):
+        arr = arr[np.ix_(*keep)]
     # grid order within each role group keeps witnesses deterministic
     x_ord = tuple(n for n in sub.axis_names if n in x_names)
     a_ord = tuple(n for n in sub.axis_names if n in a_names)
     c_ord = tuple(n for n in sub.axis_names if n in c_names)
-    perm = tuple(sub.axis_index(n) for n in (*c_ord, *x_ord, *a_ord))
-    arr = np.transpose(sub.prob, perm)
-    c_shape = arr.shape[: len(c_ord)]
-    x_shape = arr.shape[len(c_ord) : len(c_ord) + len(x_ord)]
-    a_shape = arr.shape[len(c_ord) + len(x_ord) :]
+    arr = np.transpose(arr, [sub.axis_index(n) for n in (*c_ord, *x_ord, *a_ord)])
+    x_bins, a_bins, c_bins = (
+        tuple(occupied[n] for n in order) for order in (x_ord, a_ord, c_ord)
+    )
     flat = arr.reshape(
-        int(np.prod(c_shape, dtype=int)) if c_ord else 1,
-        int(np.prod(x_shape, dtype=int)),
-        int(np.prod(a_shape, dtype=int)),
+        tuple(math.prod(b.size for b in bins) for bins in (c_bins, x_bins, a_bins))
     )
     masses = flat.sum(axis=(1, 2))
     valid = np.flatnonzero(masses > ZERO_TOL)
     if valid.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
-    return flat[valid], masses[valid], valid, x_shape, a_shape, c_shape
+    return flat[valid], masses[valid], valid, x_bins, a_bins, c_bins
+
+
+def _bins_at(flat_index: int, bins: _Bins) -> tuple[int, ...]:
+    """Grid bins of the cell at ``flat_index`` over the kept ``bins``."""
+    at = []
+    for b in reversed(bins):
+        flat_index, k = divmod(flat_index, b.size)
+        at.append(int(b[k]))
+    return tuple(reversed(at))
 
 
 def _tv_residual(
     sub: np.ndarray,
     masses: np.ndarray,
     valid: np.ndarray,
-    x_shape: tuple[int, ...],
-    a_shape: tuple[int, ...],
-    c_shape: tuple[int, ...],
+    x_bins: _Bins,
+    a_bins: _Bins,
+    c_bins: _Bins,
 ) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     slices = sub / masses[:, None, None]
     px = slices.sum(axis=2)
@@ -257,15 +313,12 @@ def _tv_residual(
     resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
     tv = 0.5 * resid.sum(axis=(1, 2))
     k = int(np.argmax(tv))
-    cell = np.unravel_index(int(np.argmax(resid[k])), resid[k].shape)
-    c_idx = (
-        tuple(int(v) for v in np.unravel_index(int(valid[k]), c_shape))
-        if c_shape
-        else ()
-    )
-    x_idx = tuple(int(v) for v in np.unravel_index(int(cell[0]), x_shape))
-    a_idx = tuple(int(v) for v in np.unravel_index(int(cell[1]), a_shape))
-    return float(tv[k]), (x_idx, a_idx, c_idx)
+    x_at, a_at = divmod(int(np.argmax(resid[k])), resid.shape[2])
+    if resid[k, x_at, a_at] > 0:
+        x_idx, a_idx = _bins_at(x_at, x_bins), _bins_at(a_at, a_bins)
+    else:  # every residual of the full slice is 0: its first cell
+        x_idx, a_idx = (0,) * len(x_bins), (0,) * len(a_bins)
+    return float(tv[k]), (x_idx, a_idx, _bins_at(int(valid[k]), c_bins))
 
 
 def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:

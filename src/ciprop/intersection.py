@@ -255,8 +255,14 @@ def attach_class_variable(
     The new axis is placed first; its points are the distinct
     level-plus-noise values.
     """
+    _require_new_axis(base, name)
     assignments = classes_per_c(base, a, b)
     return _attach(base, assignments, g, noise_points, noise_probs, a, b, name)
+
+
+def _require_new_axis(base: DensityGrid, name: str) -> None:
+    if name in base.axis_names:
+        raise ShapeMismatch(f"axis {name!r} already exists")
 
 
 def _attach(
@@ -270,8 +276,6 @@ def _attach(
     name: str,
 ) -> DensityGrid:
     """:func:`attach_class_variable` given the classes of ``base``."""
-    if name in base.axis_names:
-        raise ShapeMismatch(f"axis {name!r} already exists")
     pts = np.asarray(noise_points, dtype=float)
     if pts.size == 0:
         raise ShapeMismatch("noise points must be nonempty")
@@ -331,6 +335,7 @@ def construct_adversary(
             f"levels {levels} closer than the noise band width "
             f"{2.0 * noise_halfwidth}; bands must not overlap"
         )
+    _require_new_axis(base, name)
     cond_names = _cond_names(base, (a, b), None)
     assignments = classes_per_c(base, a, b, cond_names)
     if target_c is None:

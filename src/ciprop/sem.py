@@ -385,7 +385,8 @@ def propagate(sem: SemSpec) -> DensityGrid:
         weights=np.broadcast_to(weights, full).ravel(),
         minlength=cells,
     )
-    grid = DensityGrid(tuple(sem.axes[n] for n in alpha), mass.reshape(dims))
+    # handed over flat: the grid takes the array as it is, without a copy
+    grid = DensityGrid(tuple(sem.axes[n] for n in alpha), mass)
     validate(grid)
     return grid
 

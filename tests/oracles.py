@@ -6,8 +6,10 @@ meaningful.  Grids are represented there as (names, shape, mass) where
 mass maps index tuples to floats.
 
 The last group works on package grids: the axis flattening that grouped
-roles are checked against, and the per-bin and per-cell loops that the
-package replaced with array code, kept as references for the array paths.
+roles are checked against, the per-bin and per-cell loops that the
+package replaced with array code, and the CI residuals over the full
+grid that the package replaced with residuals over the occupied bins,
+kept as references for the faster paths.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ciprop import (
     NonConstancyReport,
     OverlappingRoles,
     ShapeMismatch,
+    ZeroMassCondition,
     marginalize,
     non_descendants,
     validate,
@@ -355,3 +358,63 @@ def attach_reference(base, assignments, g, noise_points, noise_probs, a, b, name
     result = DensityGrid((Axis(name, tuple(float(v) for v in values)), *base.axes), out)
     validate(result)
     return result
+
+
+def ci_reference(grid, x, a, cond=()):
+    """CI residuals over every bin of the full grid.
+
+    Returns ``(deviation, witness, pointwise, residuals)``: the worst
+    total-variation residual over conditioning cells with mass above 1e-12,
+    the (x-bins, a-bins, cond-bins) witness (first maximum in row-major
+    order of the worst slice), the pointwise residual, and per valid
+    conditioning cell its full residual table over (x axes..., a axes...).
+    """
+    x_names = (x,) if isinstance(x, str) else tuple(x)
+    a_names = (a,) if isinstance(a, str) else tuple(a)
+    c_names = tuple(cond)
+    roles = (*x_names, *a_names, *c_names)
+    sub = marginalize(grid, roles) if set(roles) != set(grid.axis_names) else grid
+    x_ord = tuple(n for n in sub.axis_names if n in x_names)
+    a_ord = tuple(n for n in sub.axis_names if n in a_names)
+    c_ord = tuple(n for n in sub.axis_names if n in c_names)
+    perm = tuple(sub.axis_index(n) for n in (*c_ord, *x_ord, *a_ord))
+    arr = np.transpose(sub.prob, perm)
+    c_shape = arr.shape[: len(c_ord)]
+    x_shape = arr.shape[len(c_ord) : len(c_ord) + len(x_ord)]
+    a_shape = arr.shape[len(c_ord) + len(x_ord) :]
+    flat = arr.reshape(
+        int(np.prod(c_shape, dtype=int)) if c_ord else 1,
+        int(np.prod(x_shape, dtype=int)),
+        int(np.prod(a_shape, dtype=int)),
+    )
+    masses = flat.sum(axis=(1, 2))
+    valid = np.flatnonzero(masses > 1e-12)
+    if valid.size == 0:
+        raise ZeroMassCondition("no conditioning cell has positive mass")
+    sub, masses = flat[valid], masses[valid]
+
+    slices = sub / masses[:, None, None]
+    px = slices.sum(axis=2)
+    pa = slices.sum(axis=1)
+    resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
+    tv = 0.5 * resid.sum(axis=(1, 2))
+    k = int(np.argmax(tv))
+    cell = np.unravel_index(int(np.argmax(resid[k])), resid[k].shape)
+    c_cells = [
+        tuple(int(v) for v in np.unravel_index(int(c), c_shape)) if c_shape else ()
+        for c in valid
+    ]
+    x_idx = tuple(int(v) for v in np.unravel_index(int(cell[0]), x_shape))
+    a_idx = tuple(int(v) for v in np.unravel_index(int(cell[1]), a_shape))
+
+    px_c = sub.sum(axis=2) / masses[:, None]
+    m_ac = sub.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        px_ac = sub / m_ac[:, None, :]
+    point = np.abs(px_ac - px_c[:, :, None])
+    point[~np.broadcast_to((m_ac > 1e-12)[:, None, :], point.shape)] = 0.0
+
+    residuals = {
+        c: r.reshape(x_shape + a_shape) for c, r in zip(c_cells, resid)
+    }
+    return float(tv[k]), (x_idx, a_idx, c_cells[k]), float(point.max()), residuals

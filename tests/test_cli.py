@@ -174,6 +174,12 @@ def test_adversary_on_single_class_grid_exits_3(tmp_path, capsys):
     assert "error[SingleClass]" in capsys.readouterr().err
 
 
+def test_adversary_refuses_an_existing_axis(workdir, tmp_path, capsys):
+    _, _, grid = workdir
+    assert run(["adversary", str(grid), "-o", str(tmp_path / "x.json")]) == 3
+    assert "error[ShapeMismatch]: axis 'X' already exists" in capsys.readouterr().err
+
+
 def test_weak_intersection_on_adversary(blocks_path, tmp_path, capsys):
     out_path = tmp_path / "adv.json"
     assert run(["adversary", str(blocks_path), "-o", str(out_path)]) == 0

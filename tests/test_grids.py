@@ -69,6 +69,24 @@ def test_grid_accepts_flat_table_and_is_readonly():
         g.prob[0, 0] = 1.0
 
 
+def test_grid_owns_its_table():
+    axes = (Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0)))
+    # an array that owns its memory is taken over without a copy, and the
+    # caller's handle becomes read-only before the table is reshaped
+    flat = np.array([0.5, 0.0, 0.0, 0.5])
+    g = DensityGrid(axes, flat)
+    assert np.shares_memory(g.prob, flat)
+    with pytest.raises(ValueError):
+        flat[:] = 0.25
+    # a view of writeable memory is copied
+    owner = np.array([[0.5, 0.0], [0.0, 0.5], [9.0, 9.0]])
+    g = DensityGrid(axes, owner[:2])
+    owner[:] = 0.25
+    assert np.array_equal(g.prob, [[0.5, 0.0], [0.0, 0.5]])
+    # a view of read-only memory is shared
+    assert np.shares_memory(DensityGrid(axes, g.prob).prob, g.prob)
+
+
 def test_grid_shape_checks():
     axes = (Axis("A", (0.0, 1.0)),)
     with pytest.raises(ShapeMismatch):
@@ -354,3 +372,87 @@ def test_json_preserves_awkward_floats():
     g = DensityGrid((Axis("A", pts),), np.array([0.1, 0.2, 0.7]))
     back = grid_from_json(grid_to_json(g))
     assert back.axes[0].points == pts
+
+
+# -- residuals over the occupied bins against the full grid -------------------
+
+
+def gapped_grid(rng, names_sizes):
+    """Random grid with whole bins of every axis left empty."""
+    shape = tuple(s for _, s in names_sizes)
+    while True:
+        table = rng.random(shape) * (rng.random(shape) > 0.4)
+        for axis, size in enumerate(shape):
+            index = [slice(None)] * len(shape)
+            index[axis] = rng.random(size) < 0.35
+            table[tuple(index)] = 0.0
+        if table.sum() > 0:
+            return make_grid(names_sizes, table / table.sum())
+
+
+GAPPED_QUERIES = [
+    ("X", "A", ("B", "C")),
+    ("X", ("A", "B"), ("C",)),
+    (("X", "C"), "B", ("A",)),
+    ("X", "A", ("C",)),
+    ("B", ("X", "C"), ()),
+    ("A", "X", ()),
+]
+
+
+def check_against_full_grid(g, x, a, cond):
+    dev, witness = ci_deviation(g, x, a, cond)
+    report = is_ci(g, x, a, cond)
+    ref_dev, ref_witness, ref_point, residuals = oracles.ci_reference(g, x, a, cond)
+    assert report.holds == (ref_dev <= report.tol)
+    assert (report.deviation, report.witness) == (dev, witness)
+    assert abs(dev - ref_dev) <= 1e-15
+    assert abs(report.pointwise_deviation - ref_point) <= 1e-15
+    assert abs(pointwise_deviation(g, x, a, cond) - ref_point) <= 1e-15
+    x_bins, a_bins, c_cell = witness
+    worst = residuals[c_cell]
+    assert abs(0.5 * worst.sum() - ref_dev) <= 1e-15
+    assert abs(worst[x_bins + a_bins] - worst.max()) <= 1e-15
+    if worst.max() == 0.0:
+        assert x_bins + a_bins == (0,) * worst.ndim
+    return witness, ref_witness
+
+
+def test_gapped_grids_match_the_full_grid_residuals():
+    rng = np.random.default_rng(41)
+    names_sizes = [("A", 4), ("B", 5), ("C", 3), ("X", 6)]
+    for _ in range(30):
+        g = gapped_grid(rng, names_sizes)
+        for x, a, cond in GAPPED_QUERIES:
+            check_against_full_grid(g, x, a, cond)
+
+
+def test_all_zero_residuals_name_the_first_bin():
+    # one support cell per conditioning cell, never on bin 0 of x or a:
+    # every slice factorizes exactly, and the witness is the first cell
+    # of the full slice, which holds no mass
+    table = np.zeros((4, 3, 5, 3))
+    table[2, 1, 3, 0] = table[3, 2, 4, 2] = table[1, 2, 1, 1] = 1.0 / 3.0
+    g = make_grid([("X", 4), ("A", 3), ("B", 5), ("C", 3)], table)
+    for x, a, cond in (
+        ("X", "A", ("C",)),
+        ("X", ("A", "B"), ("C",)),
+        ("X", "A", ("B", "C")),
+    ):
+        witness, ref_witness = check_against_full_grid(g, x, a, cond)
+        assert is_ci(g, x, a, cond).deviation == 0.0
+        assert witness == ref_witness
+
+
+def test_occupied_bins_are_the_positive_margins():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        g = gapped_grid(rng, [("A", 4), ("B", 5), ("C", 3), ("X", 6)])
+        for axis, bins in enumerate(g._occupied):
+            others = tuple(i for i in range(g.prob.ndim) if i != axis)
+            assert np.array_equal(bins, np.flatnonzero(g.prob.sum(axis=others) > 0))
+        # a marginal's occupied bins are its parent's on the kept axes
+        kept = ("A", "C", "X")
+        parent = dict(zip(g.axis_names, g._occupied))
+        for name, bins in zip(kept, marginalize(g, kept)._occupied):
+            assert np.array_equal(bins, parent[name])

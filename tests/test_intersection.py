@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ciprop.intersection as intersection_module
 from ciprop import (
     AdversaryCheckFailed,
     Axis,
@@ -316,6 +317,22 @@ def test_attach_rejects_name_collisions_and_bad_noise():
         attach_class_variable(base, lambda c, uc: 0.0, ())
     with pytest.raises(ShapeMismatch):
         attach_class_variable(base, lambda c, uc: 0.0, (0.0, 0.1), (1.0,))
+
+
+def test_existing_axis_is_refused_before_classes(monkeypatch):
+    # conditioning on X leaves one class per cell, so computing classes
+    # first would report SingleClass instead of the clash
+    rng = np.random.default_rng(7)
+    base, _ = class_mixture_grid(np.ones((3, 3), dtype=bool), 2, rng)
+
+    def no_classes(*args, **kwargs):
+        raise AssertionError("classes computed before the name check")
+
+    monkeypatch.setattr(intersection_module, "classes_per_c", no_classes)
+    with pytest.raises(ShapeMismatch, match="axis 'X' already exists"):
+        construct_adversary(base)
+    with pytest.raises(ShapeMismatch, match="axis 'X' already exists"):
+        attach_class_variable(base, lambda c, uc: 0.0, (0.0,))
 
 
 # -- the adversary ---------------------------------------------------------------

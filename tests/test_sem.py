@@ -329,6 +329,14 @@ def test_output_grid_budget_admits_step_001_only():
     assert cells(0.005) > sem_module.MAX_GRID_CELLS
 
 
+def test_propagate_hands_over_its_table():
+    # the grid is a read-only view of the flat accumulator, not a copy
+    grid = propagate(chain_sem())
+    assert grid.prob.base is not None
+    assert grid.prob.base.shape == (grid.prob.size,)
+    assert not grid.prob.base.flags.writeable
+
+
 def test_propagate_is_deterministic():
     sem = chain_sem()
     one, two = propagate(sem), propagate(sem)
