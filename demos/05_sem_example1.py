@@ -50,7 +50,7 @@ print("intersection property:", "holds" if verdict.holds else "FAILS")
 # Where the mass actually sits on the X axis: two plateaus, nothing on
 # the bridge between them.
 x_marginal = marginalize(grid, ("X",))
-occupied = np.flatnonzero(x_marginal.prob > 1e-12)
+occupied = np.flatnonzero(x_marginal.prob > 0)
 points = x_marginal.axes[0].points
 print("\noccupied X range:", points[occupied[0]], "..", points[occupied[-1]])
 gap = np.flatnonzero(np.diff(occupied) > 1)

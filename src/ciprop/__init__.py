@@ -40,7 +40,6 @@ from .errors import (
 )
 from .grids import (
     DEFAULT_TOL,
-    ZERO_TOL,
     Axis,
     CiReport,
     DensityGrid,

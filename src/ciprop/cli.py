@@ -8,10 +8,11 @@ suppressed under ``--deterministic``.
 The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
 the cells of positive mass and find the classes of all conditioning cells
-in one pass over one marginal.  Each command computes the classes once:
-``intersection -o`` builds its adversary from the classes behind its
-verdict, and ``report`` takes its three CI rows from one
-``verify_intersection``.
+in one pass over one marginal, through ``classes_per_c``; ``--c`` picks
+its slice from the classes of every cell of the fixed axes.  Each command
+computes the classes once: ``intersection -o`` builds its adversary from
+the classes behind its verdict, and ``report`` takes its three CI rows
+from one ``verify_intersection``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CipropError
+from .errors import CipropError, IndexOutOfRange, ZeroMassCondition
 from .grids import (
     DEFAULT_TOL,
     CiReport,
@@ -54,13 +55,7 @@ from .sem import (
     propagate,
     save_sem,
 )
-from .topology import (
-    UcAssignment,
-    coordinatewise_classes,
-    path_components,
-    render_labels,
-    support_mask,
-)
+from .topology import UcAssignment, path_components, render_labels
 
 
 class _UsageError(Exception):
@@ -142,16 +137,25 @@ def _cond_axes(grid: DensityGrid, a: str, b: str, x: str | None) -> tuple[str, .
 def _classes_by_cell(
     args: argparse.Namespace, grid: DensityGrid
 ) -> dict[tuple[int, ...], UcAssignment]:
-    """Classes of the ``--c`` slice, or of every positive conditioning cell.
+    """Classes of every positive conditioning cell, or of the ``--c`` slice.
 
     Each slice's support is the set of its cells with ``uc > 0``.
     """
     fixed = _parse_fixed(args.c)
-    if fixed:
-        mask = support_mask(grid, args.a, args.b, fixed)
-        return {tuple(fixed[k] for k in sorted(fixed)): coordinatewise_classes(mask)}
-    cond = _cond_axes(grid, args.a, args.b, args.x)
-    return classes_per_c(grid, args.a, args.b, cond)
+    cond = tuple(fixed) or _cond_axes(grid, args.a, args.b, args.x)
+    assignments = classes_per_c(grid, args.a, args.b, cond)
+    if not fixed:
+        return assignments
+    for name, bin_idx in fixed.items():
+        size = grid.axis(name).size
+        if not 0 <= bin_idx < size:
+            raise IndexOutOfRange(
+                f"bin {bin_idx} out of range for axis {name!r} (size {size})"
+            )
+    cell = tuple(fixed[n] for n in grid.axis_names if n in fixed)
+    if cell not in assignments:
+        raise ZeroMassCondition(f"slice {fixed} has mass 0.0")
+    return {cell: assignments[cell]}
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
@@ -195,7 +199,7 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
         if args.out:
             base = marginalize(grid, (args.a, args.b, *cond))
             adversary = _adversary(
-                base, assignments, verdict.failing_c, a=args.a, b=args.b
+                base, assignments, verdict.failing_c, a=args.a, b=args.b, name=args.x
             )
             save_grid(adversary, args.out)
             print(f"adversary grid written to {args.out}")
@@ -357,12 +361,8 @@ def _add_assert_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_tol_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="CI tolerance")
-    p.add_argument(
-        "--deterministic", action="store_true",
-        help="suppress timing output for byte-identical reports",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", nargs="+", default=["X"])
     p.add_argument("--a", nargs="+", default=["A"])
     p.add_argument("--cond", nargs="*", default=[])
-    _add_common(p)
+    _add_tol_flag(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_check_ci)
 
@@ -382,14 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--c", action="append", help="fix a conditioning axis, axis=bin")
     _add_topology_flags(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("classes", help="merge components into classes")
     p.add_argument("grid")
     p.add_argument("--c", action="append", help="fix a conditioning axis, axis=bin")
     _add_topology_flags(p)
-    _add_common(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_classes)
 
@@ -397,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("-o", dest="out", help="write adversary grid here on failure")
     _add_topology_flags(p)
-    _add_common(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_intersection)
 
@@ -408,20 +405,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halfwidth", type=float, default=0.1)
     p.add_argument("--levels", type=float, nargs=2, default=(0.0, 10.0))
     _add_topology_flags(p)
-    _add_common(p)
+    _add_tol_flag(p)
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("weak-intersection", help="check the class-conditional form")
     p.add_argument("grid")
     _add_topology_flags(p)
-    _add_common(p)
+    _add_tol_flag(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_weak_intersection)
 
     p = sub.add_parser("report", help="one-stop analysis of a grid file")
     p.add_argument("grid")
     _add_topology_flags(p)
-    _add_common(p)
+    _add_tol_flag(p)
+    p.add_argument(
+        "--deterministic", action="store_true",
+        help="suppress timing output for byte-identical reports",
+    )
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_report)
 
@@ -431,13 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sem_sub.add_parser("propagate", help="push a model to a grid file")
     p.add_argument("sem")
     p.add_argument("-o", dest="out", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_sem_propagate)
 
     p = sem_sub.add_parser("example1", help="write the two-block chain benchmark")
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("-o", dest="out", required=True)
-    _add_common(p)
     p.set_defaults(func=lambda a: _cmd_sem_example(a, alt=False))
 
     p = sem_sub.add_parser(
@@ -445,12 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("-o", dest="out", required=True)
-    _add_common(p)
     p.set_defaults(func=lambda a: _cmd_sem_example(a, alt=True))
 
     p = sem_sub.add_parser("check-prop3", help="path-connected support certificate")
     p.add_argument("sem")
-    _add_common(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_sem_prop3)
 
@@ -458,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sem")
     p.add_argument("--node", required=True)
     p.add_argument("--parent", required=True)
-    _add_common(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_sem_prop4)
 

@@ -6,14 +6,16 @@ and their tables are read-only, so values can be shared freely across
 threads.
 
 Conditional independence of ``X`` and ``A`` given ``C`` is measured per
-conditioning cell ``c`` with ``p(c)`` above the positivity cutoff as the
-total-variation distance between the joint conditional ``p(x, a | c)`` and
-the product ``p(x | c) p(a | c)``; the reported deviation is the maximum
-over conditioning cells.  The deviation is a probability in ``[0, 1]``, is
-zero exactly when the factorization holds cell-wise, is symmetric in the
-``x`` / ``a`` roles, and does not shrink as axes are refined (a pointwise
-mass residual would scale like the cell mass itself and vanish under
-refinement, which makes it useless as a dependence threshold).
+conditioning cell ``c`` with ``p(c) > 0`` as the total-variation
+distance between the joint conditional ``p(x, a | c)`` and the product
+``p(x | c) p(a | c)``; the reported deviation is the maximum over
+conditioning cells.  Positivity is exact, as for the support classes,
+so the residuals and the classes agree on which cells exist.  The
+deviation is a probability in ``[0, 1]``, is zero exactly when the
+factorization holds cell-wise, is symmetric in the ``x`` / ``a`` roles,
+and does not shrink as axes are refined (a pointwise mass residual would
+scale like the cell mass itself and vanish under refinement, which makes
+it useless as a dependence threshold).
 
 The classical equivalent form ``p(x | a, c) = p(x | c)`` is exposed as a
 pointwise residual (:func:`pointwise_deviation`) for cross-checking.  The two
@@ -26,9 +28,10 @@ either ~0 (exact constructions) or far above ``tol``.
 The residuals read only the occupied box: each axis is cut down to its
 bins that hold mass, found once per grid by one scan of the table, so a
 query costs in proportion to the product of the occupied bin counts, not
-to the full grid.  A bin without mass adds exactly 0 to every residual,
-so no verdict changes; the sums run over fewer terms, so deviations can
-differ from a sum over the full grid in the last bits.
+to the full grid (when the box holds at most half the cells; a larger
+box costs more to gather than it saves).  A bin without mass adds 0 to
+every residual, so no verdict changes; the sums run over fewer terms, so
+deviations can differ from a sum over the full grid in the last bits.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ from .errors import (
 )
 from .jsonio import render_json
 
-# A conditioning cell counts as positive in the CI residuals and in
-# ``condition`` iff its mass exceeds ZERO_TOL: dividing by a mass that is
-# float accumulation noise would blow it up.  Support (topology, sem) is
-# exact, mass > 0.
-ZERO_TOL = 1e-12
 # |sum - 1| tolerance for a valid probability table.
 NORM_TOL = 1e-9
 # Default verdict tolerance for conditional-independence checks.
@@ -228,7 +226,7 @@ def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
         raise ShapeMismatch("conditioning on every axis leaves an empty grid")
     block = grid.prob[tuple(slicer)]
     mass = float(block.sum())
-    if mass <= ZERO_TOL:
+    if mass <= 0.0:
         raise ZeroMassCondition(f"slice {dict(fixed)} has mass {mass!r}")
     return DensityGrid(remaining, block / mass)
 
@@ -248,15 +246,16 @@ def _slices(
     a: str | Sequence[str],
     cond: Iterable[str],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Bins, _Bins, _Bins]:
-    """The (cond, x, a) masses of the conditioning cells above ``ZERO_TOL``.
+    """The (cond, x, a) masses of the conditioning cells of positive mass.
 
     Returns ``(sub, masses, valid, x_bins, a_bins, c_bins)``: ``sub``
     holds one (x, a) slice per valid conditioning cell, ``masses`` their
     masses and ``valid`` their flat indices over the conditioning axes.
-    Every axis is cut down to its bins that hold mass, in one gather that
-    is skipped when every bin is occupied, and ``*_bins`` list them per
-    axis of each role: a bin without mass adds 0 to every sum of the
-    residuals, so leaving it out changes no verdict.
+    Every axis is cut down to its bins that hold mass, in one gather made
+    when this box holds at most half the cells of the marginal (otherwise
+    every bin is kept), and ``*_bins`` list the kept bins per axis of each
+    role: a bin without mass adds 0 to every sum, so leaving it out
+    changes no verdict.
     """
     x_names, a_names, c_names = _as_names(x), _as_names(a), _as_names(cond)
     if not x_names or not a_names:
@@ -270,33 +269,37 @@ def _slices(
     occupied = dict(zip(grid.axis_names, grid._occupied))
     keep = [occupied[n] for n in sub.axis_names]
     arr = sub.prob
-    if any(bins.size < size for bins, size in zip(keep, arr.shape)):
+    # the gather costs about as much per kept cell as the sums downstream
+    # save per dropped cell, so it pays only when it drops half the cells
+    if 2 * math.prod(bins.size for bins in keep) <= arr.size:
         arr = arr[np.ix_(*keep)]
+    else:
+        keep = [np.arange(size) for size in arr.shape]
+    kept = dict(zip(sub.axis_names, keep))
     # grid order within each role group keeps witnesses deterministic
     x_ord = tuple(n for n in sub.axis_names if n in x_names)
     a_ord = tuple(n for n in sub.axis_names if n in a_names)
     c_ord = tuple(n for n in sub.axis_names if n in c_names)
     arr = np.transpose(arr, [sub.axis_index(n) for n in (*c_ord, *x_ord, *a_ord)])
     x_bins, a_bins, c_bins = (
-        tuple(occupied[n] for n in order) for order in (x_ord, a_ord, c_ord)
+        tuple(kept[n] for n in order) for order in (x_ord, a_ord, c_ord)
     )
     flat = arr.reshape(
         tuple(math.prod(b.size for b in bins) for bins in (c_bins, x_bins, a_bins))
     )
     masses = flat.sum(axis=(1, 2))
-    valid = np.flatnonzero(masses > ZERO_TOL)
+    valid = np.flatnonzero(masses > 0)
     if valid.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
     return flat[valid], masses[valid], valid, x_bins, a_bins, c_bins
 
 
-def _bins_at(flat_index: int, bins: _Bins) -> tuple[int, ...]:
-    """Grid bins of the cell at ``flat_index`` over the kept ``bins``."""
-    at = []
-    for b in reversed(bins):
-        flat_index, k = divmod(flat_index, b.size)
-        at.append(int(b[k]))
-    return tuple(reversed(at))
+def _bins_at(flat: np.ndarray | int, bins: _Bins) -> list[tuple[int, ...]]:
+    """Grid bins of the cells at the ``flat`` indices over the kept ``bins``."""
+    flat = np.atleast_1d(flat)
+    at = np.unravel_index(flat, tuple(b.size for b in bins)) if bins else ()
+    cells = np.array([b[i] for b, i in zip(bins, at)], dtype=np.intp)
+    return [tuple(c) for c in cells.reshape(len(bins), flat.size).T.tolist()]
 
 
 def _tv_residual(
@@ -315,10 +318,10 @@ def _tv_residual(
     k = int(np.argmax(tv))
     x_at, a_at = divmod(int(np.argmax(resid[k])), resid.shape[2])
     if resid[k, x_at, a_at] > 0:
-        x_idx, a_idx = _bins_at(x_at, x_bins), _bins_at(a_at, a_bins)
+        x_idx, a_idx = _bins_at(x_at, x_bins)[0], _bins_at(a_at, a_bins)[0]
     else:  # every residual of the full slice is 0: its first cell
         x_idx, a_idx = (0,) * len(x_bins), (0,) * len(a_bins)
-    return float(tv[k]), (x_idx, a_idx, _bins_at(int(valid[k]), c_bins))
+    return float(tv[k]), (x_idx, a_idx, _bins_at(valid[k], c_bins)[0])
 
 
 def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:
@@ -327,7 +330,7 @@ def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         px_ac = sub / m_ac[:, None, :]
     resid = np.abs(px_ac - px_c[:, :, None])
-    resid[~np.broadcast_to((m_ac > ZERO_TOL)[:, None, :], resid.shape)] = 0.0
+    resid[~np.broadcast_to((m_ac > 0)[:, None, :], resid.shape)] = 0.0
     return float(resid.max())
 
 
@@ -341,9 +344,9 @@ def ci_deviation(
 
     Returns ``(deviation, witness)`` where deviation is the worst
     total-variation distance between ``p(x, a | c)`` and
-    ``p(x | c) p(a | c)`` over conditioning cells with mass above
-    ``ZERO_TOL``, and witness locates the largest single-cell residual in
-    the worst slice (first maximum in row-major order).
+    ``p(x | c) p(a | c)`` over conditioning cells of positive mass, and
+    witness locates the largest single-cell residual in the worst slice
+    (first maximum in row-major order).
     """
     return _tv_residual(*_slices(grid, x, a, cond))
 
@@ -356,9 +359,9 @@ def pointwise_deviation(
 ) -> float:
     """Pointwise residual ``max |p(x | a, c) - p(x | c)|``.
 
-    The max runs over cells with ``p(a, c)`` and ``p(c)`` above
-    ``ZERO_TOL``, mirroring the positivity quantifiers of the classical
-    equivalent form of conditional independence.
+    The max runs over cells with ``p(a, c) > 0`` and ``p(c) > 0``,
+    mirroring the positivity quantifiers of the classical equivalent form
+    of conditional independence.
     """
     sub, masses, *_ = _slices(grid, x, a, cond)
     return _pointwise_residual(sub, masses)

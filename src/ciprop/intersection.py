@@ -9,10 +9,11 @@ criterion implemented here is purely topological: the implication holds
 for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
 coordinate-wise-connected equivalence class.  The support is exact: a
-cell belongs to it when its mass is positive.  :func:`classes_per_c`
-takes one marginal over (A, B) and the conditioning axes and finds the
-classes of every conditioning cell in one call to the components kernel
-of :mod:`ciprop.topology`.
+cell, or a conditioning cell, counts when its mass is positive.
+:func:`classes_per_c` and :func:`verify_weak_intersection` read the
+layout of the CI residuals (one marginal, cut to the bins that hold
+mass) and find the classes of every conditioning cell in one call to the
+kernel of :mod:`ciprop.topology`; results name bins of the full grid.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -45,7 +46,6 @@ import numpy as np
 
 from .errors import (
     AdversaryCheckFailed,
-    OverlappingRoles,
     PremiseViolated,
     ShapeMismatch,
     SingleClass,
@@ -55,10 +55,11 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
+    _bins_at,
+    _slices,
     ci_deviation,
     is_ci,
     pointwise_deviation,
-    marginalize,
     validate,
 )
 from .topology import UcAssignment, _class_assignments
@@ -103,27 +104,6 @@ def _cond_names(
     return tuple(cond)
 
 
-def _by_c(
-    grid: DensityGrid, axes: tuple[str, ...], cond: tuple[str, ...]
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """One marginal over ``axes`` plus ``cond``, laid out as (C..., *axes).
-
-    Returns the positive-mass conditioning cells in row-major order, the
-    marginal table with the conditioning axes first (in grid order), and
-    the boolean table of those cells over the conditioning axes.
-    """
-    roles = (*axes, *cond)
-    if len(set(roles)) != len(roles):
-        raise OverlappingRoles(f"roles overlap: {axes} and conditioning {cond}")
-    sub = marginalize(grid, roles)
-    c_ord = tuple(n for n in sub.axis_names if n in cond)
-    table = np.transpose(sub.prob, [sub.axis_index(n) for n in (*c_ord, *axes)])
-    lead = tuple(range(len(c_ord), table.ndim))
-    positive = table.sum(axis=lead) > 0
-    cells = [tuple(int(v) for v in idx) for idx in np.argwhere(positive)]
-    return cells, table, positive
-
-
 def classes_per_c(
     grid: DensityGrid,
     a: str,
@@ -136,8 +116,10 @@ def classes_per_c(
     conditioning axes in grid order, in row-major order.
     """
     cond_names = _cond_names(grid, (a, b), cond)
-    cells, table, positive = _by_c(grid, (a, b), cond_names)
-    return dict(zip(cells, _class_assignments((table > 0)[positive])))
+    sub, _, valid, a_bins, b_bins, c_bins = _slices(grid, a, b, cond_names)
+    lattice = (grid.axis(a).size, grid.axis(b).size)
+    stack = _class_assignments(sub > 0, (a_bins[0], b_bins[0]), lattice)
+    return dict(zip(_bins_at(valid, c_bins), stack))
 
 
 def _verdict(
@@ -219,11 +201,14 @@ def verify_weak_intersection(
             "premise deviations "
             f"{premise_xa.deviation!r} / {premise_xb.deviation!r} exceed {tol!r}"
         )
-    cells, table, positive = _by_c(grid, (x, a, b), cond_names)
-    support = (table.sum(axis=-3) > 0)[positive]
+    sub, _, valid, _, ab_bins, c_bins = _slices(grid, x, (a, b), cond_names)
+    blocks = sub.reshape(valid.size, sub.shape[1], *(bins.size for bins in ab_bins))
+    if grid.axis_index(a) > grid.axis_index(b):
+        blocks = blocks.swapaxes(2, 3)
     per_class: dict[tuple[tuple[int, ...], int], float] = {}
-    for cell, assignment in zip(cells, _class_assignments(support)):
-        block = table[cell]
+    for cell, block, assignment in zip(
+        _bins_at(valid, c_bins), blocks, _class_assignments(blocks.sum(axis=1) > 0)
+    ):
         for cls in range(1, assignment.class_count + 1):
             a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
             mixture = block[:, a_bins, :].sum(axis=(1, 2))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -52,16 +51,12 @@ from .grids import (
 from .jsonio import render_json
 from .topology import label_support_nd
 
+# Most joint noise configurations propagate enumerates.
 DEFAULT_MAX_ENUM = 10_000_000
 # Largest dense output grid propagate builds: 2^28 float64 cells, 2 GiB.
 MAX_GRID_CELLS = 2**28
 # Most conditioning candidates non_constancy_check takes (2^k sets).
 MAX_CANDIDATES = 12
-
-
-def _max_enum() -> int:
-    raw = os.environ.get("CIPROP_MAX_ENUM")
-    return int(raw) if raw else DEFAULT_MAX_ENUM
 
 
 @dataclass(frozen=True)
@@ -336,7 +331,7 @@ def propagate(sem: SemSpec) -> DensityGrid:
     """Exact pushforward of the model onto its output axes.
 
     Every joint noise configuration is enumerated (product over nodes,
-    guarded by CIPROP_MAX_ENUM / 10^7; the output grid is guarded by
+    guarded by ``DEFAULT_MAX_ENUM``, 10^7; the output grid is guarded by
     ``MAX_GRID_CELLS``; both are checked before any allocation); node
     values are computed on raw parent values in topological order and
     snapped to output bins only for mass accumulation and table lookups.
@@ -346,9 +341,10 @@ def propagate(sem: SemSpec) -> DensityGrid:
     order = topological_order(sem.dag)
     sizes = [len(sem.noises[n].points) for n in order]
     total = math.prod(sizes)
-    budget = _max_enum()
-    if total > budget:
-        raise BudgetExceeded(f"{total} noise configurations exceed budget {budget}")
+    if total > DEFAULT_MAX_ENUM:
+        raise BudgetExceeded(
+            f"{total} noise configurations exceed budget {DEFAULT_MAX_ENUM}"
+        )
     alpha = sorted(sem.dag.nodes)
     dims = tuple(sem.axes[n].size for n in alpha)
     cells = math.prod(dims)

@@ -199,14 +199,19 @@ def path_components(mask: SupportMask | np.ndarray) -> ComponentLabeling:
     return ComponentLabeling(*label_support_nd(_mask_cells(mask)))
 
 
-def _bins_of(classes: np.ndarray, count: int) -> dict[int, tuple[int, ...]]:
+def _bins_of(
+    classes: np.ndarray, count: int, bins: np.ndarray
+) -> dict[int, tuple[int, ...]]:
     return {
-        cls: tuple(np.flatnonzero(classes == cls).tolist())
-        for cls in range(1, count + 1)
+        cls: tuple(bins[classes == cls].tolist()) for cls in range(1, count + 1)
     }
 
 
-def _class_assignments(support: np.ndarray) -> list[UcAssignment]:
+def _class_assignments(
+    support: np.ndarray,
+    bins: tuple[np.ndarray, np.ndarray] | None = None,
+    shape: tuple[int, int] | None = None,
+) -> list[UcAssignment]:
     """Coordinate-wise classes of every (A, B) slice of a (C, A, B) stack.
 
     All slices go through one kernel call.  Slice k owns the nodes
@@ -214,6 +219,11 @@ def _class_assignments(support: np.ndarray) -> list[UcAssignment]:
     its B bins, and its support cells are the edges.  A class's root is
     its smallest A bin, which holds the class's first row-major cell, so
     ranking the roots of a slice numbers its classes by first cell.
+
+    With ``bins``, the stack holds only the ascending A bins ``bins[0]``
+    and B bins ``bins[1]`` of a lattice of ``shape``: ``uc`` is placed
+    back on that lattice in one scatter and the projections name its
+    bins.  The order of bins is kept, so is the numbering of classes.
     """
     support = np.asarray(support, dtype=bool)
     n_c, n_a, n_b = support.shape
@@ -228,8 +238,17 @@ def _class_assignments(support: np.ndarray) -> list[UcAssignment]:
     cls_a = np.where(rows, np.take_along_axis(rank, root_a, axis=1), 0)
     cls_b = np.where(cols, np.take_along_axis(rank, root_b, axis=1), 0)
     uc = np.where(support, cls_a[:, :, None], 0)
+    a_bins, b_bins = bins if bins is not None else (np.arange(n_a), np.arange(n_b))
+    if shape is not None and shape != (n_a, n_b):
+        uc_box, uc = uc, np.zeros((n_c, *shape), dtype=uc.dtype)
+        uc[:, a_bins[:, None], b_bins] = uc_box
     return [
-        UcAssignment(uc[s], count, _bins_of(cls_a[s], count), _bins_of(cls_b[s], count))
+        UcAssignment(
+            uc[s],
+            count,
+            _bins_of(cls_a[s], count, a_bins),
+            _bins_of(cls_b[s], count, b_bins),
+        )
         for s, count in enumerate(rank[:, -1].tolist())
     ]
 

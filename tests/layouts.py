@@ -1,4 +1,4 @@
-"""Hand-drawn support layouts shared across test modules."""
+"""Support layouts and seeded grids shared across test modules."""
 
 from __future__ import annotations
 
@@ -46,3 +46,38 @@ def mask_grid_uniform(cells, a_name="A", b_name="B"):
         Axis(b_name, tuple(float(k) for k in range(cells.shape[1]))),
     )
     return DensityGrid(axes, table)
+
+
+def gapped_grid(rng, names_sizes, zero_frac=0.4):
+    """Random grid over index axes with whole bins of every axis left empty.
+
+    Besides the empty bins, each cell is empty with probability ``zero_frac``.
+    """
+    from ciprop import Axis, DensityGrid
+
+    shape = tuple(s for _, s in names_sizes)
+    while True:
+        table = rng.random(shape) * (rng.random(shape) > zero_frac)
+        for axis, size in enumerate(shape):
+            index = [slice(None)] * len(shape)
+            index[axis] = rng.random(size) < 0.35
+            table[tuple(index)] = 0.0
+        if table.sum() > 0:
+            axes = tuple(
+                Axis(n, tuple(float(k) for k in range(s))) for n, s in names_sizes
+            )
+            return DensityGrid(axes, table / table.sum())
+
+
+def tiny_cell_grid():
+    """(A, B, C) grid whose cell C=1 holds 1e-13 on two diagonal blocks.
+
+    C=0 is uniform, one class; C=1 has two classes.  A positivity cutoff
+    above 1e-13 would drop C=1 from the CI checks but not from the classes.
+    """
+    from ciprop import Axis, DensityGrid
+
+    table = np.zeros((2, 2, 2))
+    table[:, :, 0] = (1.0 - 1e-13) / 4.0
+    table[0, 0, 1] = table[1, 1, 1] = 0.5e-13
+    return DensityGrid(tuple(Axis(n, (0.0, 1.0)) for n in "ABC"), table)

@@ -7,9 +7,10 @@ mass maps index tuples to floats.
 
 The last group works on package grids: the axis flattening that grouped
 roles are checked against, the per-bin and per-cell loops that the
-package replaced with array code, and the CI residuals over the full
-grid that the package replaced with residuals over the occupied bins,
-kept as references for the faster paths.
+package replaced with array code, and the CI residuals, classes and
+weak-form residuals over every bin of the full grid, which the package
+replaced with the same sums over the occupied bins, kept as references
+for the faster paths.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ciprop import (
     OverlappingRoles,
     ShapeMismatch,
     ZeroMassCondition,
+    coordinatewise_classes,
     marginalize,
     non_descendants,
     validate,
@@ -71,7 +73,7 @@ def o_condition(names, shape, mass, fixed):
             key = tuple(idx[p] for p in pos)
             out[key] = out.get(key, 0.0) + v
             total += v
-    if total <= 1e-12:
+    if total <= 0.0:
         raise ZeroDivisionError("zero-mass slice")
     return tuple(rest), tuple(shape[p] for p in pos), {
         k: v / total for k, v in out.items()
@@ -93,7 +95,7 @@ def o_ci_tv(names, shape, mass, x, a, cond):
     worst = 0.0
     for _, items in slices.items():
         m_c = sum(v for _, v in items)
-        if m_c <= 1e-12:
+        if m_c <= 0.0:
             continue
         joint, px, pa = {}, {}, {}
         for idx, v in items:
@@ -364,7 +366,7 @@ def ci_reference(grid, x, a, cond=()):
     """CI residuals over every bin of the full grid.
 
     Returns ``(deviation, witness, pointwise, residuals)``: the worst
-    total-variation residual over conditioning cells with mass above 1e-12,
+    total-variation residual over conditioning cells of positive mass,
     the (x-bins, a-bins, cond-bins) witness (first maximum in row-major
     order of the worst slice), the pointwise residual, and per valid
     conditioning cell its full residual table over (x axes..., a axes...).
@@ -388,7 +390,7 @@ def ci_reference(grid, x, a, cond=()):
         int(np.prod(a_shape, dtype=int)),
     )
     masses = flat.sum(axis=(1, 2))
-    valid = np.flatnonzero(masses > 1e-12)
+    valid = np.flatnonzero(masses > 0)
     if valid.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
     sub, masses = flat[valid], masses[valid]
@@ -412,9 +414,49 @@ def ci_reference(grid, x, a, cond=()):
     with np.errstate(invalid="ignore", divide="ignore"):
         px_ac = sub / m_ac[:, None, :]
     point = np.abs(px_ac - px_c[:, :, None])
-    point[~np.broadcast_to((m_ac > 1e-12)[:, None, :], point.shape)] = 0.0
+    point[~np.broadcast_to((m_ac > 0)[:, None, :], point.shape)] = 0.0
 
     residuals = {
         c: r.reshape(x_shape + a_shape) for c, r in zip(c_cells, resid)
     }
     return float(tv[k]), (x_idx, a_idx, c_cells[k]), float(point.max()), residuals
+
+
+def _dense_by_c(grid, axes, cond):
+    """One marginal over ``axes`` and ``cond``, every bin kept, as (C..., *axes).
+
+    Returns the table with the conditioning axes first (in grid order) and
+    the positive-mass conditioning cells in row-major order.
+    """
+    sub = marginalize(grid, (*axes, *cond))
+    c_ord = tuple(n for n in sub.axis_names if n in cond)
+    table = np.transpose(sub.prob, [sub.axis_index(n) for n in (*c_ord, *axes)])
+    positive = table.sum(axis=tuple(range(len(c_ord), table.ndim))) > 0
+    return table, [tuple(int(v) for v in idx) for idx in np.argwhere(positive)]
+
+
+def classes_reference(grid, a, b, cond):
+    """Classes of every positive conditioning cell on the dense layout.
+
+    Each cell's (a, b) slice over every bin goes through
+    ``coordinatewise_classes`` on its own.
+    """
+    table, cells = _dense_by_c(grid, (a, b), tuple(cond))
+    return {cell: coordinatewise_classes(table[cell] > 0) for cell in cells}
+
+
+def weak_reference(grid, x, a, b, cond):
+    """Weak-form residual per (c-cell, class) on the dense (C..., x, a, b) layout."""
+    table, cells = _dense_by_c(grid, (x, a, b), tuple(cond))
+    per_class = {}
+    for cell in cells:
+        block = table[cell]
+        assignment = coordinatewise_classes(block.sum(axis=0) > 0)
+        for cls in range(1, assignment.class_count + 1):
+            a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
+            mixture = block[:, a_bins, :].sum(axis=(1, 2))
+            mixture = mixture / mixture.sum()
+            cols = block[:, assignment.uc == cls]
+            cond_laws = cols / cols.sum(axis=0)
+            per_class[(cell, cls)] = float(np.abs(cond_laws - mixture[:, None]).max())
+    return per_class

@@ -34,6 +34,19 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture()
+def abx_path(tmp_path):
+    """4x4x2 (A, B, X) grid with two diagonal blocks in each X cell."""
+    path = tmp_path / "abx.json"
+    table = np.repeat(layouts.two_block_mask(4)[:, :, None], 2, axis=2) / 16.0
+    axes = tuple(
+        Axis(n, tuple(float(k) for k in range(size)))
+        for n, size in zip("ABX", table.shape)
+    )
+    save_grid(DensityGrid(axes, table), str(path))
+    return path
+
+
+@pytest.fixture()
 def blocks_path(tmp_path):
     path = tmp_path / "blocks.json"
     cells = layouts.two_block_mask()
@@ -96,6 +109,27 @@ def test_zero_mass_slice_exits_3(workdir, capsys):
     assert "error[ZeroMassCondition]" in capsys.readouterr().err
 
 
+def test_fixed_slice_off_its_axis_exits_3(abx_path, capsys):
+    assert run(["components", str(abx_path), "--c", "X=9"]) == 3
+    assert "error[IndexOutOfRange]" in capsys.readouterr().err
+
+
+def test_flags_are_taken_only_where_read(workdir, tmp_path, capsys):
+    _, model, grid = workdir
+    out = str(tmp_path / "m.json")
+    assert run(["sem", "example1", "-o", out, "--tol", "5"]) == 2
+    assert run(["sem", "example1", "-o", out, "--deterministic"]) == 2
+    assert run(["classes", str(grid), "--tol", "5"]) == 2
+    assert run(["sem", "check-prop3", str(model), "--deterministic"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    for argv in (
+        ["check-ci", str(grid), "--x", "X", "--a", "A", "--cond", "B"],
+        ["report", str(grid), "--deterministic"],
+    ):
+        assert run(argv + ["--tol", "1e-6"]) == 0
+    capsys.readouterr()
+
+
 # -- topology subcommands -----------------------------------------------------------
 
 
@@ -146,6 +180,24 @@ def test_intersection_reports_failure_and_writes_adversary(workdir, capsys):
     assert dev > 0.1
     premise, _ = ci_deviation(adv, "X", "A", ("B",))
     assert premise <= 1e-9
+
+
+def test_intersection_names_the_adversary_after_x(abx_path, tmp_path, capsys):
+    # with --x Y the grid's own X axis is a conditioning axis
+    out_path = tmp_path / "adv.json"
+    assert run(["intersection", str(abx_path), "--x", "Y", "-o", str(out_path)]) == 0
+    assert "failing c-cell: (0)" in capsys.readouterr().out
+    adv = load_grid(str(out_path))
+    assert adv.axis_names == ("A", "B", "X", "Y")
+    assert ci_deviation(adv, "Y", ("A", "B"), ("X",))[0] > 0.1
+
+
+def test_intersection_writes_the_adversary_of_a_tiny_cell(tmp_path, capsys):
+    path, out_path = tmp_path / "tiny.json", tmp_path / "adv.json"
+    save_grid(layouts.tiny_cell_grid(), str(path))
+    assert run(["intersection", str(path), "-o", str(out_path)]) == 0
+    assert "failing c-cell: (1)" in capsys.readouterr().out
+    assert load_grid(str(out_path)).axis_names == ("A", "B", "C", "X")
 
 
 def test_intersection_holds_on_full_support(tmp_path, capsys):

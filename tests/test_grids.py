@@ -28,6 +28,7 @@ from ciprop import (
     validate,
 )
 
+import layouts
 import oracles
 from oracles import flatten_axes
 
@@ -248,6 +249,20 @@ def test_zero_mass_conditioning_rejected():
         ci_deviation(g, "X", "A", ("C",))
 
 
+def test_is_ci_counts_a_tiny_conditioning_cell():
+    # C=1 holds 1e-13 on two diagonal blocks: A and B are dependent there
+    report = is_ci(layouts.tiny_cell_grid(), "A", "B", ("C",))
+    assert not report.holds
+    assert report.deviation == pytest.approx(0.5)
+    assert report.pointwise_deviation == pytest.approx(0.5)
+    assert report.witness[2] == (1,)
+
+
+def test_condition_slices_a_tiny_cell():
+    sliced = condition(layouts.tiny_cell_grid(), {"C": 1})
+    assert np.array_equal(sliced.prob, [[0.5, 0.0], [0.0, 0.5]])
+
+
 def test_pointwise_residual_tracks_tv_verdict():
     # both residuals vanish on conditionally independent grids and are
     # macroscopic on strongly coupled ones
@@ -377,19 +392,6 @@ def test_json_preserves_awkward_floats():
 # -- residuals over the occupied bins against the full grid -------------------
 
 
-def gapped_grid(rng, names_sizes):
-    """Random grid with whole bins of every axis left empty."""
-    shape = tuple(s for _, s in names_sizes)
-    while True:
-        table = rng.random(shape) * (rng.random(shape) > 0.4)
-        for axis, size in enumerate(shape):
-            index = [slice(None)] * len(shape)
-            index[axis] = rng.random(size) < 0.35
-            table[tuple(index)] = 0.0
-        if table.sum() > 0:
-            return make_grid(names_sizes, table / table.sum())
-
-
 GAPPED_QUERIES = [
     ("X", "A", ("B", "C")),
     ("X", ("A", "B"), ("C",)),
@@ -422,7 +424,7 @@ def test_gapped_grids_match_the_full_grid_residuals():
     rng = np.random.default_rng(41)
     names_sizes = [("A", 4), ("B", 5), ("C", 3), ("X", 6)]
     for _ in range(30):
-        g = gapped_grid(rng, names_sizes)
+        g = layouts.gapped_grid(rng, names_sizes)
         for x, a, cond in GAPPED_QUERIES:
             check_against_full_grid(g, x, a, cond)
 
@@ -447,7 +449,7 @@ def test_all_zero_residuals_name_the_first_bin():
 def test_occupied_bins_are_the_positive_margins():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        g = gapped_grid(rng, [("A", 4), ("B", 5), ("C", 3), ("X", 6)])
+        g = layouts.gapped_grid(rng, [("A", 4), ("B", 5), ("C", 3), ("X", 6)])
         for axis, bins in enumerate(g._occupied):
             others = tuple(i for i in range(g.prob.ndim) if i != axis)
             assert np.array_equal(bins, np.flatnonzero(g.prob.sum(axis=others) > 0))

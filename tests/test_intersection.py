@@ -131,6 +131,45 @@ def test_classes_per_c_returns_assignments():
 # -- direct verification of the implication ------------------------------------
 
 
+GAPPED_LAYOUTS = [
+    [("A", 5), ("B", 6), ("C", 3)],
+    [("B", 5), ("X", 3), ("A", 6)],
+    [("C1", 3), ("B", 5), ("A", 4), ("C2", 2)],
+    [("X", 4), ("C", 3), ("B", 4), ("A", 5)],
+]
+
+
+def test_classes_and_weak_form_match_the_dense_layout():
+    # empty bins on every axis, so the occupied-box gather always runs
+    rng = np.random.default_rng(53)
+    multi_class_cells = 0
+    for trial in range(30):
+        names_sizes = GAPPED_LAYOUTS[trial % len(GAPPED_LAYOUTS)]
+        g = layouts.gapped_grid(rng, names_sizes, zero_frac=0.75)
+        names = [n for n, _ in names_sizes]
+        cond = tuple(n for n in names if n not in ("X", "A", "B"))
+        classes = classes_per_c(g, "A", "B", cond)
+        ref = oracles.classes_reference(g, "A", "B", cond)
+        assert list(classes) == list(ref)
+        for cell, asg in classes.items():
+            assert asg.class_count == ref[cell].class_count
+            assert np.array_equal(asg.uc, ref[cell].uc)
+            assert asg.proj_a == ref[cell].proj_a
+            assert asg.proj_b == ref[cell].proj_b
+            multi_class_cells += asg.class_count >= 2
+        assert intersection_condition(g, "A", "B", cond).per_c_class_counts == {
+            cell: asg.class_count for cell, asg in ref.items()
+        }
+        if "X" in names:
+            # tol=1 admits any premises, so the residuals are not all 0
+            weak = verify_weak_intersection(g, cond=cond, tol=1.0)
+            ref_weak = oracles.weak_reference(g, "X", "A", "B", cond)
+            assert list(weak.per_class) == list(ref_weak)
+            for key, residual in weak.per_class.items():
+                assert abs(residual - ref_weak[key]) <= 1e-15
+    assert multi_class_cells >= 10
+
+
 def test_product_grid_satisfies_implication():
     rng = np.random.default_rng(3)
     px = rng.dirichlet(np.ones(3))
@@ -417,6 +456,19 @@ def test_adversary_rejects_zero_mass_target():
     )
     with pytest.raises(SingleClass):
         construct_adversary(base, target_c={"C": 1})
+
+
+def test_adversary_on_a_tiny_conditioning_cell():
+    # C=1 holds 1e-13: the classes see two of them there, and the CI checks
+    # of the adversary must see the same cell
+    base = layouts.tiny_cell_grid()
+    assert intersection_condition(base).failing_c == (1,)
+    adv = construct_adversary(base)
+    report = verify_intersection(adv, cond=("C",))
+    assert report.premises_hold and not report.conclusion.holds
+    assert max(report.premise_xa.deviation, report.premise_xb.deviation) <= 1e-9
+    assert report.conclusion.witness[2] == (1,)
+    assert pointwise_deviation(adv, "X", "B", ("C",)) >= 0.1 * (1.0 - 1e-9)
 
 
 def test_adversary_is_deterministic():

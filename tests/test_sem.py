@@ -303,10 +303,10 @@ def test_values_off_the_axis_overflow():
 
 def test_enumeration_budget(monkeypatch):
     sem = chain_sem()
-    monkeypatch.setenv("CIPROP_MAX_ENUM", "3")
+    monkeypatch.setattr(sem_module, "DEFAULT_MAX_ENUM", 3)
     with pytest.raises(BudgetExceeded):
         propagate(sem)
-    monkeypatch.setenv("CIPROP_MAX_ENUM", "4")
+    monkeypatch.setattr(sem_module, "DEFAULT_MAX_ENUM", 4)
     assert propagate(sem).prob.sum() == pytest.approx(1.0)
 
 
