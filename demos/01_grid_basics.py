@@ -10,7 +10,6 @@ import numpy as np
 from ciprop import (
     Axis,
     DensityGrid,
-    ci_deviation,
     condition,
     grid_to_json,
     is_ci,
@@ -42,12 +41,12 @@ sliced = condition(grid, {"A": 1})
 print(sliced.prob)
 
 # X determines A, so X vs A is maximally dependent ...
-dev, witness = ci_deviation(grid, "X", "A")
-print("\ndeviation of X vs A (unconditional):", dev)
-print("worst cell (x-bin, a-bin, c-cell):", witness)
+report = is_ci(grid, "X", "A")
+print("\ndeviation of X vs A (unconditional):", report.deviation)
+print("worst cell (x-bin, a-bin, c-cell):", report.witness)
 
 # ... while X vs B is exactly independent, with or without conditioning.
-print("deviation of X vs B:", ci_deviation(grid, "X", "B")[0])
+print("deviation of X vs B:", is_ci(grid, "X", "B").deviation)
 report = is_ci(grid, "X", "B", ("A",))
 print("X _||_ B | A holds:", report.holds, " pointwise residual:", report.pointwise_deviation)
 

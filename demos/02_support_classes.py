@@ -9,8 +9,10 @@ not the component count, is what decides the intersection property.
 import numpy as np
 
 from ciprop import (
-    coordinatewise_classes,
-    path_components,
+    Axis,
+    DensityGrid,
+    classes_per_c,
+    label_support_nd,
     render_labels,
 )
 
@@ -27,11 +29,15 @@ cells[7:9, 9] = True
 
 # Cells that share an edge are connected; blocks touching only at a
 # corner, like the first and the fourth, stay apart.
-labeling = path_components(cells)
-print(f"components: {labeling.count}")
-print(render_labels(labeling.labels))
+labels, count = label_support_nd(cells)
+print(f"components: {count}")
+print(render_labels(labels))
 
-assignment = coordinatewise_classes(cells)
+# Classes are read from a grid, so spread mass uniformly over the support.
+# With no conditioning axes, the one conditioning cell is the empty tuple.
+bins = tuple(float(k) for k in range(10))
+grid = DensityGrid((Axis("A", bins), Axis("B", bins)), cells / cells.sum())
+assignment = classes_per_c(grid, "A", "B", ())[()]
 print(f"\nclasses: {assignment.class_count}")
 for cls in range(1, assignment.class_count + 1):
     print(f"  class {cls}: A bins {assignment.proj_a[cls]}  B bins {assignment.proj_b[cls]}")

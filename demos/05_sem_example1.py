@@ -10,15 +10,14 @@ model, not a Monte-Carlo estimate.
 import numpy as np
 
 from ciprop import (
-    ci_deviation,
-    coordinatewise_classes,
+    classes_per_c,
     example1,
     intersection_condition,
+    is_ci,
+    label_support_nd,
     marginalize,
-    path_components,
     propagate,
     render_labels,
-    support_mask,
 )
 
 sem = example1(step=0.1)
@@ -31,18 +30,17 @@ print("\ngrid axes:", {ax.name: ax.size for ax in grid.axes})
 print("total mass:", grid.prob.sum())
 
 # The support of (A, B) splits into two blocks tied to A's two bands.
-mask = support_mask(grid, "A", "B")
-labeling = path_components(mask)
-classes = coordinatewise_classes(mask)
-print(f"\n(A, B) support: {labeling.count} components, {classes.class_count} classes")
-print(render_labels(labeling.labels[:, ::2]))  # every other B column, for width
+classes = classes_per_c(grid, "A", "B", ())[()]
+labels, count = label_support_nd(classes.uc > 0)
+print(f"\n(A, B) support: {count} components, {classes.class_count} classes")
+print(render_labels(labels[:, ::2]))  # every other B column, for width
 
 # CI profile: both premises hold to machine precision, the conclusion is
 # violated by 1/2 -- X remembers which band A came from.
-print("\ndeviation X vs A given B:", ci_deviation(grid, "X", "A", ("B",))[0])
-print("deviation X vs B given A:", ci_deviation(grid, "X", "B", ("A",))[0])
-print("deviation X vs A unconditional:", ci_deviation(grid, "X", "A")[0])
-print("deviation X vs (A,B):", ci_deviation(grid, "X", ("A", "B"))[0])
+print("\ndeviation X vs A given B:", is_ci(grid, "X", "A", ("B",)).deviation)
+print("deviation X vs B given A:", is_ci(grid, "X", "B", ("A",)).deviation)
+print("deviation X vs A unconditional:", is_ci(grid, "X", "A").deviation)
+print("deviation X vs (A,B):", is_ci(grid, "X", ("A", "B")).deviation)
 
 verdict = intersection_condition(grid, "A", "B", cond=())
 print("intersection property:", "holds" if verdict.holds else "FAILS")

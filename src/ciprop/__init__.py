@@ -9,10 +9,12 @@ structural model apply.
 Layers, bottom up:
 
 - :mod:`ciprop.grids` — immutable pmf grids over named axes with exact
-  marginalization, conditioning, and total-variation CI residuals;
-- :mod:`ciprop.topology` — support masks, path-connected components, and
-  coordinate-wise equivalence classes with the derived class variable;
-- :mod:`ciprop.intersection` — the one-class decision criterion, direct
+  marginalization, conditioning, and the CI test :func:`is_ci`;
+- :mod:`ciprop.topology` — the one components kernel: path-connected
+  components of a support (:func:`label_support_nd`) and coordinate-wise
+  equivalence classes with the derived class variable;
+- :mod:`ciprop.intersection` — the classes of every conditioning cell
+  (:func:`classes_per_c`), the one-class decision criterion, direct
   implication checks, the class-conditional weak form, and the
   counterexample construction;
 - :mod:`ciprop.sem` — additive-noise structural models, exact pushforward
@@ -43,12 +45,10 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
-    ci_deviation,
     condition,
     grid_from_json,
     grid_to_json,
     is_ci,
-    pointwise_deviation,
     load_grid,
     marginalize,
     save_grid,
@@ -87,15 +87,6 @@ from .sem import (
     sem_to_json,
     topological_order,
 )
-from .topology import (
-    ComponentLabeling,
-    SupportMask,
-    UcAssignment,
-    coordinatewise_classes,
-    label_support_nd,
-    path_components,
-    render_labels,
-    support_mask,
-)
+from .topology import UcAssignment, label_support_nd, render_labels
 
 __version__ = "0.1.0"

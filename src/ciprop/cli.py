@@ -55,7 +55,7 @@ from .sem import (
     propagate,
     save_sem,
 )
-from .topology import UcAssignment, path_components, render_labels
+from .topology import UcAssignment, label_support_nd, render_labels
 
 
 class _UsageError(Exception):
@@ -161,9 +161,9 @@ def _classes_by_cell(
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     for cell, assignment in _classes_by_cell(args, grid).items():
-        labeling = path_components(assignment.uc > 0)
-        print(f"c-cell {_cell_name(cell)}: components={labeling.count}")
-        print(render_labels(labeling.labels))
+        labels, count = label_support_nd(assignment.uc > 0)
+        print(f"c-cell {_cell_name(cell)}: components={count}")
+        print(render_labels(labels))
     return 0
 
 
@@ -171,10 +171,10 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     single_class = True
     for cell, assignment in _classes_by_cell(args, grid).items():
-        labeling = path_components(assignment.uc > 0)
+        count = label_support_nd(assignment.uc > 0)[1]
         single_class = single_class and assignment.class_count <= 1
         print(
-            f"c-cell {_cell_name(cell)}: components={labeling.count} "
+            f"c-cell {_cell_name(cell)}: components={count} "
             f"classes={assignment.class_count}"
         )
         for cls in range(1, assignment.class_count + 1):
@@ -317,7 +317,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cond = _cond_axes(grid, args.a, args.b, args.x)
     assignments = classes_per_c(grid, args.a, args.b, cond)
     per_c = {
-        cell: (path_components(asg.uc > 0).count, asg.class_count)
+        cell: (label_support_nd(asg.uc > 0)[1], asg.class_count)
         for cell, asg in assignments.items()
     }
     ci_rows: list[tuple[str, CiReport]] = []

@@ -18,8 +18,8 @@ scale like the cell mass itself and vanish under refinement, which makes
 it useless as a dependence threshold).
 
 The classical equivalent form ``p(x | a, c) = p(x | c)`` is exposed as a
-pointwise residual (:func:`pointwise_deviation`) for cross-checking.  The two
-residuals vanish together; quantitatively, with ``pa*`` the smallest
+pointwise residual (``CiReport.pointwise_deviation``) for cross-checking.
+The two residuals vanish together; quantitatively, with ``pa*`` the smallest
 positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 ``2 * tv / pa*`` and the per-cell mass residual by ``2 * tv``, so verdict
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
@@ -45,6 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CipropError,
     IndexOutOfRange,
     NegativeMass,
     NotNormalized,
@@ -74,7 +75,9 @@ class Axis:
         pts = tuple(float(p) for p in self.points)
         if not pts:
             raise ShapeMismatch(f"axis {self.name!r}: points must be nonempty")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if not all(map(math.isfinite, pts)):
+            raise ShapeMismatch(f"axis {self.name!r}: points must be finite")
+        if any(not a < b for a, b in zip(pts, pts[1:])):
             raise ShapeMismatch(
                 f"axis {self.name!r}: points must be strictly increasing"
             )
@@ -168,7 +171,8 @@ class CiReport:
     residuals are all 0 names bin 0 of every x and a axis; residuals that
     are equal in exact arithmetic may differ in the last bits, and then
     either may be named.  ``pointwise_deviation`` is the pointwise
-    residual of the equivalent form ``p(x | a, c) = p(x | c)``.
+    residual ``max |p(x | a, c) - p(x | c)|`` of the equivalent form,
+    over the cells with ``p(a, c) > 0`` and ``p(c) > 0``.
     """
 
     holds: bool
@@ -189,7 +193,8 @@ def validate(grid: DensityGrid) -> None:
         idx = np.unravel_index(int(np.argmin(table)), table.shape)
         raise NegativeMass(f"entry {idx} is {table[idx]!r}")
     total = float(table.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    # written so that a NaN entry, whose sum is NaN, fails it
+    if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalized(f"entries sum to {total!r}, not 1")
 
 
@@ -334,39 +339,6 @@ def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:
     return float(resid.max())
 
 
-def ci_deviation(
-    grid: DensityGrid,
-    x: str | Sequence[str],
-    a: str | Sequence[str],
-    cond: Iterable[str] = (),
-) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Factorization residual of ``x`` vs ``a`` given the ``cond`` axes.
-
-    Returns ``(deviation, witness)`` where deviation is the worst
-    total-variation distance between ``p(x, a | c)`` and
-    ``p(x | c) p(a | c)`` over conditioning cells of positive mass, and
-    witness locates the largest single-cell residual in the worst slice
-    (first maximum in row-major order).
-    """
-    return _tv_residual(*_slices(grid, x, a, cond))
-
-
-def pointwise_deviation(
-    grid: DensityGrid,
-    x: str | Sequence[str],
-    a: str | Sequence[str],
-    cond: Iterable[str] = (),
-) -> float:
-    """Pointwise residual ``max |p(x | a, c) - p(x | c)|``.
-
-    The max runs over cells with ``p(a, c) > 0`` and ``p(c) > 0``,
-    mirroring the positivity quantifiers of the classical equivalent form
-    of conditional independence.
-    """
-    sub, masses, *_ = _slices(grid, x, a, cond)
-    return _pointwise_residual(sub, masses)
-
-
 def is_ci(
     grid: DensityGrid,
     x: str | Sequence[str],
@@ -375,7 +347,8 @@ def is_ci(
     tol: float = DEFAULT_TOL,
 ) -> CiReport:
     """Test ``x`` independent of ``a`` given ``cond`` at tolerance ``tol``."""
-    if tol <= 0:
+    # written so that a NaN tolerance fails it
+    if not tol > 0:
         raise ShapeMismatch(f"tol must be positive, got {tol!r}")
     layout = _slices(grid, x, a, cond)
     dev, witness = _tv_residual(*layout)
@@ -415,7 +388,9 @@ def grid_from_json(text: str) -> DensityGrid:
     try:
         axes = tuple(Axis(a["name"], tuple(a["points"])) for a in doc["axes"])
         table = np.asarray(doc["prob"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except CipropError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed grid document: {exc}") from exc
     grid = DensityGrid(axes, table)
     order = sorted(range(len(axes)), key=lambda i: axes[i].name)

@@ -56,10 +56,10 @@ from .grids import (
     CiReport,
     DensityGrid,
     _bins_at,
+    _pointwise_residual,
     _slices,
-    ci_deviation,
+    _tv_residual,
     is_ci,
-    pointwise_deviation,
     validate,
 )
 from .topology import UcAssignment, _class_assignments
@@ -367,9 +367,10 @@ def _adversary(
     cond_names = _cond_names(base, (a, b), None)
     noise = np.linspace(-noise_halfwidth, noise_halfwidth, 5)
     result = _attach(base, assignments, g, noise, None, a, b, name)
-    dev_xa, _ = ci_deviation(result, name, a, (b, *cond_names))
-    dev_xb, _ = ci_deviation(result, name, b, (a, *cond_names))
-    margin = pointwise_deviation(result, name, b, cond_names)
+    dev_xa = _tv_residual(*_slices(result, name, a, (b, *cond_names)))[0]
+    dev_xb = _tv_residual(*_slices(result, name, b, (a, *cond_names)))[0]
+    sub, masses, *_ = _slices(result, name, b, cond_names)
+    margin = _pointwise_residual(sub, masses)
     if not (
         dev_xa <= 1e-9
         and dev_xb <= 1e-9

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     BinOverflow,
     BudgetExceeded,
+    CipropError,
     CycleDetected,
     NegativeMass,
     NotAParent,
@@ -100,12 +101,15 @@ class NoiseSpec:
             raise ShapeMismatch(
                 f"{len(points)} points vs {len(probs)} probs; need equal, nonempty"
             )
-        if any(b <= a for a, b in zip(points, points[1:])):
+        if not all(map(math.isfinite, points)):
+            raise ShapeMismatch("noise points must be finite")
+        if any(not a < b for a, b in zip(points, points[1:])):
             raise ShapeMismatch("noise points must be strictly increasing")
         if min(probs) < 0.0:
             raise NegativeMass(f"negative noise probability {min(probs)!r}")
         total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-9:
+        # written so that a NaN probability, whose sum is NaN, fails it
+        if not abs(total - 1.0) <= 1e-9:
             raise NotNormalized(f"noise probabilities sum to {total!r}")
         mean = math.fsum(p * x for p, x in zip(probs, points))
         if abs(mean) > 1e-9:
@@ -707,7 +711,9 @@ def sem_from_json(text: str) -> SemSpec:
             n: _mechanism_from_doc(d, dag.parents[n], axes)
             for n, d in doc.get("mechanism", {}).items()
         }
-    except (KeyError, TypeError) as exc:
+    except CipropError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed model document: {exc}") from exc
     return SemSpec(dag=dag, noises=noises, mechanisms=mechanisms, axes=axes)
 

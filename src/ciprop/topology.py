@@ -1,13 +1,14 @@
 """Support decomposition for pairs of grid variables.
 
-Given a joint grid over axes ``A`` and ``B`` (optionally sliced at a cell
-of further conditioning axes), this module builds the boolean support mask
-(the cells of positive mass), labels its path-connected components (cells
-sharing an edge are neighbors), and merges components into equivalence
+The support of an (A, B) slice is the set of its cells of positive mass.
+This module labels the path-connected components of a support (cells
+sharing an edge are neighbors) and merges components into equivalence
 classes under coordinate-wise connection: two components are directly
 connected when their projections onto the A axis intersect or their
 projections onto the B axis intersect, and classes are the transitive
-closure of that relation.
+closure of that relation.  The slices of every conditioning cell come
+from :func:`ciprop.intersection.classes_per_c`, which reads them from
+the layout of the CI residuals.
 
 Both questions are connected components of a graph, answered by one
 kernel.  Labeling takes the support cells as nodes and face neighbors as
@@ -31,51 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CipropError,
-    IndexOutOfRange,
-    OverlappingRoles,
-    ShapeMismatch,
-    ZeroMassCondition,
-)
-from .grids import Axis, DensityGrid, marginalize
+from .errors import CipropError
 
 _CHARSET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-@dataclass(frozen=True)
-class SupportMask:
-    """Boolean support table over (A-bin, B-bin) for a fixed slice."""
-
-    a_axis: Axis
-    b_axis: Axis
-    cells: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=bool)
-        expect = (self.a_axis.size, self.b_axis.size)
-        if cells.shape != expect:
-            raise ShapeMismatch(f"mask shape {cells.shape} != axes shape {expect}")
-        cells = np.ascontiguousarray(cells)
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Component ids per cell: 0 off support, 1..count on support.
-
-    Labels are canonical: component k's first cell in row-major order
-    precedes component k+1's first cell.
-    """
-
-    labels: np.ndarray
-    count: int
-
-    def __post_init__(self) -> None:
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -97,40 +56,6 @@ class UcAssignment:
         uc = np.ascontiguousarray(np.asarray(self.uc, dtype=np.int64))
         uc.flags.writeable = False
         object.__setattr__(self, "uc", uc)
-
-
-def support_mask(
-    grid: DensityGrid,
-    a: str,
-    b: str,
-    c_fixed: Mapping[str, int] | None = None,
-) -> SupportMask:
-    """Mask of (a, b) cells with positive mass at the fixed slice.
-
-    Axes other than ``a``, ``b`` and the fixed ones are summed out first,
-    so the mask reflects the (A, B, C)-marginal support at the given
-    C-cell.  With ``c_fixed`` empty the plain (A, B) marginal is used.
-    """
-    fixed = dict(c_fixed or {})
-    if a == b or a in fixed or b in fixed:
-        raise OverlappingRoles(f"roles overlap: a={a!r} b={b!r} c={sorted(fixed)}")
-    sub = marginalize(grid, (a, b, *fixed))
-    slicer: list[object] = [slice(None)] * len(sub.axes)
-    for name, bin_idx in fixed.items():
-        i = sub.axis_index(name)
-        if not 0 <= int(bin_idx) < sub.axes[i].size:
-            raise IndexOutOfRange(
-                f"bin {bin_idx} out of range for axis {name!r} (size {sub.axes[i].size})"
-            )
-        slicer[i] = int(bin_idx)
-    block = sub.prob[tuple(slicer)]
-    if fixed and float(block.sum()) <= 0.0:
-        raise ZeroMassCondition(f"slice {fixed} has mass {float(block.sum())!r}")
-    ai = [n for n in sub.axis_names if n not in fixed].index(a)
-    cells = block > 0
-    if ai != 0:
-        cells = cells.T
-    return SupportMask(sub.axis(a), sub.axis(b), cells)
 
 
 def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -156,9 +81,11 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
     """Path-connected components of an n-D boolean lattice.
 
     Two cells are neighbors when they differ by one step on exactly one
-    axis, the n-D analogue of sharing an edge.  Returns (labels, count)
-    with 0 off support and 1..count on it, numbered by each component's
-    first cell in row-major order.
+    axis, the n-D analogue of sharing an edge: a continuous positive path
+    crossing a fine grid induces positive cells that share edges, while
+    corner contact does not imply a path through the support.  Returns
+    (labels, count) with 0 off support and 1..count on it, numbered by
+    each component's first cell in row-major order.
     """
     support = np.asarray(support, dtype=bool)
     # node k is the k-th support cell in row-major order
@@ -180,23 +107,6 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
     labels = np.zeros(support.size, dtype=np.int64)
     labels[cells] = np.cumsum(is_root)[roots]
     return labels.reshape(support.shape), int(is_root.sum())
-
-
-def _mask_cells(mask: SupportMask | np.ndarray) -> np.ndarray:
-    cells = mask.cells if isinstance(mask, SupportMask) else np.asarray(mask, bool)
-    if cells.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D table, got shape {cells.shape}")
-    return cells
-
-
-def path_components(mask: SupportMask | np.ndarray) -> ComponentLabeling:
-    """Path-connected components of the support: cells sharing an edge touch.
-
-    A continuous positive path crossing a fine grid induces positive cells
-    that share edges, while corner contact does not imply a path through
-    the support.
-    """
-    return ComponentLabeling(*label_support_nd(_mask_cells(mask)))
 
 
 def _bins_of(
@@ -251,16 +161,6 @@ def _class_assignments(
         )
         for s, count in enumerate(rank[:, -1].tolist())
     ]
-
-
-def coordinatewise_classes(mask: SupportMask | np.ndarray) -> UcAssignment:
-    """Merge components sharing an A-projection bin or a B-projection bin.
-
-    Classes are the transitive closure of the direct overlap relation
-    (chains of coordinate-wise connections), numbered by their first cell
-    in row-major order.
-    """
-    return _class_assignments(_mask_cells(mask)[None])[0]
 
 
 def render_labels(labels: np.ndarray) -> str:

@@ -48,6 +48,13 @@ def mask_grid_uniform(cells, a_name="A", b_name="B"):
     return DensityGrid(axes, table)
 
 
+def mask_classes(cells):
+    """Classes of the support ``cells``, read from its uniform-mass grid."""
+    from ciprop import classes_per_c
+
+    return classes_per_c(mask_grid_uniform(cells), "A", "B", ())[()]
+
+
 def gapped_grid(rng, names_sizes, zero_frac=0.4):
     """Random grid over index axes with whole bins of every axis left empty.
 

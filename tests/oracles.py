@@ -28,11 +28,11 @@ from ciprop import (
     OverlappingRoles,
     ShapeMismatch,
     ZeroMassCondition,
-    coordinatewise_classes,
     marginalize,
     non_descendants,
     validate,
 )
+from ciprop.topology import _class_assignments
 
 
 def dict_grid(names, table):
@@ -438,11 +438,11 @@ def _dense_by_c(grid, axes, cond):
 def classes_reference(grid, a, b, cond):
     """Classes of every positive conditioning cell on the dense layout.
 
-    Each cell's (a, b) slice over every bin goes through
-    ``coordinatewise_classes`` on its own.
+    Each cell's (a, b) slice over every bin goes through the class kernel
+    on its own.
     """
     table, cells = _dense_by_c(grid, (a, b), tuple(cond))
-    return {cell: coordinatewise_classes(table[cell] > 0) for cell in cells}
+    return {cell: _class_assignments((table[cell] > 0)[None])[0] for cell in cells}
 
 
 def weak_reference(grid, x, a, b, cond):
@@ -451,7 +451,7 @@ def weak_reference(grid, x, a, b, cond):
     per_class = {}
     for cell in cells:
         block = table[cell]
-        assignment = coordinatewise_classes(block.sum(axis=0) > 0)
+        assignment = _class_assignments((block.sum(axis=0) > 0)[None])[0]
         for cls in range(1, assignment.class_count + 1):
             a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
             mixture = block[:, a_bins, :].sum(axis=(1, 2))

@@ -22,20 +22,18 @@ from ciprop import (
     NoiseSpec,
     SemSpec,
     attach_class_variable,
-    ci_deviation,
+    classes_per_c,
     condition,
     construct_adversary,
-    coordinatewise_classes,
     example1,
     example1_alternative,
     intersection_condition,
     is_ci,
     joint_support_components,
+    label_support_nd,
     marginalize,
     non_constancy_check,
-    path_components,
     propagate,
-    support_mask,
     verify_weak_intersection,
 )
 
@@ -78,7 +76,7 @@ def all_3x3_masks():
         cells = np.array([(bits >> k) & 1 for k in range(9)], dtype=bool)
         cells = cells.reshape(3, 3)
         if cells.any():
-            classes = coordinatewise_classes(cells).class_count
+            classes = layouts.mask_classes(cells).class_count
         else:
             classes = 0
         out.append((cells, classes))
@@ -89,28 +87,27 @@ def test_criterion_1_benchmark_chain_ci_profile():
     with criterion(1, "benchmark chain CI profile"):
         start = time.perf_counter()
         grid = propagate(example1(step=0.1))
-        assert ci_deviation(grid, "X", "A", ("B",))[0] <= 1e-9
-        assert ci_deviation(grid, "X", "B", ("A",))[0] <= 1e-9
-        assert ci_deviation(grid, "X", "A")[0] >= 0.1
-        assert ci_deviation(grid, "X", "B")[0] >= 0.1
+        assert is_ci(grid, "X", "A", ("B",)).deviation <= 1e-9
+        assert is_ci(grid, "X", "B", ("A",)).deviation <= 1e-9
+        assert is_ci(grid, "X", "A").deviation >= 0.1
+        assert is_ci(grid, "X", "B").deviation >= 0.1
         assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_2_benchmark_support_topology(ex1):
     with criterion(2, "benchmark support topology"):
         _, grid = ex1
-        mask = support_mask(grid, "A", "B")
-        assert path_components(mask).count == 2
-        assert coordinatewise_classes(mask).class_count == 2
+        classes = classes_per_c(grid, "A", "B", ())[()]
+        assert label_support_nd(classes.uc > 0)[1] == 2
+        assert classes.class_count == 2
         assert not intersection_condition(grid, "A", "B", cond=()).holds
 
 
 def test_criterion_3_block_layout_classes():
     with criterion(3, "block-layout classes"):
         cells = layouts.seven_block_mask()
-        labeling = path_components(cells)
-        assert coordinatewise_classes(cells).class_count == 3
-        assert labeling.count == oracles.flood_recursive(cells.tolist())
+        assert layouts.mask_classes(cells).class_count == 3
+        assert label_support_nd(cells)[1] == oracles.flood_recursive(cells.tolist())
 
 
 def test_criterion_4_exhaustive_adversary_construction():
@@ -121,8 +118,8 @@ def test_criterion_4_exhaustive_adversary_construction():
             if classes < 2:
                 continue
             adv = construct_adversary(mask_grid(cells))
-            assert ci_deviation(adv, "X", "A", ("B",))[0] <= 1e-9
-            assert ci_deviation(adv, "X", "B", ("A",))[0] <= 1e-9
+            assert is_ci(adv, "X", "A", ("B",)).deviation <= 1e-9
+            assert is_ci(adv, "X", "B", ("A",)).deviation <= 1e-9
             conclusion = is_ci(adv, "X", ("A", "B"))
             assert conclusion.deviation >= 0.1
             assert not conclusion.holds
@@ -149,9 +146,9 @@ def test_criterion_5_holding_direction_and_weak_form():
                 joint = attach_class_variable(
                     base, lambda c, uc: level, noise, probs
                 )
-                assert ci_deviation(joint, "X", "A", ("B",))[0] <= 1e-9
-                assert ci_deviation(joint, "X", "B", ("A",))[0] <= 1e-9
-                assert ci_deviation(joint, "X", ("A", "B"))[0] <= 1e-9
+                assert is_ci(joint, "X", "A", ("B",)).deviation <= 1e-9
+                assert is_ci(joint, "X", "B", ("A",)).deviation <= 1e-9
+                assert is_ci(joint, "X", ("A", "B")).deviation <= 1e-9
 
         # a two-valued conditioning variable pairing one-class supports:
         # the attached level may vary with C yet every verdict must hold
@@ -170,9 +167,9 @@ def test_criterion_5_holding_direction_and_weak_form():
             joint = attach_class_variable(
                 base, lambda c, uc: float(chosen[c[0]]), noise
             )
-            assert ci_deviation(joint, "X", "A", ("B", "C"))[0] <= 1e-9
-            assert ci_deviation(joint, "X", "B", ("A", "C"))[0] <= 1e-9
-            assert ci_deviation(joint, "X", ("A", "B"), ("C",))[0] <= 1e-9
+            assert is_ci(joint, "X", "A", ("B", "C")).deviation <= 1e-9
+            assert is_ci(joint, "X", "B", ("A", "C")).deviation <= 1e-9
+            assert is_ci(joint, "X", ("A", "B"), ("C",)).deviation <= 1e-9
 
         for cells in multi:
             adv = construct_adversary(mask_grid(cells))
@@ -304,8 +301,8 @@ def test_criterion_9_brute_force_oracle_agreement():
                     for idx in np.ndindex(*got.prob.shape):
                         worst = max(worst, abs(got.prob[idx] - ref.get(idx, 0.0)))
             for x, a, c in permutations(names):
-                got, _ = ci_deviation(g, x, a, (c,))
+                got = is_ci(g, x, a, (c,)).deviation
                 worst = max(worst, abs(got - oracles.o_ci_tv(names, shape, mass, x, a, (c,))))
-                got, _ = ci_deviation(g, x, a)
+                got = is_ci(g, x, a).deviation
                 worst = max(worst, abs(got - oracles.o_ci_tv(names, shape, mass, x, a, ())))
         assert worst <= 1e-12

@@ -12,7 +12,7 @@ from ciprop import (
     DensityGrid,
     NoiseSpec,
     SemSpec,
-    ci_deviation,
+    is_ci,
     load_grid,
     save_grid,
     save_sem,
@@ -87,6 +87,37 @@ def test_invalid_grid_exits_3(tmp_path, capsys):
     )
     assert run(["check-ci", str(path), "--x", "A", "--a", "A"]) == 3
     assert "error[NegativeMass]" in capsys.readouterr().err
+    # a NaN mass is named as such, not as a conditioning cell without mass
+    path.write_text(
+        '{"axes": [{"name": "A", "points": [0.0, 1.0]},'
+        ' {"name": "B", "points": [0.0]}], "prob": [NaN, 1.0]}'
+    )
+    assert run(["classes", str(path)]) == 3
+    assert "error[NotNormalized]" in capsys.readouterr().err
+
+
+def test_malformed_number_in_grid_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for axes, prob in (
+        ('[{"name": "A", "points": [0.0, 1.0]}, {"name": "B", "points": [0.0]}]',
+         '["x", 1.0]'),
+        ('[{"name": "A", "points": ["a", 1]}, {"name": "B", "points": [0.0]}]',
+         '[0.0, 1.0]'),
+    ):
+        path.write_text(f'{{"axes": {axes}, "prob": {prob}}}')
+        assert run(["classes", str(path)]) == 3
+        assert "error[ShapeMismatch]" in capsys.readouterr().err
+
+
+def test_malformed_number_in_model_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"nodes": ["A"], "parents": {"A": []},'
+        ' "noise": {"A": {"points": ["a", 1], "probs": [0.5, 0.5]}},'
+        ' "output_axis": {"A": {"points": [0.0, 1.0]}}}'
+    )
+    assert run(["sem", "check-prop3", str(path)]) == 3
+    assert "error[ShapeMismatch]" in capsys.readouterr().err
 
 
 def test_assert_flag_controls_exit(blocks_path):
@@ -176,9 +207,9 @@ def test_intersection_reports_failure_and_writes_adversary(workdir, capsys):
     assert "failing c-cell: (-)" in out
     adv = load_grid(str(out_path))
     assert set(adv.axis_names) == {"X", "A", "B"}
-    dev, _ = ci_deviation(adv, "X", ("A", "B"))
+    dev = is_ci(adv, "X", ("A", "B")).deviation
     assert dev > 0.1
-    premise, _ = ci_deviation(adv, "X", "A", ("B",))
+    premise = is_ci(adv, "X", "A", ("B",)).deviation
     assert premise <= 1e-9
 
 
@@ -189,7 +220,7 @@ def test_intersection_names_the_adversary_after_x(abx_path, tmp_path, capsys):
     assert "failing c-cell: (0)" in capsys.readouterr().out
     adv = load_grid(str(out_path))
     assert adv.axis_names == ("A", "B", "X", "Y")
-    assert ci_deviation(adv, "Y", ("A", "B"), ("X",))[0] > 0.1
+    assert is_ci(adv, "Y", ("A", "B"), ("X",)).deviation > 0.1
 
 
 def test_intersection_writes_the_adversary_of_a_tiny_cell(tmp_path, capsys):
@@ -216,7 +247,7 @@ def test_adversary_subcommand(blocks_path, tmp_path, capsys):
     assert out_path.exists()
     # the written grid reproduces the printed verdicts
     adv = load_grid(str(out_path))
-    assert ci_deviation(adv, "X", ("A", "B"))[0] == pytest.approx(0.5)
+    assert is_ci(adv, "X", ("A", "B")).deviation == pytest.approx(0.5)
 
 
 def test_adversary_on_single_class_grid_exits_3(tmp_path, capsys):

@@ -18,12 +18,10 @@ from ciprop import (
     ShapeMismatch,
     UnknownAxis,
     ZeroMassCondition,
-    ci_deviation,
     condition,
     grid_from_json,
     grid_to_json,
     is_ci,
-    pointwise_deviation,
     marginalize,
     validate,
 )
@@ -60,6 +58,10 @@ def test_axis_rejects_bad_points():
         Axis("A", (1.0, 0.5))
     with pytest.raises(ShapeMismatch):
         Axis("", (0.0, 1.0))
+    # NaN compares false both ways, so an ordering check alone passes it
+    for points in ((0.0, float("nan"), 2.0), (float("nan"),), (0.0, float("inf"))):
+        with pytest.raises(ShapeMismatch):
+            Axis("A", points)
 
 
 def test_grid_accepts_flat_table_and_is_readonly():
@@ -182,7 +184,7 @@ def test_product_grid_has_zero_deviation():
     px = np.array([0.2, 0.8])
     pa = np.array([0.5, 0.3, 0.2])
     g = make_grid([("X", 2), ("A", 3)], np.outer(px, pa))
-    dev, _ = ci_deviation(g, "X", "A")
+    dev = is_ci(g, "X", "A").deviation
     assert dev <= 1e-15
     assert is_ci(g, "X", "A").holds
 
@@ -190,17 +192,17 @@ def test_product_grid_has_zero_deviation():
 def test_perfectly_coupled_pair_has_half_deviation():
     # p(x,a) = diag(1/2, 1/2): every cell misses the product by 1/4
     g = make_grid([("X", 2), ("A", 2)], [[0.5, 0.0], [0.0, 0.5]])
-    dev, witness = ci_deviation(g, "X", "A")
-    assert dev == pytest.approx(0.5, abs=1e-15)
-    assert witness == ((0,), (0,), ())
+    report = is_ci(g, "X", "A")
+    assert report.deviation == pytest.approx(0.5, abs=1e-15)
+    assert report.witness == ((0,), (0,), ())
 
 
 def test_deviation_is_symmetric_in_roles():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = random_grid(rng, [("X", 3), ("A", 4), ("B", 2)])
-        d1, _ = ci_deviation(g, "X", "A", ("B",))
-        d2, _ = ci_deviation(g, "A", "X", ("B",))
+        d1 = is_ci(g, "X", "A", ("B",)).deviation
+        d2 = is_ci(g, "A", "X", ("B",)).deviation
         assert d1 == pytest.approx(d2, abs=1e-14)
 
 
@@ -215,7 +217,7 @@ def test_deviation_against_oracle():
             ("X", "B", ("A", "C")),
             ("X", ("A", "B"), ("C",)),
         ]:
-            dev, _ = ci_deviation(g, x, a, cond)
+            dev = is_ci(g, x, a, cond).deviation
             ref = oracles.o_ci_tv(names, shape, mass, x, a, cond)
             assert dev == pytest.approx(ref, abs=1e-12)
 
@@ -224,7 +226,7 @@ def test_witness_points_at_largest_residual():
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = random_grid(rng, [("X", 3), ("A", 3)])
-        dev, ((xi,), (ai,), ()) = ci_deviation(g, "X", "A")
+        (xi,), (ai,), () = is_ci(g, "X", "A").witness
         px = g.prob.sum(axis=1)
         pa = g.prob.sum(axis=0)
         resid = np.abs(g.prob - np.outer(px, pa))
@@ -234,19 +236,20 @@ def test_witness_points_at_largest_residual():
 def test_role_validation():
     g = make_grid([("X", 2), ("A", 2)], np.full((2, 2), 0.25))
     with pytest.raises(OverlappingRoles):
-        ci_deviation(g, "X", "X")
+        is_ci(g, "X", "X")
     with pytest.raises(OverlappingRoles):
-        ci_deviation(g, "X", "A", ("A",))
+        is_ci(g, "X", "A", ("A",))
     with pytest.raises(UnknownAxis):
-        ci_deviation(g, "X", "Z")
-    with pytest.raises(ShapeMismatch):
-        is_ci(g, "X", "A", tol=0.0)
+        is_ci(g, "X", "Z")
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ShapeMismatch):
+            is_ci(g, "X", "A", tol=tol)
 
 
 def test_zero_mass_conditioning_rejected():
     g = make_grid([("X", 2), ("A", 2), ("C", 2)], np.zeros((2, 2, 2)))
     with pytest.raises(ZeroMassCondition):
-        ci_deviation(g, "X", "A", ("C",))
+        is_ci(g, "X", "A", ("C",))
 
 
 def test_is_ci_counts_a_tiny_conditioning_cell():
@@ -275,11 +278,11 @@ def test_pointwise_residual_tracks_tv_verdict():
         pb = np.array([0.4, 0.6])
         joint = np.einsum("xb,ab,b->xab", px, pa, pb)
         g = make_grid([("X", 3), ("A", 4), ("B", 2)], joint)
-        assert pointwise_deviation(g, "X", "A", ("B",)) <= 1e-12
-        dev, _ = ci_deviation(g, "X", "A", ("B",))
-        assert dev <= 1e-12
+        report = is_ci(g, "X", "A", ("B",))
+        assert report.pointwise_deviation <= 1e-12
+        assert report.deviation <= 1e-12
     coupled = make_grid([("X", 2), ("A", 2)], [[0.5, 0.0], [0.0, 0.5]])
-    assert pointwise_deviation(coupled, "X", "A") == pytest.approx(0.5)
+    assert is_ci(coupled, "X", "A").pointwise_deviation == pytest.approx(0.5)
 
 
 def test_exhaustive_dyadic_suite_matches_exact_verdicts():
@@ -303,16 +306,12 @@ def test_exhaustive_dyadic_suite_matches_exact_verdicts():
             [("X", 2), ("A", 2), ("B", 2)],
             np.asarray([float(v) for v in norm]).reshape(2, 2, 2),
         )
-        try:
-            verdict = is_ci(g, "X", "A", ("B",)).holds
-        except ZeroMassCondition:
-            # every b-slice empty cannot happen with total > 0
-            raise
+        report = is_ci(g, "X", "A", ("B",))
         checked += 1
-        if verdict != exact:
+        if report.holds != exact:
             mismatches += 1
         # the pointwise residual must reach the same verdict as the TV one
-        assert (pointwise_deviation(g, "X", "A", ("B",)) <= 1e-9) == verdict
+        assert (report.pointwise_deviation <= 1e-9) == report.holds
     assert checked == 3**8 - 1
     assert mismatches == 0
 
@@ -324,9 +323,9 @@ def test_grouped_role_equals_flattened_axis():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_grid(rng, [("X", 2), ("A", 3), ("B", 2), ("C", 2)])
-        dev_group, _ = ci_deviation(g, "X", ("A", "B"), ("C",))
+        dev_group = is_ci(g, "X", ("A", "B"), ("C",)).deviation
         flat = flatten_axes(g, ("A", "B"), "AB")
-        dev_flat, _ = ci_deviation(flat, "X", "AB", ("C",))
+        dev_flat = is_ci(flat, "X", "AB", ("C",)).deviation
         assert dev_group == pytest.approx(dev_flat, abs=1e-14)
 
 
@@ -376,6 +375,9 @@ def test_json_loader_validates():
     bad = '{"axes": [{"name": "A", "points": [0.0, 1.0]}], "prob": [0.9, 0.2]}'
     with pytest.raises(NotNormalized):
         grid_from_json(bad)
+    bad = '{"axes": [{"name": "A", "points": [0.0, 1.0]}], "prob": [NaN, 1.0]}'
+    with pytest.raises(NotNormalized):
+        grid_from_json(bad)
     with pytest.raises(ShapeMismatch):
         grid_from_json('{"axes": [], "prob": []}')
     with pytest.raises(ShapeMismatch):
@@ -403,15 +405,12 @@ GAPPED_QUERIES = [
 
 
 def check_against_full_grid(g, x, a, cond):
-    dev, witness = ci_deviation(g, x, a, cond)
     report = is_ci(g, x, a, cond)
     ref_dev, ref_witness, ref_point, residuals = oracles.ci_reference(g, x, a, cond)
     assert report.holds == (ref_dev <= report.tol)
-    assert (report.deviation, report.witness) == (dev, witness)
-    assert abs(dev - ref_dev) <= 1e-15
+    assert abs(report.deviation - ref_dev) <= 1e-15
     assert abs(report.pointwise_deviation - ref_point) <= 1e-15
-    assert abs(pointwise_deviation(g, x, a, cond) - ref_point) <= 1e-15
-    x_bins, a_bins, c_cell = witness
+    x_bins, a_bins, c_cell = witness = report.witness
     worst = residuals[c_cell]
     assert abs(0.5 * worst.sum() - ref_dev) <= 1e-15
     assert abs(worst[x_bins + a_bins] - worst.max()) <= 1e-15

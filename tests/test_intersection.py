@@ -14,13 +14,10 @@ from ciprop import (
     ShapeMismatch,
     SingleClass,
     attach_class_variable,
-    ci_deviation,
     classes_per_c,
     construct_adversary,
-    coordinatewise_classes,
     intersection_condition,
     is_ci,
-    pointwise_deviation,
     marginalize,
     verify_intersection,
     verify_weak_intersection,
@@ -51,7 +48,7 @@ def class_mixture_grid(cells, n_x, rng):
     construction; the conclusion holds only when all classes share one law.
     """
     cells = np.asarray(cells, dtype=bool)
-    assignment = coordinatewise_classes(cells)
+    assignment = layouts.mask_classes(cells)
     mass = np.where(cells, rng.uniform(0.2, 1.0, cells.shape), 0.0)
     mass /= mass.sum()
     laws = rng.dirichlet(np.ones(n_x), size=max(assignment.class_count, 1))
@@ -72,7 +69,7 @@ def random_multiclass_mask(rng, rows, cols):
         cells = rng.random((rows, cols)) < rng.uniform(0.3, 0.7)
         if not cells.any():
             continue
-        asg = coordinatewise_classes(cells)
+        asg = layouts.mask_classes(cells)
         if asg.class_count >= 2:
             return cells, asg
 
@@ -234,7 +231,7 @@ def test_single_class_mixture_forces_the_conclusion():
         cells = rng.random((4, 4)) < 0.6
         if not cells.any():
             continue
-        asg = coordinatewise_classes(cells)
+        asg = layouts.mask_classes(cells)
         if asg.class_count != 1:
             continue
         g, _ = class_mixture_grid(cells, 3, rng)
@@ -398,9 +395,9 @@ def test_adversary_conclusion_matches_the_mass_split():
         base = mask_grid(cells, masses)
         adv = construct_adversary(base)
         w = float(base.prob[asg.uc == 1].sum())
-        dev, _ = ci_deviation(adv, "X", ("A", "B"))
+        dev = is_ci(adv, "X", ("A", "B")).deviation
         assert dev == pytest.approx(2.0 * w * (1.0 - w), abs=1e-12)
-        assert pointwise_deviation(adv, "X", "B") >= max(w, 1.0 - w) / 5.0 - 1e-12
+        assert is_ci(adv, "X", "B").pointwise_deviation >= max(w, 1.0 - w) / 5.0 - 1e-12
 
 
 def test_adversary_with_skewed_masses_still_violates():
@@ -411,10 +408,10 @@ def test_adversary_with_skewed_masses_still_violates():
     masses[2:, 2:] = 0.01 / 4
     base = mask_grid(layouts.two_block_mask(4), masses)
     adv = construct_adversary(base)
-    dev, _ = ci_deviation(adv, "X", ("A", "B"))
+    dev = is_ci(adv, "X", ("A", "B")).deviation
     assert dev == pytest.approx(2.0 * 0.99 * 0.01, abs=1e-12)
     assert dev < 0.1
-    assert pointwise_deviation(adv, "X", "B") >= 0.99 / 5.0 - 1e-12
+    assert is_ci(adv, "X", "B").pointwise_deviation >= 0.99 / 5.0 - 1e-12
     assert not is_ci(adv, "X", ("A", "B")).holds
 
 
@@ -468,7 +465,7 @@ def test_adversary_on_a_tiny_conditioning_cell():
     assert report.premises_hold and not report.conclusion.holds
     assert max(report.premise_xa.deviation, report.premise_xb.deviation) <= 1e-9
     assert report.conclusion.witness[2] == (1,)
-    assert pointwise_deviation(adv, "X", "B", ("C",)) >= 0.1 * (1.0 - 1e-9)
+    assert is_ci(adv, "X", "B", ("C",)).pointwise_deviation >= 0.1 * (1.0 - 1e-9)
 
 
 def test_adversary_is_deterministic():
@@ -483,7 +480,7 @@ def test_adversary_postconditions_raise(monkeypatch):
     # a margin below the guaranteed 0.1 is reported with the measured values,
     # also under python -O
     monkeypatch.setattr(
-        "ciprop.intersection.pointwise_deviation", lambda *args, **kwargs: 0.0
+        "ciprop.intersection._pointwise_residual", lambda *args, **kwargs: 0.0
     )
     with pytest.raises(AdversaryCheckFailed) as info:
         construct_adversary(mask_grid(layouts.two_block_mask()))

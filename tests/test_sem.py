@@ -27,7 +27,6 @@ from ciprop import (
     ShapeMismatch,
     TableMechanism,
     UnknownNode,
-    ci_deviation,
     example1,
     example1_alternative,
     intersection_condition,
@@ -142,6 +141,13 @@ def test_noise_validation():
         NoiseSpec((-1.0, 1.0), (-0.1, 1.1))
     with pytest.raises(NotNormalized):
         NoiseSpec((-1.0, 1.0), (0.5, 0.6))
+    nan = float("nan")
+    for probs in ((nan, 1.0), (0.5, nan)):
+        with pytest.raises(NotNormalized):
+            NoiseSpec((-1.0, 1.0), probs)
+    for points in ((nan,), (-1.0, nan)):
+        with pytest.raises(ShapeMismatch):
+            NoiseSpec(points, (1.0 / len(points),) * len(points))
     with pytest.warns(RuntimeWarning):
         NoiseSpec((0.0, 1.0), (0.5, 0.5))
     with warnings.catch_warnings():
@@ -383,10 +389,10 @@ def test_alternative_model_matches_exactly(ex1):
 
 def test_example1_breaks_the_conclusion_not_the_premises(ex1):
     _, grid = ex1
-    dev_xa, _ = ci_deviation(grid, "X", "A", ("B",))
-    dev_xb, _ = ci_deviation(grid, "X", "B", ("A",))
+    dev_xa = is_ci(grid, "X", "A", ("B",)).deviation
+    dev_xb = is_ci(grid, "X", "B", ("A",)).deviation
     assert dev_xa <= 1e-12 and dev_xb <= 1e-12
-    conclusion, _ = ci_deviation(grid, "X", ("A", "B"))
+    conclusion = is_ci(grid, "X", ("A", "B")).deviation
     assert conclusion == pytest.approx(0.5)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ciprop"
@@ -18,3 +19,37 @@ def test_package_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+# One entry point per question: changing the public API is a deliberate
+# edit of this list.
+PUBLIC_NAMES = [
+    "AdversaryCheckFailed", "AffineMechanism", "Axis", "BinOverflow",
+    "BudgetExceeded", "CiReport", "CipropError", "CycleDetected", "DEFAULT_TOL",
+    "Dag", "DensityGrid", "IndexOutOfRange", "IntersectionReport",
+    "IntersectionVerdict", "NegativeMass", "NoiseSpec", "NonConstancyReport",
+    "NotAParent", "NotNormalized", "OverlappingRoles", "PiecewiseMechanism",
+    "PiecewisePiece", "PremiseViolated", "SemSpec", "ShapeMismatch",
+    "SingleClass", "TableMechanism", "UcAssignment", "UnknownAxis",
+    "UnknownNode", "WeakIntersectionReport", "ZeroMassCondition",
+    "attach_class_variable", "classes_per_c", "condition",
+    "construct_adversary", "example1", "example1_alternative",
+    "grid_from_json", "grid_to_json", "intersection_condition", "is_ci",
+    "joint_support_components", "label_support_nd", "load_grid", "load_sem",
+    "marginalize", "noise_support_path_connected", "non_constancy_check",
+    "non_descendants", "propagate", "render_labels", "save_grid", "save_sem",
+    "sem_from_json", "sem_to_json", "topological_order", "validate",
+    "verify_intersection", "verify_weak_intersection",
+]
+
+
+def test_public_names():
+    import ciprop
+
+    names = sorted(
+        name
+        for name, value in vars(ciprop).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert len(PUBLIC_NAMES) == 60
+    assert names == PUBLIC_NAMES

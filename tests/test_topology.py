@@ -1,4 +1,4 @@
-"""Support masks, path components, and coordinate-wise equivalence classes."""
+"""Supports, path components, and coordinate-wise equivalence classes."""
 
 from __future__ import annotations
 
@@ -9,17 +9,10 @@ import scipy.ndimage
 from ciprop import (
     Axis,
     DensityGrid,
-    IndexOutOfRange,
     OverlappingRoles,
-    ShapeMismatch,
-    SupportMask,
-    ZeroMassCondition,
     classes_per_c,
-    coordinatewise_classes,
     label_support_nd,
-    path_components,
     render_labels,
-    support_mask,
 )
 
 import layouts
@@ -77,19 +70,26 @@ def unionfind_labels(cells, order):
     return canonical_relabel(labels)
 
 
-# -- support masks -----------------------------------------------------------
+# -- supports ------------------------------------------------------------------
+#
+# A support is the set of cells of positive mass, read off the classes:
+# ``uc > 0`` exactly there.
+
+
+def support_of(grid, a, b, cond, cell):
+    return classes_per_c(grid, a, b, cond)[cell].uc > 0
 
 
 def test_all_positive_grid_gives_full_mask():
     g = layouts.mask_grid_uniform(np.ones((3, 3), dtype=bool))
-    mask = support_mask(g, "A", "B")
-    assert mask.cells.all()
+    assert support_of(g, "A", "B", (), ()).all()
 
 
 def test_mask_matches_per_cell_threshold():
     rng = np.random.default_rng(2)
     table = rng.random((4, 5)) * (rng.random((4, 5)) > 0.5)
     table[2, :] = 0.0  # force an all-zero row
+    table[0, 0] = 1e-300  # exact positivity: a tiny mass is support
     table /= table.sum()
     g = DensityGrid(
         (
@@ -98,17 +98,15 @@ def test_mask_matches_per_cell_threshold():
         ),
         table,
     )
-    mask = support_mask(g, "A", "B")
-    for i in range(4):
-        for j in range(5):
-            assert mask.cells[i, j] == (table[i, j] > 1e-12)
-    assert not mask.cells[2].any()
+    cells = support_of(g, "A", "B", (), ())
+    assert np.array_equal(cells, g.prob > 0)
+    assert cells[0, 0] and not cells[2].any()
 
 
 def test_mask_marginalizes_other_axes_and_slices_fixed_ones():
-    # grid over (X, A, B, C): mask at fixed c must use sum_x p(x, a, b, c)
+    # grid over (X, A, B, C): the support at a c-cell is that of sum_x p(x, a, b, c)
     rng = np.random.default_rng(8)
-    table = rng.random((2, 3, 3, 2))
+    table = rng.random((2, 3, 3, 2)) * (rng.random((2, 3, 3, 2)) > 0.4)
     table /= table.sum()
     g = DensityGrid(
         (
@@ -119,9 +117,9 @@ def test_mask_marginalizes_other_axes_and_slices_fixed_ones():
         ),
         table,
     )
-    mask = support_mask(g, "A", "B", {"C": 1})
-    ref = table.sum(axis=0)[:, :, 1]
-    assert np.array_equal(mask.cells, ref > 1e-12)
+    for c in (0, 1):
+        ref = table.sum(axis=0)[:, :, c]
+        assert np.array_equal(support_of(g, "A", "B", ("C",), (c,)), ref > 0)
 
 
 def test_mask_orientation_follows_requested_roles():
@@ -130,33 +128,34 @@ def test_mask_orientation_follows_requested_roles():
     g = DensityGrid(
         (Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0, 2.0))), table
     )
-    swapped = support_mask(g, "B", "A")
-    assert swapped.cells.shape == (3, 2)
-    assert swapped.cells[2, 0]
+    swapped = classes_per_c(g, "B", "A", ())[()]
+    assert swapped.uc.shape == (3, 2)
+    assert np.array_equal(swapped.uc > 0, table.T > 0)
+    assert swapped.proj_a == {1: (2,)} and swapped.proj_b == {1: (0,)}
 
 
 def test_mask_errors():
     g = layouts.mask_grid_uniform(np.ones((2, 2), dtype=bool))
     with pytest.raises(OverlappingRoles):
-        support_mask(g, "A", "A")
+        classes_per_c(g, "A", "A", ())
+    with pytest.raises(OverlappingRoles):
+        classes_per_c(g, "A", "B", ("A",))
+    # a conditioning cell without mass has no support and gets no entry
     table = np.zeros((2, 2, 2))
     table[:, :, 0] = 0.25
     g3 = DensityGrid(
         (Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0)), Axis("C", (0.0, 1.0))),
         table,
     )
-    with pytest.raises(ZeroMassCondition):
-        support_mask(g3, "A", "B", {"C": 1})
-    with pytest.raises(IndexOutOfRange):
-        support_mask(g3, "A", "B", {"C": 5})
+    assert list(classes_per_c(g3, "A", "B", ("C",))) == [(0,)]
 
 
 # -- path components ---------------------------------------------------------
 
 
 def test_full_and_empty_masks():
-    assert path_components(np.ones((4, 4), dtype=bool)).count == 1
-    assert path_components(np.zeros((4, 4), dtype=bool)).count == 0
+    assert label_support_nd(np.ones((4, 4), dtype=bool))[1] == 1
+    assert label_support_nd(np.zeros((4, 4), dtype=bool))[1] == 0
 
 
 def test_labels_are_canonical_row_major():
@@ -168,25 +167,23 @@ def test_labels_are_canonical_row_major():
         ],
         dtype=bool,
     )
-    lab = path_components(cells)
+    labels, count = label_support_nd(cells)
     # first support cell in row-major order is (0,2): that component is 1
-    assert lab.count == 2
-    assert lab.labels[0, 2] == 1 and lab.labels[1, 2] == 1
-    assert lab.labels[1, 0] == 2 and lab.labels[2, 0] == 2
+    assert count == 2
+    assert labels[0, 2] == 1 and labels[1, 2] == 1
+    assert labels[1, 0] == 2 and labels[2, 0] == 2
 
 
 def test_adjacency_rule_on_diagonal_contact():
     cells = np.array([[1, 0], [0, 1]], dtype=bool)
-    assert path_components(cells).count == 2
-    with pytest.raises(ShapeMismatch):
-        path_components(np.ones((2, 2, 2), dtype=bool))
+    assert label_support_nd(cells)[1] == 2
 
 
 def test_components_against_recursive_oracle():
     rng = np.random.default_rng(13)
     for _ in range(40):
         cells = random_mask(rng, 9, 11, density=rng.uniform(0.2, 0.8))
-        got = path_components(cells).count
+        got = label_support_nd(cells)[1]
         assert got == oracles.flood_recursive(cells.tolist())
 
 
@@ -196,7 +193,7 @@ def test_components_against_scipy():
     for _ in range(40):
         cells = random_mask(rng, 12, 12, density=rng.uniform(0.2, 0.8))
         _, n4 = scipy.ndimage.label(cells, structure=four)
-        assert path_components(cells).count == n4
+        assert label_support_nd(cells)[1] == n4
 
 
 def test_labeling_is_visit_order_independent():
@@ -206,13 +203,13 @@ def test_labeling_is_visit_order_independent():
         order = [tuple(c) for c in np.argwhere(cells)]
         rng.shuffle(order)
         ref = unionfind_labels(cells, order)
-        got = path_components(cells).labels
+        got = label_support_nd(cells)[0]
         assert np.array_equal(got, ref)
 
 
 def test_seven_block_layout_component_counts():
     cells = layouts.seven_block_mask()
-    assert path_components(cells).count == 7
+    assert label_support_nd(cells)[1] == 7
     assert oracles.flood_recursive(cells.tolist(), 4) == 7
 
 
@@ -220,7 +217,7 @@ def test_seven_block_layout_component_counts():
 
 
 def test_single_component_single_class():
-    asg = coordinatewise_classes(np.ones((3, 3), dtype=bool))
+    asg = layouts.mask_classes(np.ones((3, 3), dtype=bool))
     assert asg.class_count == 1
     assert np.array_equal(asg.uc, np.ones((3, 3)))
 
@@ -231,20 +228,19 @@ def test_chain_of_overlaps_merges_transitively():
     cells[0, 0:2] = True  # rows {0}, cols {0,1}
     cells[2, 1:3] = True  # rows {2}, cols {1,2}  (col 1 shared with comp 1)
     cells[4, 2:4] = True  # rows {4}, cols {2,3}  (col 2 shared with comp 2)
-    lab = path_components(cells)
-    assert lab.count == 3
-    asg = coordinatewise_classes(cells)
+    assert label_support_nd(cells)[1] == 3
+    asg = layouts.mask_classes(cells)
     assert asg.class_count == 1
 
 
 def test_two_diagonal_blocks_stay_separate():
-    asg = coordinatewise_classes(layouts.two_block_mask())
+    asg = layouts.mask_classes(layouts.two_block_mask())
     assert asg.class_count == 2
     assert asg.proj_a[1] == (0, 1, 2) and asg.proj_a[2] == (3, 4, 5)
 
 
 def test_seven_block_layout_classes():
-    asg = coordinatewise_classes(layouts.seven_block_mask())
+    asg = layouts.mask_classes(layouts.seven_block_mask())
     assert asg.class_count == 3
     # chained class spans blocks 1, 2, 3
     assert asg.proj_a[1] == (0, 1, 4, 5)
@@ -261,17 +257,20 @@ def test_classes_against_bipartite_oracle():
         cells = random_mask(
             rng, rng.integers(2, 9), rng.integers(2, 9), density=rng.uniform(0.2, 0.7)
         )
-        lab = path_components(cells)
-        asg = coordinatewise_classes(cells)
-        ref = oracles.classes_bipartite(lab.labels.tolist(), lab.count)
-        assert asg.class_count == ref
+        labels, count = label_support_nd(cells)
+        ref = oracles.classes_bipartite(labels.tolist(), count)
+        if not cells.any():
+            # no mass, so no grid to read classes from: none to compare
+            assert count == ref == 0
+            continue
+        assert layouts.mask_classes(cells).class_count == ref
 
 
 def test_class_projections_are_disjoint():
     rng = np.random.default_rng(47)
     for _ in range(40):
         cells = random_mask(rng, 7, 7)
-        asg = coordinatewise_classes(cells)
+        asg = layouts.mask_classes(cells)
         for proj in (asg.proj_a, asg.proj_b):
             seen = set()
             for cls, bins in proj.items():
@@ -283,7 +282,7 @@ def test_uc_is_a_function_of_each_coordinate_alone():
     rng = np.random.default_rng(53)
     for _ in range(30):
         cells = random_mask(rng, 6, 8)
-        asg = coordinatewise_classes(cells)
+        asg = layouts.mask_classes(cells)
         for i in range(6):
             row = asg.uc[i][asg.uc[i] > 0]
             assert len(set(row.tolist())) <= 1
@@ -305,11 +304,11 @@ def test_adding_a_cell_merges_or_adds_one_class():
         off = np.argwhere(~cells)
         if len(off) == 0:
             continue
-        old = coordinatewise_classes(cells)
+        old = layouts.mask_classes(cells)
         grown = cells.copy()
         i, j = off[rng.integers(len(off))]
         grown[i, j] = True
-        new = coordinatewise_classes(grown)
+        new = layouts.mask_classes(grown)
         assert new.class_count <= old.class_count + 1
         # the old partition only coarsens: same-class cells stay together
         for cls in range(1, old.class_count + 1):
@@ -333,16 +332,15 @@ def test_all_3x3_masks_as_conditioning_cells():
         table,
     )
     per = classes_per_c(g, "A", "B")
-    assert list(per) == [(c,) for c in range(1, 512)]
+    dense = oracles.classes_reference(g, "A", "B", ("C",))
+    assert list(per) == list(dense) == [(c,) for c in range(1, 512)]
     for (c,), asg in per.items():
         cells = masks[c]
         assert np.array_equal(asg.uc > 0, cells)
-        lab = path_components(cells)
-        assert lab.count == oracles.flood_recursive(cells.tolist())
-        assert asg.class_count == oracles.classes_bipartite(
-            lab.labels.tolist(), lab.count
-        )
-        alone = coordinatewise_classes(cells)
+        labels, count = label_support_nd(cells)
+        assert count == oracles.flood_recursive(cells.tolist())
+        assert asg.class_count == oracles.classes_bipartite(labels.tolist(), count)
+        alone = dense[(c,)]
         assert np.array_equal(asg.uc, alone.uc)
         assert asg.proj_a == alone.proj_a and asg.proj_b == alone.proj_b
 
@@ -369,18 +367,18 @@ def test_long_paths_against_scipy():
     four = scipy.ndimage.generate_binary_structure(2, 1)
     for name, cells in long_path_masks(500).items():
         ref, count = scipy.ndimage.label(cells, structure=four)
-        lab = path_components(cells)
-        assert count == 1 and lab.count == 1, name
-        assert np.array_equal(lab.labels, ref), name
-        assert coordinatewise_classes(cells).class_count == 1, name
+        labels, got = label_support_nd(cells)
+        assert count == 1 and got == 1, name
+        assert np.array_equal(labels, ref), name
+        assert layouts.mask_classes(cells).class_count == 1, name
         # one cell out of the middle of the path leaves two components
         cut = cells.copy()
         cut[tuple(np.argwhere(cells)[cells.sum() // 2])] = False
         ref, count = scipy.ndimage.label(cut, structure=four)
-        lab = path_components(cut)
-        assert count == 2 and np.array_equal(lab.labels, ref), name
-        assert coordinatewise_classes(cut).class_count == oracles.classes_bipartite(
-            lab.labels.tolist(), lab.count
+        labels, got = label_support_nd(cut)
+        assert count == 2 and np.array_equal(labels, ref), name
+        assert layouts.mask_classes(cut).class_count == oracles.classes_bipartite(
+            labels.tolist(), got
         ), name
 
 
@@ -411,10 +409,4 @@ def test_nd_labeling_against_scipy():
 
 def test_render_labels():
     cells = np.array([[1, 0], [0, 1]], dtype=bool)
-    lab = path_components(cells)
-    assert render_labels(lab.labels) == "1.\n.2"
-
-
-def test_support_mask_shape_check():
-    with pytest.raises(ShapeMismatch):
-        SupportMask(Axis("A", (0.0, 1.0)), Axis("B", (0.0,)), np.ones((2, 2)))
+    assert render_labels(label_support_nd(cells)[0]) == "1.\n.2"
