@@ -24,13 +24,13 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CipropError, IndexOutOfRange, ZeroMassCondition
 from .grids import (
     DEFAULT_TOL,
     CiReport,
     DensityGrid,
+    _support_index,
+    grid_from_json,
     is_ci,
     load_grid,
     marginalize,
@@ -245,7 +245,7 @@ def _cmd_sem_propagate(args: argparse.Namespace) -> int:
     save_grid(grid, args.out)
     shape = " x ".join(f"{ax.name}({ax.size})" for ax in grid.axes)
     print(f"propagated grid over {shape} written to {args.out}")
-    print(f"support cells: {int(np.count_nonzero(grid.prob))}")
+    print(f"support cells: {_support_index(grid).size}")
     return 0
 
 
@@ -311,9 +311,11 @@ class AnalysisReport:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    # one read: the digest names the bytes that are analysed
     with open(args.grid, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    grid = load_grid(args.grid)
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()[:16]
+    grid = grid_from_json(data.decode("utf-8"))
     cond = _cond_axes(grid, args.a, args.b, args.x)
     assignments = classes_per_c(grid, args.a, args.b, cond)
     per_c = {

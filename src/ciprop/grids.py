@@ -45,6 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     CipropError,
     IndexOutOfRange,
     NegativeMass,
@@ -60,6 +61,9 @@ from .jsonio import render_json
 NORM_TOL = 1e-9
 # Default verdict tolerance for conditional-independence checks.
 DEFAULT_TOL = 1e-9
+# Largest dense table that propagate and the file reader build: 2^28
+# float64 cells, 2 GiB.
+MAX_GRID_CELLS = 2**28
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,7 @@ class DensityGrid:
     @cached_property
     def _occupied(self) -> tuple[np.ndarray, ...]:
         """Per axis, the ascending bins that hold mass: one scan of the table."""
-        # a boolean mask first: nonzero on it is several times faster than
-        # on the float table
-        cells = np.unravel_index(np.flatnonzero(self.prob != 0), self.prob.shape)
+        cells = np.unravel_index(_support_index(self), self.prob.shape)
         return tuple(
             np.flatnonzero(np.bincount(idx, minlength=ax.size))
             for idx, ax in zip(cells, self.axes)
@@ -180,6 +182,23 @@ class CiReport:
     witness: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     tol: float
     pointwise_deviation: float | None = None
+
+
+def _support_index(grid: DensityGrid) -> np.ndarray:
+    """Ascending row-major flat indices of the cells with nonzero mass.
+
+    Raises ``NotNormalized``, naming the first of these cells, when one of
+    them is not finite; only the cells found are checked.
+    """
+    # a boolean mask first: nonzero on it is several times faster than on
+    # the float table; NaN is nonzero, so it is among the cells found
+    index = np.flatnonzero(grid.prob != 0)
+    finite = np.isfinite(grid.prob.ravel()[index])
+    if not finite.all():
+        flat = int(index[np.argmin(finite)])
+        cell = tuple(int(i) for i in np.unravel_index(flat, grid.prob.shape))
+        raise NotNormalized(f"entry {cell} is {float(grid.prob.flat[flat])!r}")
+    return index
 
 
 def validate(grid: DensityGrid) -> None:
@@ -366,13 +385,21 @@ def is_ci(
 
 
 def grid_to_json(grid: DensityGrid) -> str:
-    """Serialize with 17 significant digits (exact float64 round-trip)."""
+    """Serialize the axes and the cells with mass, 17 significant digits.
+
+    ``"index"`` lists the ascending row-major flat indices of the cells of
+    nonzero mass over the axes in grid order and ``"mass"`` their masses;
+    every other cell holds 0.  The digits round-trip float64 exactly, and
+    equal grids give byte-identical documents.
+    """
+    index = _support_index(grid)
     return render_json(
         {
             "axes": [
                 {"name": ax.name, "points": list(ax.points)} for ax in grid.axes
             ],
-            "prob": [float(v) for v in grid.prob.ravel()],
+            "index": index.tolist(),
+            "mass": grid.prob.ravel()[index].tolist(),
         }
     )
 
@@ -382,12 +409,55 @@ def save_grid(grid: DensityGrid, path: str) -> None:
         fh.write(grid_to_json(grid))
 
 
+def _scatter(index: object, mass: object, cells: int) -> np.ndarray:
+    """The flat table of ``cells`` zeros with ``mass`` at the ``index`` cells."""
+    if not isinstance(index, list) or not isinstance(mass, list):
+        raise ShapeMismatch("'index' and 'mass' must be lists")
+    if len(index) != len(mass):
+        raise ShapeMismatch(
+            f"'index' has {len(index)} entries, 'mass' has {len(mass)}"
+        )
+    # bool is an int subclass, and numpy would read true as 1
+    if any(type(i) is not int for i in index):
+        raise ShapeMismatch("'index' entries must be integers")
+    try:
+        flat = np.array(index, dtype=np.int64)
+    except OverflowError:
+        raise ShapeMismatch("an 'index' entry does not fit in int64") from None
+    if flat.size and not (
+        flat[0] >= 0 and flat[-1] < cells and bool(np.all(flat[1:] > flat[:-1]))
+    ):
+        raise ShapeMismatch(
+            f"'index' entries must be strictly increasing in [0, {cells})"
+        )
+    table = np.zeros(cells)
+    table[flat] = np.array(mass, dtype=float)
+    return table
+
+
 def grid_from_json(text: str) -> DensityGrid:
-    """Parse, canonicalize axis order alphabetically, and validate."""
+    """Parse, canonicalize axis order alphabetically, and validate.
+
+    Reads the sparse ``"index"`` / ``"mass"`` lists that ``grid_to_json``
+    writes, or a dense ``"prob"`` list of every cell in row-major order;
+    a document holds exactly one of the two.  Axes implying more than
+    ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded`` before the table is
+    allocated.
+    """
     doc = json.loads(text)
     try:
         axes = tuple(Axis(a["name"], tuple(a["points"])) for a in doc["axes"])
-        table = np.asarray(doc["prob"], dtype=float)
+        if ("prob" in doc) == ("index" in doc):
+            raise ShapeMismatch("a grid holds exactly one of 'prob' and 'index'")
+        cells = math.prod(ax.size for ax in axes)
+        if cells > MAX_GRID_CELLS:
+            raise BudgetExceeded(
+                f"grid of {cells} cells exceeds the limit {MAX_GRID_CELLS}"
+            )
+        if "prob" in doc:
+            table = np.asarray(doc["prob"], dtype=float)
+        else:
+            table = _scatter(doc["index"], doc["mass"], cells)
     except CipropError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -44,6 +44,7 @@ from .errors import (
     UnknownNode,
 )
 from .grids import (
+    MAX_GRID_CELLS,
     Axis,
     DensityGrid,
     marginalize,
@@ -54,8 +55,6 @@ from .topology import label_support_nd
 
 # Most joint noise configurations propagate enumerates.
 DEFAULT_MAX_ENUM = 10_000_000
-# Largest dense output grid propagate builds: 2^28 float64 cells, 2 GiB.
-MAX_GRID_CELLS = 2**28
 # Most conditioning candidates non_constancy_check takes (2^k sets).
 MAX_CANDIDATES = 12
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import types
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from ciprop import (
     DensityGrid,
     NoiseSpec,
     SemSpec,
+    grid_to_json,
     is_ci,
     load_grid,
     save_grid,
     save_sem,
 )
+from ciprop import cli
 from ciprop.cli import run
 
 import layouts
@@ -106,6 +111,20 @@ def test_malformed_number_in_grid_file_exits_3(tmp_path, capsys):
     ):
         path.write_text(f'{{"axes": {axes}, "prob": {prob}}}')
         assert run(["classes", str(path)]) == 3
+        assert "error[ShapeMismatch]" in capsys.readouterr().err
+
+
+def test_malformed_sparse_grid_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    axes = '[{"name": "A", "points": [0.0, 1.0]}, {"name": "B", "points": [0.0]}]'
+    for body in (
+        '"index": [1, 0], "mass": [0.5, 0.5]',
+        '"index": [0, 2], "mass": [0.5, 0.5]',
+        '"index": [0], "mass": [0.5, 0.5]',
+        '"prob": [0.5, 0.5], "index": [0, 1], "mass": [0.5, 0.5]',
+    ):
+        path.write_text(f'{{"axes": {axes}, {body}}}')
+        assert run(["report", str(path)]) == 3
         assert "error[ShapeMismatch]" in capsys.readouterr().err
 
 
@@ -391,6 +410,22 @@ def test_report_is_deterministic_and_complete(workdir, capsys):
     assert "X _||_ (A,B): FAILS" in first
     assert "intersection: FAILS" in first
     assert "wall clock" not in first
+
+
+def test_report_analyses_the_bytes_it_hashes(blocks_path, monkeypatch, capsys):
+    original = blocks_path.read_bytes()
+    one_class = grid_to_json(layouts.mask_grid_uniform(np.ones((6, 6), dtype=bool)))
+
+    def sha256(data):
+        # the file is replaced right after it is hashed
+        blocks_path.write_text(one_class)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(cli, "hashlib", types.SimpleNamespace(sha256=sha256))
+    assert run(["report", str(blocks_path), "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert f"input sha256: {hashlib.sha256(original).hexdigest()[:16]}" in out
+    assert "c-cell (-): components=2 classes=2" in out
 
 
 def test_report_shows_timing_by_default(workdir, capsys):

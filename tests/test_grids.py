@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ import pytest
 
 from ciprop import (
     Axis,
+    BudgetExceeded,
     DensityGrid,
     IndexOutOfRange,
     NegativeMass,
@@ -18,11 +20,14 @@ from ciprop import (
     ShapeMismatch,
     UnknownAxis,
     ZeroMassCondition,
+    classes_per_c,
     condition,
+    example1,
     grid_from_json,
     grid_to_json,
     is_ci,
     marginalize,
+    propagate,
     validate,
 )
 
@@ -351,13 +356,25 @@ def test_flatten_axes_preserves_mass_and_marginals():
 # -- file format -------------------------------------------------------------
 
 
+SPARSE_AXES = (
+    '[{"name": "A", "points": [0.0, 1.0]}, {"name": "B", "points": [0.0, 1.0]}]'
+)
+
+
 def test_json_round_trip_is_exact():
     rng = np.random.default_rng(41)
-    g = random_grid(rng, [("A", 3), ("B", 2)])
-    back = grid_from_json(grid_to_json(g))
-    assert back.axis_names == g.axis_names
-    assert np.array_equal(back.prob, g.prob)
-    assert back.axes == g.axes
+    grids = [random_grid(rng, [("A", 3), ("B", 2)]), propagate(example1(0.1))]
+    grids += [
+        layouts.gapped_grid(rng, [("A", 4), ("B", 5), ("C", 3), ("X", 6)])
+        for _ in range(10)
+    ]
+    for g in grids:
+        text = grid_to_json(g)
+        back = grid_from_json(text)
+        assert back.axes == g.axes
+        assert np.array_equal(back.prob, g.prob)
+        # files are byte-stable
+        assert grid_to_json(back) == text
 
 
 def test_json_loader_sorts_axes_alphabetically():
@@ -366,6 +383,16 @@ def test_json_loader_sorts_axes_alphabetically():
     back = grid_from_json(grid_to_json(g))
     assert back.axis_names == ("A", "X")
     assert np.array_equal(back.prob, table.T)
+    # three axes: the flat indices of the cells with mass are remapped
+    rng = np.random.default_rng(53)
+    g = layouts.gapped_grid(rng, [("X", 4), ("C", 3), ("A", 5)])
+    alphabetical = DensityGrid(
+        tuple(g.axes[i] for i in (2, 1, 0)), np.transpose(g.prob, (2, 1, 0))
+    )
+    for doc in (grid_to_json(g), grid_to_json(alphabetical)):
+        back = grid_from_json(doc)
+        assert back.axes == alphabetical.axes
+        assert np.array_equal(back.prob, alphabetical.prob)
 
 
 def test_json_loader_validates():
@@ -378,6 +405,15 @@ def test_json_loader_validates():
     bad = '{"axes": [{"name": "A", "points": [0.0, 1.0]}], "prob": [NaN, 1.0]}'
     with pytest.raises(NotNormalized):
         grid_from_json(bad)
+    for mass, error in (
+        ("[1.5, -0.5]", NegativeMass),
+        ("[0.5, 0.4]", NotNormalized),
+        ("[NaN, 1.0]", NotNormalized),
+    ):
+        with pytest.raises(error):
+            grid_from_json(
+                f'{{"axes": {SPARSE_AXES}, "index": [0, 3], "mass": {mass}}}'
+            )
     with pytest.raises(ShapeMismatch):
         grid_from_json('{"axes": [], "prob": []}')
     with pytest.raises(ShapeMismatch):
@@ -389,6 +425,86 @@ def test_json_preserves_awkward_floats():
     g = DensityGrid((Axis("A", pts),), np.array([0.1, 0.2, 0.7]))
     back = grid_from_json(grid_to_json(g))
     assert back.axes[0].points == pts
+
+
+def test_json_holds_only_the_support_cells():
+    table = np.zeros((2, 3))
+    table[0, 2], table[1, 0] = 0.25, 0.75
+    g = make_grid([("A", 2), ("B", 3)], table)
+    doc = json.loads(grid_to_json(g))
+    assert list(doc) == ["axes", "index", "mass"]
+    assert doc["index"] == [2, 3]
+    assert doc["mass"] == [0.25, 0.75]
+
+
+def test_json_of_a_million_cells_with_three_support_cells_is_small():
+    table = np.zeros((10,) * 6)
+    table[0, 1, 2, 3, 4, 5] = table[5, 5, 5, 5, 5, 5] = 0.25
+    table[9, 9, 9, 9, 9, 9] = 0.5
+    g = make_grid([(f"V{k}", 10) for k in range(6)], table)
+    assert g.prob.size == 10**6
+    text = grid_to_json(g)
+    assert len(text.encode("utf-8")) < 1024
+    assert np.array_equal(grid_from_json(text).prob, table)
+
+
+def test_dense_and_sparse_documents_load_the_same_grid():
+    axes = (
+        '[{"name": "B", "points": [0.0, 1.0, 2.0]},'
+        ' {"name": "A", "points": [-1.0, 1.0]}]'
+    )
+    dense = f'{{"axes": {axes}, "prob": [0.0, 0.5, 0.0, 0.0, 0.125, 0.375]}}'
+    sparse = f'{{"axes": {axes}, "index": [1, 4, 5], "mass": [0.5, 0.125, 0.375]}}'
+    grid = grid_from_json(dense)
+    assert grid.axis_names == ("A", "B")
+    assert np.array_equal(grid.prob, [[0.0, 0.0, 0.125], [0.5, 0.0, 0.375]])
+    back = grid_from_json(sparse)
+    assert back.axes == grid.axes
+    assert np.array_equal(back.prob, grid.prob)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '"prob": [0.5, 0.5, 0.0, 0.0], "index": [0, 1], "mass": [0.5, 0.5]',
+        '"mass": [0.5, 0.5]',
+        '"index": [1, 0], "mass": [0.5, 0.5]',
+        '"index": [1, 1], "mass": [0.5, 0.5]',
+        '"index": [-1, 0], "mass": [0.5, 0.5]',
+        '"index": [0, 4], "mass": [0.5, 0.5]',
+        '"index": [0, 1.5], "mass": [0.5, 0.5]',
+        '"index": [0, true], "mass": [0.5, 0.5]',
+        '"index": [0, "3"], "mass": [0.5, 0.5]',
+        '"index": [0, 9223372036854775808], "mass": [0.5, 0.5]',
+        '"index": [0, 1, 2], "mass": [0.5, 0.5]',
+        '"index": [0, 1], "mass": [1.0]',
+        '"index": [0, 1]',
+        '"index": {"0": 1}, "mass": [1.0]',
+        '"index": [0, 1], "mass": [[0.5], [0.5]]',
+        '"index": [0, 1], "mass": ["x", 1.0]',
+    ],
+)
+def test_malformed_sparse_documents_raise(body):
+    with pytest.raises(ShapeMismatch):
+        grid_from_json(f'{{"axes": {SPARSE_AXES}, {body}}}')
+
+
+def test_loader_refuses_huge_grids_before_allocating():
+    points = json.dumps([float(k) for k in range(1024)])
+    axes = ", ".join(f'{{"name": "{n}", "points": {points}}}' for n in "ABC")
+    with pytest.raises(BudgetExceeded, match="exceeds the limit"):
+        grid_from_json(f'{{"axes": [{axes}], "index": [0], "mass": [1.0]}}')
+
+
+def test_nan_table_raises_not_normalized():
+    # built in code, so no reader has validated it
+    g = make_grid([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), np.nan))
+    with pytest.raises(NotNormalized, match=r"entry \(0, 0, 0\) is nan"):
+        classes_per_c(g, "A", "B", ("C",))
+    with pytest.raises(NotNormalized):
+        is_ci(g, "A", "B", ("C",))
+    with pytest.raises(NotNormalized):
+        grid_to_json(g)
 
 
 # -- residuals over the occupied bins against the full grid -------------------
