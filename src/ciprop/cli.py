@@ -29,7 +29,6 @@ from .grids import (
     DEFAULT_TOL,
     CiReport,
     DensityGrid,
-    _support_index,
     grid_from_json,
     is_ci,
     load_grid,
@@ -245,7 +244,7 @@ def _cmd_sem_propagate(args: argparse.Namespace) -> int:
     save_grid(grid, args.out)
     shape = " x ".join(f"{ax.name}({ax.size})" for ax in grid.axes)
     print(f"propagated grid over {shape} written to {args.out}")
-    print(f"support cells: {_support_index(grid).size}")
+    print(f"support cells: {grid._support[0].size}")
     return 0
 
 
@@ -482,6 +481,9 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except json.JSONDecodeError as exc:
         print(f"error[BadJson]: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"error[BadEncoding]: input is not UTF-8: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)

@@ -25,13 +25,18 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
 
-The residuals read only the occupied box: each axis is cut down to its
-bins that hold mass, found once per grid by one scan of the table, so a
-query costs in proportion to the product of the occupied bin counts, not
-to the full grid (when the box holds at most half the cells; a larger
-box costs more to gather than it saves).  A bin without mass adds 0 to
-every residual, so no verdict changes; the sums run over fewer terms, so
-deviations can differ from a sum over the full grid in the last bits.
+The residuals read only the support cells, which a grid finds once, by
+one scan of its table, and keeps with their masses and bins.  A query
+keys each support cell by its (c, x, a) bins, merging the cells that
+the summed-out axes put on one key, and sums per conditioning cell, row
+and column, so its cost grows with the number of support cells, not
+with the grid.  A cell off the support adds to the residuals only
+through the product of the margins, which each (c, x) row sums at once:
+p(x | c) times the mass p(a | c) of the a-bins the row lacks; a row that
+holds every a-bin of c adds exactly 0.  The sums run in another order
+than over the dense table, so deviations can differ from it in the last
+bits, and where residuals tie in exact arithmetic the witness can name
+another of the tied cells.
 """
 
 from __future__ import annotations
@@ -137,12 +142,27 @@ class DensityGrid:
         object.__setattr__(self, "prob", table)
 
     @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending flat indices of the cells with mass, and their masses."""
+        index = _support_index(self)
+        return index, self.prob.ravel()[index]
+
+    @cached_property
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the bin of every support cell, in the narrowest unsigned type."""
+        return tuple(
+            bins.astype(np.min_scalar_type(ax.size - 1))
+            for bins, ax in zip(
+                np.unravel_index(self._support[0], self.prob.shape), self.axes
+            )
+        )
+
+    @cached_property
     def _occupied(self) -> tuple[np.ndarray, ...]:
-        """Per axis, the ascending bins that hold mass: one scan of the table."""
-        cells = np.unravel_index(_support_index(self), self.prob.shape)
+        """Per axis, the ascending bins that hold mass."""
         return tuple(
             np.flatnonzero(np.bincount(idx, minlength=ax.size))
-            for idx, ax in zip(cells, self.axes)
+            for idx, ax in zip(self._coords, self.axes)
         )
 
     # -- axis lookup ----------------------------------------------------
@@ -262,32 +282,175 @@ def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
 
 
 _Bins = tuple[np.ndarray, ...]
+_Witness = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _slices(
+def _roles(
     grid: DensityGrid,
     x: str | Sequence[str],
     a: str | Sequence[str],
     cond: Iterable[str],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Bins, _Bins, _Bins]:
-    """The (cond, x, a) masses of the conditioning cells of positive mass.
-
-    Returns ``(sub, masses, valid, x_bins, a_bins, c_bins)``: ``sub``
-    holds one (x, a) slice per valid conditioning cell, ``masses`` their
-    masses and ``valid`` their flat indices over the conditioning axes.
-    Every axis is cut down to its bins that hold mass, in one gather made
-    when this box holds at most half the cells of the marginal (otherwise
-    every bin is kept), and ``*_bins`` list the kept bins per axis of each
-    role: a bin without mass adds 0 to every sum, so leaving it out
-    changes no verdict.
-    """
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Positions of the x, a and conditioning axes, each in grid order."""
     x_names, a_names, c_names = _as_names(x), _as_names(a), _as_names(cond)
     if not x_names or not a_names:
         raise ShapeMismatch("x and a must each name at least one axis")
     roles = (*x_names, *a_names, *c_names)
     if len(set(roles)) != len(roles):
         raise OverlappingRoles(f"roles overlap: x={x_names} a={a_names} cond={c_names}")
-    sub = marginalize(grid, roles) if set(roles) != set(grid.axis_names) else grid
+    missing = set(roles) - set(grid.axis_names)
+    if missing:
+        raise UnknownAxis(f"unknown axes {sorted(missing)} (have {grid.axis_names})")
+    return tuple(
+        tuple(sorted(grid.axis_index(n) for n in names))
+        for names in (x_names, a_names, c_names)
+    )
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each run of equal sorted ``keys``, and each key's run number."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    run = first.cumsum()
+    run -= 1
+    return first.nonzero()[0], run
+
+
+def _groups(
+    keys: np.ndarray, mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending distinct ``keys``, each key's group and each group's mass.
+
+    The sort is stable, so a group's masses are summed in their order.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    start, run = _runs(ordered)
+    group = np.empty_like(run)
+    group[order] = run
+    return ordered[start], group, np.add.reduceat(mass[order], start)
+
+
+def _keyed_support(
+    grid: DensityGrid, roles: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The support cells of the marginal on the axes of ``roles``, keyed.
+
+    Each role flattens its axes row-major in the order given, and a key
+    runs row-major over the roles.  Returns the ascending distinct keys,
+    their masses and the size of each role.  Summing out the other axes
+    lands several cells on one key; one sort merges them.
+    """
+    shape = grid.prob.shape
+    axes = [p for role in roles for p in role]
+    keys = np.ravel_multi_index(
+        tuple(grid._coords[p] for p in axes), tuple(shape[p] for p in axes)
+    )
+    sizes = [math.prod(shape[p] for p in role) for role in roles]
+    if len(axes) < len(shape):
+        keys, _, mass = _groups(keys, grid._support[1])
+        return keys, mass, sizes
+    order = np.argsort(keys)
+    return keys[order], grid._support[1][order], sizes
+
+
+def _bins(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
+    """The bins of row-major cell ``flat`` of a lattice of ``shape``."""
+    bins = []
+    for size in reversed(shape):
+        flat, i = divmod(flat, size)
+        bins.append(i)
+    return tuple(reversed(bins))
+
+
+def _ci_residuals(
+    grid: DensityGrid,
+    x: str | Sequence[str],
+    a: str | Sequence[str],
+    cond: Iterable[str],
+) -> tuple[float, float, _Witness]:
+    """The deviation, pointwise residual and witness of ``x`` vs ``a`` given ``cond``.
+
+    Reads only the support cells.  With j = p(x, a | c) and
+    q = p(x | c) p(a | c), a cell off the support of a (c, x) row whose
+    a-bin holds mass in c has residual q, so the row's off-support cells
+    add p(x | c) (sum of p(a | c) over c's a-bins - the sum over the row's);
+    a row that holds every a-bin of c adds exactly 0.  Likewise the
+    pointwise residual of such a cell is p(x | c).  The witness comes from
+    the residuals of the worst conditioning cell over its occupied x and a
+    bins; every other cell of its slice has residual 0.  The long sums,
+    over the cells of a conditioning cell, a row or a column, are
+    pairwise, as numpy's dense sums are.
+    """
+    x_pos, a_pos, c_pos = _roles(grid, x, a, cond)
+    keys, mass, (_, n_x, n_a) = _keyed_support(grid, (c_pos, x_pos, a_pos))
+    c_start, c_run = _runs(keys // (n_x * n_a))
+    m_c = np.add.reduceat(mass, c_start)
+    if not (m_c > 0).all():  # a table with negative entries
+        keep = (m_c > 0)[c_run]
+        keys, mass = keys[keep], mass[keep]
+        c_start, c_run = _runs(keys // (n_x * n_a))
+        m_c = m_c[m_c > 0]
+    if keys.size == 0:
+        raise ZeroMassCondition("no conditioning cell has positive mass")
+    row_start, row_run = _runs(keys // n_a)
+    row_c = c_run[row_start]
+    px = np.add.reduceat(mass, row_start) / m_c[row_c]
+    # (c, a) columns, ascending, so those of each c are contiguous
+    cols, col_run, m_col = _groups(c_run * n_a + keys % n_a, mass)
+    col_c = cols // n_a
+    pa = m_col / m_c[col_c]
+    pa_cell = pa[col_run]
+    resid = np.abs(mass / m_c[c_run] - px[row_run] * pa_cell)
+    # a row is full when it holds as many cells as c has occupied a-bins
+    c_cols = np.bincount(col_c)
+    full = np.bincount(row_run) == c_cols[row_c]
+    off = px * (
+        np.bincount(col_c, weights=pa)[row_c] - np.add.reduceat(pa_cell, row_start)
+    )
+    off[full] = 0.0
+    tv = np.add.reduceat(resid, c_start) + np.bincount(row_c, weights=off)
+    tv *= 0.5
+    pointwise = max(
+        float(np.abs(mass / m_col[col_run] - px[row_run]).max()),
+        float(px[~full].max(initial=0.0)),
+    )
+    # the worst slice over its occupied bins, where an off-support cell has q
+    k = int(np.argmax(tv))
+    at = slice(c_start[k], c_start[k + 1] if k + 1 < c_start.size else keys.size)
+    r_lo, a_lo = row_run[at.start], int(c_cols[:k].sum())
+    box = np.multiply.outer(px[row_c == k], pa[a_lo : a_lo + c_cols[k]])
+    box[row_run[at] - r_lo, col_run[at] - a_lo] = resid[at]
+    i, j = divmod(int(np.argmax(box)), box.shape[1])
+    shape = grid.prob.shape
+    if box[i, j] > 0:
+        x_key = int(keys[row_start[r_lo + i]]) // n_a % n_x
+        x_idx = _bins(x_key, [shape[p] for p in x_pos])
+        a_idx = _bins(int(cols[a_lo + j]) % n_a, [shape[p] for p in a_pos])
+    else:  # every residual of the full slice is 0: its first cell
+        x_idx, a_idx = (0,) * len(x_pos), (0,) * len(a_pos)
+    c_key = int(keys[c_start[k]]) // (n_x * n_a)
+    c_idx = _bins(c_key, [shape[p] for p in c_pos])
+    return float(tv[k]), pointwise, (x_idx, a_idx, c_idx)
+
+
+def _slices(
+    grid: DensityGrid, a: str, b: str, cond: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Bins]:
+    """The (a, b) supports of the conditioning cells of positive mass.
+
+    Returns ``(support, valid, a_bins, b_bins, c_bins)``: ``support``
+    stacks one (a, b) support per valid conditioning cell and ``valid``
+    gives their flat indices over the conditioning axes.  Every axis is
+    cut down to its bins that hold mass, in one gather made when this box
+    holds at most half the cells of the marginal (otherwise every bin is
+    kept), and ``*_bins`` list the kept bins: ``a_bins`` and ``b_bins`` of
+    the a and b axes, ``c_bins`` one array per conditioning axis.
+    """
+    c_ord = tuple(grid.axis_names[p] for p in _roles(grid, a, b, cond)[2])
+    roles = (a, b, *c_ord)
+    sub = marginalize(grid, roles) if len(roles) != len(grid.axes) else grid
     # a sum of nonnegative masses is positive exactly when one term is, so
     # the marginal's occupied bins are the grid's on the kept axes
     occupied = dict(zip(grid.axis_names, grid._occupied))
@@ -300,22 +463,13 @@ def _slices(
     else:
         keep = [np.arange(size) for size in arr.shape]
     kept = dict(zip(sub.axis_names, keep))
-    # grid order within each role group keeps witnesses deterministic
-    x_ord = tuple(n for n in sub.axis_names if n in x_names)
-    a_ord = tuple(n for n in sub.axis_names if n in a_names)
-    c_ord = tuple(n for n in sub.axis_names if n in c_names)
-    arr = np.transpose(arr, [sub.axis_index(n) for n in (*c_ord, *x_ord, *a_ord)])
-    x_bins, a_bins, c_bins = (
-        tuple(kept[n] for n in order) for order in (x_ord, a_ord, c_ord)
-    )
-    flat = arr.reshape(
-        tuple(math.prod(b.size for b in bins) for bins in (c_bins, x_bins, a_bins))
-    )
-    masses = flat.sum(axis=(1, 2))
-    valid = np.flatnonzero(masses > 0)
+    arr = np.transpose(arr, [sub.axis_index(n) for n in (*c_ord, a, b)])
+    c_bins = tuple(kept[n] for n in c_ord)
+    flat = arr.reshape(math.prod(bins.size for bins in c_bins), *arr.shape[-2:])
+    valid = np.flatnonzero(flat.sum(axis=(1, 2)) > 0)
     if valid.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
-    return flat[valid], masses[valid], valid, x_bins, a_bins, c_bins
+    return flat[valid] > 0, valid, kept[a], kept[b], c_bins
 
 
 def _bins_at(flat: np.ndarray | int, bins: _Bins) -> list[tuple[int, ...]]:
@@ -324,38 +478,6 @@ def _bins_at(flat: np.ndarray | int, bins: _Bins) -> list[tuple[int, ...]]:
     at = np.unravel_index(flat, tuple(b.size for b in bins)) if bins else ()
     cells = np.array([b[i] for b, i in zip(bins, at)], dtype=np.intp)
     return [tuple(c) for c in cells.reshape(len(bins), flat.size).T.tolist()]
-
-
-def _tv_residual(
-    sub: np.ndarray,
-    masses: np.ndarray,
-    valid: np.ndarray,
-    x_bins: _Bins,
-    a_bins: _Bins,
-    c_bins: _Bins,
-) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    slices = sub / masses[:, None, None]
-    px = slices.sum(axis=2)
-    pa = slices.sum(axis=1)
-    resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
-    tv = 0.5 * resid.sum(axis=(1, 2))
-    k = int(np.argmax(tv))
-    x_at, a_at = divmod(int(np.argmax(resid[k])), resid.shape[2])
-    if resid[k, x_at, a_at] > 0:
-        x_idx, a_idx = _bins_at(x_at, x_bins)[0], _bins_at(a_at, a_bins)[0]
-    else:  # every residual of the full slice is 0: its first cell
-        x_idx, a_idx = (0,) * len(x_bins), (0,) * len(a_bins)
-    return float(tv[k]), (x_idx, a_idx, _bins_at(valid[k], c_bins)[0])
-
-
-def _pointwise_residual(sub: np.ndarray, masses: np.ndarray) -> float:
-    px_c = sub.sum(axis=2) / masses[:, None]
-    m_ac = sub.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px_ac = sub / m_ac[:, None, :]
-    resid = np.abs(px_ac - px_c[:, :, None])
-    resid[~np.broadcast_to((m_ac > 0)[:, None, :], resid.shape)] = 0.0
-    return float(resid.max())
 
 
 def is_ci(
@@ -369,9 +491,7 @@ def is_ci(
     # written so that a NaN tolerance fails it
     if not tol > 0:
         raise ShapeMismatch(f"tol must be positive, got {tol!r}")
-    layout = _slices(grid, x, a, cond)
-    dev, witness = _tv_residual(*layout)
-    pointwise = _pointwise_residual(layout[0], layout[1])
+    dev, pointwise, witness = _ci_residuals(grid, x, a, cond)
     return CiReport(
         holds=dev <= tol,
         deviation=dev,
@@ -392,14 +512,14 @@ def grid_to_json(grid: DensityGrid) -> str:
     every other cell holds 0.  The digits round-trip float64 exactly, and
     equal grids give byte-identical documents.
     """
-    index = _support_index(grid)
+    index, mass = grid._support
     return render_json(
         {
             "axes": [
                 {"name": ax.name, "points": list(ax.points)} for ax in grid.axes
             ],
             "index": index.tolist(),
-            "mass": grid.prob.ravel()[index].tolist(),
+            "mass": mass.tolist(),
         }
     )
 

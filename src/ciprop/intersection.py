@@ -10,10 +10,11 @@ for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
 coordinate-wise-connected equivalence class.  The support is exact: a
 cell, or a conditioning cell, counts when its mass is positive.
-:func:`classes_per_c` and :func:`verify_weak_intersection` read the
-layout of the CI residuals (one marginal, cut to the bins that hold
-mass) and find the classes of every conditioning cell in one call to the
-kernel of :mod:`ciprop.topology`; results name bins of the full grid.
+:func:`classes_per_c` reads one (a, b) marginal, cut to the bins that
+hold mass, and finds the classes of every conditioning cell in one call
+to the kernel of :mod:`ciprop.topology`; results name bins of the full
+grid.  :func:`verify_weak_intersection` takes those classes and, like
+the CI residuals, reads only the support cells of the grid.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -55,10 +56,14 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
+    _bins,
     _bins_at,
-    _pointwise_residual,
+    _ci_residuals,
+    _groups,
+    _keyed_support,
+    _roles,
+    _runs,
     _slices,
-    _tv_residual,
     is_ci,
     validate,
 )
@@ -116,9 +121,9 @@ def classes_per_c(
     conditioning axes in grid order, in row-major order.
     """
     cond_names = _cond_names(grid, (a, b), cond)
-    sub, _, valid, a_bins, b_bins, c_bins = _slices(grid, a, b, cond_names)
+    support, valid, a_bins, b_bins, c_bins = _slices(grid, a, b, cond_names)
     lattice = (grid.axis(a).size, grid.axis(b).size)
-    stack = _class_assignments(sub > 0, (a_bins[0], b_bins[0]), lattice)
+    stack = _class_assignments(support, (a_bins, b_bins), lattice)
     return dict(zip(_bins_at(valid, c_bins), stack))
 
 
@@ -201,26 +206,57 @@ def verify_weak_intersection(
             "premise deviations "
             f"{premise_xa.deviation!r} / {premise_xb.deviation!r} exceed {tol!r}"
         )
-    sub, _, valid, _, ab_bins, c_bins = _slices(grid, x, (a, b), cond_names)
-    blocks = sub.reshape(valid.size, sub.shape[1], *(bins.size for bins in ab_bins))
-    if grid.axis_index(a) > grid.axis_index(b):
-        blocks = blocks.swapaxes(2, 3)
-    per_class: dict[tuple[tuple[int, ...], int], float] = {}
-    for cell, block, assignment in zip(
-        _bins_at(valid, c_bins), blocks, _class_assignments(blocks.sum(axis=1) > 0)
-    ):
-        for cls in range(1, assignment.class_count + 1):
-            a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
-            mixture = block[:, a_bins, :].sum(axis=(1, 2))
-            mixture = mixture / mixture.sum()
-            cols = block[:, assignment.uc == cls]
-            cond_laws = cols / cols.sum(axis=0)
-            residual = float(np.abs(cond_laws - mixture[:, None]).max())
-            per_class[(cell, cls)] = residual
+    per_class = _weak_residuals(grid, x, a, b, cond_names)
     worst = max(per_class.values(), default=0.0)
     return WeakIntersectionReport(
         holds=worst <= tol, residual=worst, per_class=per_class, tol=tol
     )
+
+
+def _weak_residuals(
+    grid: DensityGrid, x: str, a: str, b: str, cond_names: tuple[str, ...]
+) -> dict[tuple[tuple[int, ...], int], float]:
+    """Weak-form residual per (c-cell, class), read from the support cells.
+
+    On the support the class is a function of the a-bin, so each support
+    cell of the (c, a, b, x) marginal gets the class of its (c, a).  An
+    on-class (a, b) cell without mass at x has residual
+    ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
+    class has (a, b) cells adds ``mixture(x)``.
+    """
+    x_pos, _, c_pos = _roles(grid, x, (a, b), cond_names)
+    ia, ib = grid.axis_index(a), grid.axis_index(b)
+    keys, mass, (_, n_a, n_b, n_x) = _keyed_support(
+        grid, (c_pos, (ia,), (ib,), x_pos)
+    )
+    cell_start, cell_run = _runs(keys // n_x)
+    c_start, c_run = _runs(keys // (n_a * n_b * n_x))
+    c_shape = tuple(grid.prob.shape[p] for p in c_pos)
+    cells = [_bins(int(k), c_shape) for k in keys[c_start] // (n_a * n_b * n_x)]
+    assignments = classes_per_c(grid, a, b, cond_names)
+    counts = [assignments[cell].class_count for cell in cells]
+    offsets = np.cumsum([0, *counts])
+    # group (c-cell, class) of each (c-cell, a-bin) on the support
+    group_of_a = np.zeros((len(cells), n_a), dtype=np.intp)
+    for k, cell in enumerate(cells):
+        for cls, bins in assignments[cell].proj_a.items():
+            group_of_a[k, list(bins)] = offsets[k] + cls - 1
+    group = group_of_a[c_run, keys // (n_b * n_x) % n_a]
+    rows, row_run, m_row = _groups(group * n_x + keys % n_x, mass)
+    row_group = rows // n_x
+    g_start = _runs(row_group)[0]
+    mixture = m_row / np.add.reduceat(m_row, g_start)[row_group]
+    laws = mass / np.add.reduceat(mass, cell_start)[cell_run]
+    worst = np.zeros(offsets[-1])
+    np.maximum.at(worst, group, np.abs(laws - mixture[row_run]))
+    on_class = np.bincount(group[cell_start], minlength=worst.size)
+    short = np.bincount(row_run) < on_class[row_group]
+    np.maximum.at(worst, row_group[short], mixture[short])
+    return {
+        (cell, cls): float(worst[offsets[k] + cls - 1])
+        for k, cell in enumerate(cells)
+        for cls in range(1, counts[k] + 1)
+    }
 
 
 def attach_class_variable(
@@ -279,16 +315,16 @@ def _attach(
     for c_cell, asg in assignments.items():
         table = [0.0] + [float(g(c_cell, cls)) for cls in range(1, asg.class_count + 1)]
         by_cell[c_cell] = np.asarray(table)[asg.uc]
-    cells = np.argwhere(base.prob > 0)
-    levels = by_cell[tuple(cells[:, pos].T)]
+    coords = base._coords
+    levels = by_cell[tuple(coords[p] for p in pos)]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
     out = np.zeros((values.size,) + base.prob.shape)
-    masses = base.prob[tuple(cells.T)]
-    for k, (offset, p_k) in enumerate(zip(pts, probs)):
+    masses = base._support[1]
+    for offset, p_k in zip(pts, probs):
         x_idx = np.searchsorted(values, np.round(levels + offset, 9))
-        out[(x_idx, *cells.T)] += masses * p_k
+        out[(x_idx, *coords)] += masses * p_k
     result = DensityGrid((x_axis, *base.axes), out)
     validate(result)
     return result
@@ -367,10 +403,9 @@ def _adversary(
     cond_names = _cond_names(base, (a, b), None)
     noise = np.linspace(-noise_halfwidth, noise_halfwidth, 5)
     result = _attach(base, assignments, g, noise, None, a, b, name)
-    dev_xa = _tv_residual(*_slices(result, name, a, (b, *cond_names)))[0]
-    dev_xb = _tv_residual(*_slices(result, name, b, (a, *cond_names)))[0]
-    sub, masses, *_ = _slices(result, name, b, cond_names)
-    margin = _pointwise_residual(sub, masses)
+    dev_xa = _ci_residuals(result, name, a, (b, *cond_names))[0]
+    dev_xb = _ci_residuals(result, name, b, (a, *cond_names))[0]
+    margin = _ci_residuals(result, name, b, cond_names)[1]
     if not (
         dev_xa <= 1e-9
         and dev_xb <= 1e-9

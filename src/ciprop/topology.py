@@ -8,7 +8,7 @@ connected when their projections onto the A axis intersect or their
 projections onto the B axis intersect, and classes are the transitive
 closure of that relation.  The slices of every conditioning cell come
 from :func:`ciprop.intersection.classes_per_c`, which reads them from
-the layout of the CI residuals.
+one marginal cut to the bins that hold mass.
 
 Both questions are connected components of a graph, answered by one
 kernel.  Labeling takes the support cells as nodes and face neighbors as

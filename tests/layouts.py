@@ -76,15 +76,60 @@ def gapped_grid(rng, names_sizes, zero_frac=0.4):
             return DensityGrid(axes, table / table.sum())
 
 
-def tiny_cell_grid():
-    """(A, B, C) grid whose cell C=1 holds 1e-13 on two diagonal blocks.
+def tiny_cell_grid(mass=1e-13):
+    """(A, B, C) grid whose cell C=1 holds ``mass`` on two diagonal blocks.
 
     C=0 is uniform, one class; C=1 has two classes.  A positivity cutoff
-    above 1e-13 would drop C=1 from the CI checks but not from the classes.
+    above ``mass`` would drop C=1 from the CI checks but not from the classes.
     """
     from ciprop import Axis, DensityGrid
 
     table = np.zeros((2, 2, 2))
-    table[:, :, 0] = (1.0 - 1e-13) / 4.0
-    table[0, 0, 1] = table[1, 1, 1] = 0.5e-13
+    table[:, :, 0] = (1.0 - mass) / 4.0
+    table[0, 0, 1] = table[1, 1, 1] = mass / 2.0
     return DensityGrid(tuple(Axis(n, (0.0, 1.0)) for n in "ABC"), table)
+
+
+def sliced_grid(rng, n_c1=3, n_c2=4, n_a=8, n_b=9):
+    """(A, B, C1, C2) grid: each c-cell holds 0 to 3 random bands, some none.
+
+    A band is a random rectangle of the (A, B) slice, each of its cells
+    with mass with probability 0.7; a c-cell without bands has no mass.
+    """
+    from ciprop import Axis, DensityGrid
+
+    table = np.zeros((n_a, n_b, n_c1, n_c2))
+    for c1, c2 in np.ndindex(n_c1, n_c2):
+        for _ in range(int(rng.integers(4))):
+            a0, b0 = rng.integers(n_a - 1), rng.integers(n_b - 1)
+            a1, b1 = a0 + rng.integers(1, 4), b0 + rng.integers(1, 4)
+            block = table[a0:a1, b0:b1, c1, c2]
+            block += rng.random(block.shape) * (rng.random(block.shape) < 0.7)
+    table[0, 0, 0, 0] += 0.5  # at least one c-cell with mass
+    table[:, :, -1, -1] = 0.0  # at least one without
+    axes = tuple(
+        Axis(n, tuple(float(k) for k in range(size)))
+        for n, size in zip(("A", "B", "C1", "C2"), table.shape)
+    )
+    return DensityGrid(axes, table / table.sum())
+
+
+def corner_grid():
+    """(X, A, C) grid: C=0 is uniform on a 3x3 (X, A) slice without the
+    corner (0, 2), C=1 a product.
+
+    In C=0, p(x | c) = (1/4, 3/8, 3/8) and p(a | c) = (3/8, 3/8, 1/4): the
+    total-variation residual is 1/8, a quarter of it from the missing
+    corner, whose residual 1/16 is the largest; the pointwise residual is
+    1/4, from the missing corner too.
+    """
+    from ciprop import Axis, DensityGrid
+
+    table = np.zeros((3, 3, 2))
+    table[:, :, 0] = 1.0 / 16.0
+    table[0, 2, 0] = 0.0
+    table[:, :, 1] = np.outer([0.2, 0.3, 0.5], [0.1, 0.6, 0.3]) / 2.0
+    return DensityGrid(
+        tuple(Axis(n, (0.0, 1.0, 2.0)) for n in ("X", "A")) + (Axis("C", (0.0, 1.0)),),
+        table,
+    )

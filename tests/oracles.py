@@ -8,9 +8,9 @@ mass maps index tuples to floats.
 The last group works on package grids: the axis flattening that grouped
 roles are checked against, the per-bin and per-cell loops that the
 package replaced with array code, and the CI residuals, classes and
-weak-form residuals over every bin of the full grid, which the package
-replaced with the same sums over the occupied bins, kept as references
-for the faster paths.
+weak-form residuals over every bin of the full grid.  The package sums
+the residuals over the support cells and the classes over the occupied
+bins; these dense sums are kept as references for those paths.
 """
 
 from __future__ import annotations
@@ -395,11 +395,7 @@ def ci_reference(grid, x, a, cond=()):
         raise ZeroMassCondition("no conditioning cell has positive mass")
     sub, masses = flat[valid], masses[valid]
 
-    slices = sub / masses[:, None, None]
-    px = slices.sum(axis=2)
-    pa = slices.sum(axis=1)
-    resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
-    tv = 0.5 * resid.sum(axis=(1, 2))
+    tv, resid = tv_residual(sub, masses)
     k = int(np.argmax(tv))
     cell = np.unravel_index(int(np.argmax(resid[k])), resid[k].shape)
     c_cells = [
@@ -408,18 +404,37 @@ def ci_reference(grid, x, a, cond=()):
     ]
     x_idx = tuple(int(v) for v in np.unravel_index(int(cell[0]), x_shape))
     a_idx = tuple(int(v) for v in np.unravel_index(int(cell[1]), a_shape))
-
-    px_c = sub.sum(axis=2) / masses[:, None]
-    m_ac = sub.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px_ac = sub / m_ac[:, None, :]
-    point = np.abs(px_ac - px_c[:, :, None])
-    point[~np.broadcast_to((m_ac > 0)[:, None, :], point.shape)] = 0.0
+    point = pointwise_residual(sub, masses)
 
     residuals = {
         c: r.reshape(x_shape + a_shape) for c, r in zip(c_cells, resid)
     }
-    return float(tv[k]), (x_idx, a_idx, c_cells[k]), float(point.max()), residuals
+    return float(tv[k]), (x_idx, a_idx, c_cells[k]), point, residuals
+
+
+def tv_residual(sub, masses):
+    """Dense total-variation residuals of a (c, x, a) stack of slices.
+
+    ``sub`` holds the masses of the conditioning cells of positive mass,
+    ``masses`` their totals.  Returns the residual per conditioning cell
+    and the table of |p(x, a | c) - p(x | c) p(a | c)| over every cell.
+    """
+    slices = sub / masses[:, None, None]
+    px = slices.sum(axis=2)
+    pa = slices.sum(axis=1)
+    resid = np.abs(slices - px[:, :, None] * pa[:, None, :])
+    return 0.5 * resid.sum(axis=(1, 2)), resid
+
+
+def pointwise_residual(sub, masses):
+    """Dense max |p(x | a, c) - p(x | c)| over the cells with p(a, c) > 0."""
+    px_c = sub.sum(axis=2) / masses[:, None]
+    m_ac = sub.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        px_ac = sub / m_ac[:, None, :]
+    resid = np.abs(px_ac - px_c[:, :, None])
+    resid[~np.broadcast_to((m_ac > 0)[:, None, :], resid.shape)] = 0.0
+    return float(resid.max())
 
 
 def _dense_by_c(grid, axes, cond):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import types
 
 import numpy as np
@@ -22,6 +23,7 @@ from ciprop import (
     save_sem,
 )
 from ciprop import cli
+from ciprop import grids as grids_module
 from ciprop.cli import run
 
 import layouts
@@ -126,6 +128,20 @@ def test_malformed_sparse_grid_file_exits_3(tmp_path, capsys):
         path.write_text(f'{{"axes": {axes}, {body}}}')
         assert run(["report", str(path)]) == 3
         assert "error[ShapeMismatch]" in capsys.readouterr().err
+
+
+def test_files_that_are_not_utf8_exit_3(tmp_path, capsys):
+    # a UTF-16 byte-order mark cannot start a UTF-8 document
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"axes": []}'.encode("utf-16-le"))
+    for argv in (
+        ["classes", str(path)],
+        ["report", str(path)],
+        ["sem", "propagate", str(path), "-o", str(tmp_path / "out.json")],
+    ):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[BadEncoding]") and err.count("\n") == 1
 
 
 def test_malformed_number_in_model_file_exits_3(tmp_path, capsys):
@@ -390,6 +406,26 @@ def test_example_writers_match_library_builders(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "A(22) x B(47) x X(107)" in out
     assert "support cells:" in out
+
+
+def test_sem_propagate_scans_the_support_once(workdir, tmp_path, monkeypatch, capsys):
+    _, model, _ = workdir
+    scans = []
+    scan = grids_module._support_index
+
+    def counted(grid):
+        scans.append(grid)
+        return scan(grid)
+
+    # wherever the scan is looked up, also from the command's own module
+    monkeypatch.setattr(grids_module, "_support_index", counted)
+    monkeypatch.setattr(cli, "_support_index", counted, raising=False)
+    grid_out = tmp_path / "grid.json"
+    assert run(["sem", "propagate", str(model), "-o", str(grid_out)]) == 0
+    assert len(scans) == 1
+    # the count printed is that of the cells written
+    written = json.loads(grid_out.read_text())["index"]
+    assert f"support cells: {len(written)}\n" in capsys.readouterr().out
 
 
 # -- report -----------------------------------------------------------------------

@@ -22,9 +22,11 @@ from ciprop import (
     ZeroMassCondition,
     classes_per_c,
     condition,
+    construct_adversary,
     example1,
     grid_from_json,
     grid_to_json,
+    intersection_condition,
     is_ci,
     marginalize,
     propagate,
@@ -507,7 +509,7 @@ def test_nan_table_raises_not_normalized():
         grid_to_json(g)
 
 
-# -- residuals over the occupied bins against the full grid -------------------
+# -- residuals over the support cells against the full grid -------------------
 
 
 GAPPED_QUERIES = [
@@ -520,19 +522,31 @@ GAPPED_QUERIES = [
 ]
 
 
-def check_against_full_grid(g, x, a, cond):
+def check_kernel(g, x, a, cond, bound):
+    """``is_ci`` against the dense residuals over every bin of the full grid.
+
+    The witness must name a worst slice, within ``bound``, and a largest
+    residual of that slice, within 1e-15: witnesses differ only at ties.
+    """
     report = is_ci(g, x, a, cond)
     ref_dev, ref_witness, ref_point, residuals = oracles.ci_reference(g, x, a, cond)
     assert report.holds == (ref_dev <= report.tol)
-    assert abs(report.deviation - ref_dev) <= 1e-15
-    assert abs(report.pointwise_deviation - ref_point) <= 1e-15
-    x_bins, a_bins, c_cell = witness = report.witness
+    assert abs(report.deviation - ref_dev) <= bound
+    assert abs(report.pointwise_deviation - ref_point) <= bound
+    x_bins, a_bins, c_cell = report.witness
     worst = residuals[c_cell]
-    assert abs(0.5 * worst.sum() - ref_dev) <= 1e-15
+    assert abs(0.5 * worst.sum() - ref_dev) <= bound
     assert abs(worst[x_bins + a_bins] - worst.max()) <= 1e-15
-    if worst.max() == 0.0:
+    if report.deviation == 0.0:
         assert x_bins + a_bins == (0,) * worst.ndim
-    return witness, ref_witness
+    return report, ref_witness, worst
+
+
+def check_against_full_grid(g, x, a, cond):
+    report, ref_witness, worst = check_kernel(g, x, a, cond, 1e-15)
+    if worst.max() == 0.0:
+        assert report.witness[0] + report.witness[1] == (0,) * worst.ndim
+    return report.witness, ref_witness
 
 
 def test_gapped_grids_match_the_full_grid_residuals():
@@ -559,6 +573,89 @@ def test_all_zero_residuals_name_the_first_bin():
         witness, ref_witness = check_against_full_grid(g, x, a, cond)
         assert is_ci(g, x, a, cond).deviation == 0.0
         assert witness == ref_witness
+
+
+SLICED_QUERIES = [
+    ("A", "B", ("C1", "C2")),
+    ("A", ("B", "C2"), ("C1",)),
+    (("A", "C1"), "B", ("C2",)),
+    ("C1", "A", ()),
+]
+ADVERSARY_QUERIES = [
+    ("X", "A", ("B",)),
+    ("X", "B", ("A",)),
+    ("X", ("A", "B"), ()),
+    ("X", "B", ()),
+]
+
+
+def with_cond(queries, cond):
+    return [(x, a, (*c, *cond)) for x, a, c in queries]
+
+
+def test_sliced_grids_match_the_full_grid_residuals():
+    # zero-mass c-cells, and c-cells of zero to three bands
+    rng = np.random.default_rng(59)
+    adversaries = 0
+    for _ in range(8):
+        g = layouts.sliced_grid(rng)
+        for query in SLICED_QUERIES:
+            check_kernel(g, *query, 1e-12)
+        if not intersection_condition(g, "A", "B", ("C1", "C2")).holds:
+            adv = construct_adversary(g)
+            for query in with_cond(ADVERSARY_QUERIES, ("C1", "C2")):
+                check_kernel(adv, *query, 1e-12)
+            adversaries += 1
+    assert adversaries >= 3
+
+
+def test_example1_and_its_adversary_match_the_full_grid_residuals():
+    g = propagate(example1(0.1))
+    for query in ADVERSARY_QUERIES + [
+        ("A", "B", ("X",)),
+        ("A", "B", ()),
+        (("A", "X"), "B", ()),
+    ]:
+        check_kernel(g, *query, 1e-12)
+    adv = construct_adversary(marginalize(g, ("A", "B")))
+    for query in ADVERSARY_QUERIES:
+        check_kernel(adv, *query, 1e-12)
+
+
+@pytest.mark.parametrize("mass", [1e-13, 1e-300])
+def test_tiny_cells_match_the_full_grid_residuals(mass):
+    g = layouts.tiny_cell_grid(mass)
+    report, _, _ = check_kernel(g, "A", "B", ("C",), 1e-15)
+    assert report.witness[2] == (1,) and report.deviation == pytest.approx(0.5)
+    check_kernel(g, "A", ("B", "C"), (), 1e-15)
+    adv = construct_adversary(g)
+    for query in with_cond(ADVERSARY_QUERIES, ("C",)):
+        check_kernel(adv, *query, 1e-15)
+
+
+def test_a_missing_corner_adds_its_off_support_residuals():
+    # the support of C=0 is not a product: row x=0 misses the bin a=2
+    g = layouts.corner_grid()
+    report, _, _ = check_kernel(g, "X", "A", ("C",), 1e-15)
+    assert report.deviation == pytest.approx(1 / 8, abs=1e-15)
+    assert report.pointwise_deviation == pytest.approx(1 / 4, abs=1e-15)
+    assert report.witness == ((0,), (2,), (0,))
+    names, shape, mass = oracles.dict_grid(g.axis_names, g.prob.tolist())
+    for x, a, cond in [("X", "A", ("C",)), ("A", "X", ("C",)), ("X", ("A", "C"), ())]:
+        report, _, _ = check_kernel(g, x, a, cond, 1e-15)
+        ref = oracles.o_ci_tv(names, shape, mass, x, a, cond)
+        assert report.deviation == pytest.approx(ref, abs=1e-15)
+
+
+def test_a_cell_whose_entries_cancel_is_skipped():
+    # C=1 holds +0.1 and -0.1: no mass, so no conditioning cell, as in the
+    # dense sums (a table that validate refuses, built in code)
+    table = np.zeros((2, 2, 2))
+    table[:, :, 0] = [[0.4, 0.1], [0.2, 0.3]]
+    table[0, 0, 1], table[1, 1, 1] = 0.1, -0.1
+    g = make_grid([("X", 2), ("A", 2), ("C", 2)], table)
+    report, _, _ = check_kernel(g, "X", "A", ("C",), 1e-15)
+    assert report.witness[2] == (0,)
 
 
 def test_occupied_bins_are_the_positive_margins():
