@@ -8,8 +8,8 @@ suppressed under ``--deterministic``.
 The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
 the cells of positive mass and find the classes of all conditioning cells
-in one pass over one marginal, through ``classes_per_c``; ``--c`` picks
-its slice from the classes of every cell of the fixed axes.  Each command
+in one pass over the grid's support cells, through ``classes_per_c``;
+``--c`` picks its slice from the classes of every cell of the fixed axes.  Each command
 computes the classes once: ``intersection -o`` builds its adversary from
 the classes behind its verdict, and ``report`` takes its three CI rows
 from one ``verify_intersection``.

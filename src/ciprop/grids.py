@@ -157,14 +157,6 @@ class DensityGrid:
             )
         )
 
-    @cached_property
-    def _occupied(self) -> tuple[np.ndarray, ...]:
-        """Per axis, the ascending bins that hold mass."""
-        return tuple(
-            np.flatnonzero(np.bincount(idx, minlength=ax.size))
-            for idx, ax in zip(self._coords, self.axes)
-        )
-
     # -- axis lookup ----------------------------------------------------
 
     @property
@@ -239,17 +231,21 @@ def validate(grid: DensityGrid) -> None:
 
 def marginalize(grid: DensityGrid, keep: Iterable[str]) -> DensityGrid:
     """Sum out every axis not named in ``keep``; original axis order kept."""
+    kept = _kept(grid, keep)
+    drop = tuple(i for i in range(len(grid.axes)) if i not in kept)
+    table = grid.prob.sum(axis=drop) if drop else grid.prob
+    return DensityGrid(tuple(grid.axes[i] for i in kept), table)
+
+
+def _kept(grid: DensityGrid, keep: Iterable[str]) -> tuple[int, ...]:
+    """Ascending positions of the axes named in ``keep``, at least one."""
     wanted = set(_as_names(keep))
     if not wanted:
         raise ShapeMismatch("keep must name at least one axis")
-    have = set(grid.axis_names)
-    missing = wanted - have
+    missing = wanted - set(grid.axis_names)
     if missing:
         raise UnknownAxis(f"unknown axes {sorted(missing)} (have {grid.axis_names})")
-    drop = tuple(i for i, ax in enumerate(grid.axes) if ax.name not in wanted)
-    kept = tuple(ax for ax in grid.axes if ax.name in wanted)
-    table = grid.prob.sum(axis=drop) if drop else grid.prob
-    return DensityGrid(kept, table)
+    return tuple(i for i, name in enumerate(grid.axis_names) if name in wanted)
 
 
 def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
@@ -281,7 +277,6 @@ def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(spec)
 
 
-_Bins = tuple[np.ndarray, ...]
 _Witness = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
@@ -342,7 +337,7 @@ def _keyed_support(
     their masses and the size of each role.  Summing out the other axes
     lands several cells on one key; one sort merges them.
     """
-    shape = grid.prob.shape
+    shape = [ax.size for ax in grid.axes]
     axes = [p for role in roles for p in role]
     keys = np.ravel_multi_index(
         tuple(grid._coords[p] for p in axes), tuple(shape[p] for p in axes)
@@ -433,51 +428,6 @@ def _ci_residuals(
     c_key = int(keys[c_start[k]]) // (n_x * n_a)
     c_idx = _bins(c_key, [shape[p] for p in c_pos])
     return float(tv[k]), pointwise, (x_idx, a_idx, c_idx)
-
-
-def _slices(
-    grid: DensityGrid, a: str, b: str, cond: Iterable[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Bins]:
-    """The (a, b) supports of the conditioning cells of positive mass.
-
-    Returns ``(support, valid, a_bins, b_bins, c_bins)``: ``support``
-    stacks one (a, b) support per valid conditioning cell and ``valid``
-    gives their flat indices over the conditioning axes.  Every axis is
-    cut down to its bins that hold mass, in one gather made when this box
-    holds at most half the cells of the marginal (otherwise every bin is
-    kept), and ``*_bins`` list the kept bins: ``a_bins`` and ``b_bins`` of
-    the a and b axes, ``c_bins`` one array per conditioning axis.
-    """
-    c_ord = tuple(grid.axis_names[p] for p in _roles(grid, a, b, cond)[2])
-    roles = (a, b, *c_ord)
-    sub = marginalize(grid, roles) if len(roles) != len(grid.axes) else grid
-    # a sum of nonnegative masses is positive exactly when one term is, so
-    # the marginal's occupied bins are the grid's on the kept axes
-    occupied = dict(zip(grid.axis_names, grid._occupied))
-    keep = [occupied[n] for n in sub.axis_names]
-    arr = sub.prob
-    # the gather costs about as much per kept cell as the sums downstream
-    # save per dropped cell, so it pays only when it drops half the cells
-    if 2 * math.prod(bins.size for bins in keep) <= arr.size:
-        arr = arr[np.ix_(*keep)]
-    else:
-        keep = [np.arange(size) for size in arr.shape]
-    kept = dict(zip(sub.axis_names, keep))
-    arr = np.transpose(arr, [sub.axis_index(n) for n in (*c_ord, a, b)])
-    c_bins = tuple(kept[n] for n in c_ord)
-    flat = arr.reshape(math.prod(bins.size for bins in c_bins), *arr.shape[-2:])
-    valid = np.flatnonzero(flat.sum(axis=(1, 2)) > 0)
-    if valid.size == 0:
-        raise ZeroMassCondition("no conditioning cell has positive mass")
-    return flat[valid] > 0, valid, kept[a], kept[b], c_bins
-
-
-def _bins_at(flat: np.ndarray | int, bins: _Bins) -> list[tuple[int, ...]]:
-    """Grid bins of the cells at the ``flat`` indices over the kept ``bins``."""
-    flat = np.atleast_1d(flat)
-    at = np.unravel_index(flat, tuple(b.size for b in bins)) if bins else ()
-    cells = np.array([b[i] for b, i in zip(bins, at)], dtype=np.intp)
-    return [tuple(c) for c in cells.reshape(len(bins), flat.size).T.tolist()]
 
 
 def is_ci(

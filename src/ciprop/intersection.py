@@ -10,11 +10,11 @@ for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
 coordinate-wise-connected equivalence class.  The support is exact: a
 cell, or a conditioning cell, counts when its mass is positive.
-:func:`classes_per_c` reads one (a, b) marginal, cut to the bins that
-hold mass, and finds the classes of every conditioning cell in one call
-to the kernel of :mod:`ciprop.topology`; results name bins of the full
-grid.  :func:`verify_weak_intersection` takes those classes and, like
-the CI residuals, reads only the support cells of the grid.
+:func:`classes_per_c` keys the grid's support cells by (c, a, b), merging
+the cells that the summed-out axes put on one key, and finds the classes
+of every conditioning cell in one call to the kernel of
+:mod:`ciprop.topology`.  :func:`verify_weak_intersection` reads the same
+support cells keyed by (c, a, b, x) and takes its classes from them.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -50,6 +50,7 @@ from .errors import (
     PremiseViolated,
     ShapeMismatch,
     SingleClass,
+    ZeroMassCondition,
 )
 from .grids import (
     DEFAULT_TOL,
@@ -57,13 +58,11 @@ from .grids import (
     CiReport,
     DensityGrid,
     _bins,
-    _bins_at,
     _ci_residuals,
     _groups,
     _keyed_support,
     _roles,
     _runs,
-    _slices,
     is_ci,
     validate,
 )
@@ -118,13 +117,44 @@ def classes_per_c(
     """Class assignment of the (a, b) support for every conditioning cell.
 
     Keys are positive-mass conditioning cells, as bin tuples over the
-    conditioning axes in grid order, in row-major order.
+    conditioning axes in grid order, in row-major order.  The support
+    cells are read keyed by (c, a, b); the axes outside ``a``, ``b`` and
+    ``cond`` are summed out.
     """
-    cond_names = _cond_names(grid, (a, b), cond)
-    support, valid, a_bins, b_bins, c_bins = _slices(grid, a, b, cond_names)
-    lattice = (grid.axis(a).size, grid.axis(b).size)
-    stack = _class_assignments(support, (a_bins, b_bins), lattice)
-    return dict(zip(_bins_at(valid, c_bins), stack))
+    c_pos = _roles(grid, a, b, _cond_names(grid, (a, b), cond))[2]
+    ia, ib = grid.axis_index(a), grid.axis_index(b)
+    keys, mass, _ = _keyed_support(grid, (c_pos, (ia,), (ib,)))
+    return _classes(grid, c_pos, (ia, ib), keys, mass)
+
+
+def _classes(
+    grid: DensityGrid,
+    c_pos: tuple[int, ...],
+    ab_pos: tuple[int, int],
+    keys: np.ndarray,
+    mass: np.ndarray,
+) -> dict[tuple[int, ...], UcAssignment]:
+    """:func:`classes_per_c` given the ascending distinct (c, a, b) keys.
+
+    A cell counts when its mass is > 0 and a conditioning cell when its
+    summed mass is, as in the CI residuals.
+    """
+    n_a, n_b = (grid.axes[p].size for p in ab_pos)
+    c_start, c_run = _runs(keys // (n_a * n_b))
+    keep = (mass > 0) & (np.add.reduceat(mass, c_start) > 0)[c_run]
+    if not keep.all():  # a table with negative entries
+        keys = keys[keep]
+        c_start, c_run = _runs(keys // (n_a * n_b))
+    if keys.size == 0:
+        raise ZeroMassCondition("no conditioning cell has positive mass")
+    c_keys = keys[c_start] // (n_a * n_b)
+    c_shape = [grid.axes[p].size for p in c_pos]
+    c_bins = np.unravel_index(c_keys, c_shape) if c_pos else ()
+    cells = np.reshape(np.array(c_bins, dtype=np.intp), (len(c_pos), c_keys.size))
+    stack = _class_assignments(
+        c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
+    )
+    return dict(zip(map(tuple, cells.T.tolist()), stack))
 
 
 def _verdict(
@@ -230,10 +260,11 @@ def _weak_residuals(
         grid, (c_pos, (ia,), (ib,), x_pos)
     )
     cell_start, cell_run = _runs(keys // n_x)
+    m_cell = np.add.reduceat(mass, cell_start)
+    assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x, m_cell)
     c_start, c_run = _runs(keys // (n_a * n_b * n_x))
-    c_shape = tuple(grid.prob.shape[p] for p in c_pos)
+    c_shape = [grid.axes[p].size for p in c_pos]
     cells = [_bins(int(k), c_shape) for k in keys[c_start] // (n_a * n_b * n_x)]
-    assignments = classes_per_c(grid, a, b, cond_names)
     counts = [assignments[cell].class_count for cell in cells]
     offsets = np.cumsum([0, *counts])
     # group (c-cell, class) of each (c-cell, a-bin) on the support
@@ -246,7 +277,7 @@ def _weak_residuals(
     row_group = rows // n_x
     g_start = _runs(row_group)[0]
     mixture = m_row / np.add.reduceat(m_row, g_start)[row_group]
-    laws = mass / np.add.reduceat(mass, cell_start)[cell_run]
+    laws = mass / m_cell[cell_run]
     worst = np.zeros(offsets[-1])
     np.maximum.at(worst, group, np.abs(laws - mixture[row_run]))
     on_class = np.bincount(group[cell_start], minlength=worst.size)

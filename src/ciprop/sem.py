@@ -47,11 +47,13 @@ from .grids import (
     MAX_GRID_CELLS,
     Axis,
     DensityGrid,
+    _keyed_support,
+    _kept,
     marginalize,
     validate,
 )
 from .jsonio import render_json
-from .topology import label_support_nd
+from .topology import _components
 
 # Most joint noise configurations propagate enumerates.
 DEFAULT_MAX_ENUM = 10_000_000
@@ -487,11 +489,17 @@ def joint_support_components(
 ) -> int:
     """Component count of the (marginal) support lattice; see label_support_nd.
 
-    The support is exact: every cell of positive mass belongs to it.
+    The support is exact: every cell of positive mass belongs to it.  It
+    is read from the grid's support cells, keyed over ``variables`` when
+    they are given.
     """
-    sub = grid if variables is None else marginalize(grid, tuple(variables))
-    _, count = label_support_nd(sub.prob > 0)
-    return count
+    if variables is None:
+        index, mass = grid._support
+        shape = [ax.size for ax in grid.axes]
+    else:
+        kept = _kept(grid, tuple(variables))
+        index, mass, shape = _keyed_support(grid, [(p,) for p in kept])
+    return _components(index[mass > 0], shape)[1]
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ connected when their projections onto the A axis intersect or their
 projections onto the B axis intersect, and classes are the transitive
 closure of that relation.  The slices of every conditioning cell come
 from :func:`ciprop.intersection.classes_per_c`, which reads them from
-one marginal cut to the bins that hold mass.
+the grid's support cells, keyed by (c, a, b).
 
 Both questions are connected components of a graph, answered by one
-kernel.  Labeling takes the support cells as nodes and face neighbors as
-edges.  Classes take the A bins and the B bins as nodes and the support
-cells as edges: neighboring cells share a row or a column, so two cells
-share a class exactly when this bipartite graph joins them (Fink 2011,
-*The binomial ideal of the intersection axiom for conditional
-probabilities*).
+kernel.  Labeling takes the support cells, as ascending flat indices, as
+nodes and face neighbors as edges.  Classes take the A bins and the B
+bins as nodes and the support cells as edges: neighboring cells share a
+row or a column, so two cells share a class exactly when this bipartite
+graph joins them (Fink 2011, *The binomial ideal of the intersection
+axiom for conditional probabilities*).
 
 The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
@@ -27,7 +27,7 @@ and of the B bin alone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +77,30 @@ def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     raise CipropError(f"components of {n} nodes did not converge in {n} rounds")
 
 
+def _components(cells: np.ndarray, shape: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Face-neighbor components of the ascending row-major ``cells`` of a lattice.
+
+    Returns each cell's component, 1..count, numbered by the first cell of
+    each component in row-major order, and the count.
+    """
+    u, v = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    stride = 1
+    for size in reversed(shape):
+        # the neighbor one step ahead along this axis, if on support and
+        # not wrapped around from the axis' last bin
+        ahead = cells + stride
+        pos = np.searchsorted(cells, ahead)
+        hit = cells.take(pos, mode="clip") == ahead
+        hit &= (cells // stride) % size != size - 1
+        u.append(np.flatnonzero(hit))
+        v.append(pos[hit])
+        stride *= size
+    # node k is the k-th support cell
+    roots = _roots(cells.size, np.concatenate(u), np.concatenate(v))
+    is_root = roots == np.arange(cells.size)
+    return np.cumsum(is_root)[roots], int(is_root.sum())
+
+
 def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
     """Path-connected components of an n-D boolean lattice.
 
@@ -88,77 +112,49 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
     each component's first cell in row-major order.
     """
     support = np.asarray(support, dtype=bool)
-    # node k is the k-th support cell in row-major order
     cells = np.flatnonzero(support)
-    u, v = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    stride = 1
-    for size in reversed(support.shape):
-        # the neighbor one step ahead along this axis, if on support and
-        # not wrapped around from the axis' last bin
-        ahead = cells + stride
-        pos = np.searchsorted(cells, ahead)
-        hit = cells.take(pos, mode="clip") == ahead
-        hit &= (cells // stride) % size != size - 1
-        u.append(np.flatnonzero(hit))
-        v.append(pos[hit])
-        stride *= size
-    roots = _roots(cells.size, np.concatenate(u), np.concatenate(v))
-    is_root = roots == np.arange(cells.size)
     labels = np.zeros(support.size, dtype=np.int64)
-    labels[cells] = np.cumsum(is_root)[roots]
-    return labels.reshape(support.shape), int(is_root.sum())
+    labels[cells], count = _components(cells, support.shape)
+    return labels.reshape(support.shape), count
 
 
-def _bins_of(
-    classes: np.ndarray, count: int, bins: np.ndarray
-) -> dict[int, tuple[int, ...]]:
+def _bins_of(classes: np.ndarray, count: int) -> dict[int, tuple[int, ...]]:
     return {
-        cls: tuple(bins[classes == cls].tolist()) for cls in range(1, count + 1)
+        cls: tuple(np.flatnonzero(classes == cls).tolist())
+        for cls in range(1, count + 1)
     }
 
 
 def _class_assignments(
-    support: np.ndarray,
-    bins: tuple[np.ndarray, np.ndarray] | None = None,
-    shape: tuple[int, int] | None = None,
+    k: np.ndarray, i: np.ndarray, j: np.ndarray, n_c: int, shape: tuple[int, int]
 ) -> list[UcAssignment]:
-    """Coordinate-wise classes of every (A, B) slice of a (C, A, B) stack.
+    """Coordinate-wise classes of the (A, B) supports of ``n_c`` slices.
 
+    Support cell m of slice ``k[m]`` sits at A bin ``i[m]`` and B bin
+    ``j[m]`` of a lattice of ``shape``; every slice holds at least one.
     All slices go through one kernel call.  Slice k owns the nodes
     ``k * (nA + nB) + i`` for its A bins and ``k * (nA + nB) + nA + j`` for
     its B bins, and its support cells are the edges.  A class's root is
     its smallest A bin, which holds the class's first row-major cell, so
     ranking the roots of a slice numbers its classes by first cell.
-
-    With ``bins``, the stack holds only the ascending A bins ``bins[0]``
-    and B bins ``bins[1]`` of a lattice of ``shape``: ``uc`` is placed
-    back on that lattice in one scatter and the projections name its
-    bins.  The order of bins is kept, so is the numbering of classes.
     """
-    support = np.asarray(support, dtype=bool)
-    n_c, n_a, n_b = support.shape
+    n_a, n_b = shape
     width = n_a + n_b
-    k, i, j = np.nonzero(support)
     roots = _roots(n_c * width, k * width + i, k * width + n_a + j)
     roots = roots.reshape(n_c, width) - np.arange(n_c)[:, None] * width
-    rows, cols = support.any(axis=2), support.any(axis=1)
+    rows = np.zeros((n_c, n_a), dtype=bool)
+    rows[k, i] = True
+    cols = np.zeros((n_c, n_b), dtype=bool)
+    cols[k, j] = True
     root_a = np.where(rows, roots[:, :n_a], 0)
     root_b = np.where(cols, roots[:, n_a:], 0)
     rank = np.cumsum(rows & (root_a == np.arange(n_a)), axis=1)
     cls_a = np.where(rows, np.take_along_axis(rank, root_a, axis=1), 0)
     cls_b = np.where(cols, np.take_along_axis(rank, root_b, axis=1), 0)
-    uc = np.where(support, cls_a[:, :, None], 0)
-    a_bins, b_bins = bins if bins is not None else (np.arange(n_a), np.arange(n_b))
-    if shape is not None and shape != (n_a, n_b):
-        uc_box, uc = uc, np.zeros((n_c, *shape), dtype=uc.dtype)
-        uc[:, a_bins[:, None], b_bins] = uc_box
+    uc = np.zeros((n_c, n_a, n_b), dtype=cls_a.dtype)
+    uc[k, i, j] = cls_a[k, i]
     return [
-        UcAssignment(
-            uc[s],
-            count,
-            _bins_of(cls_a[s], count, a_bins),
-            _bins_of(cls_b[s], count, b_bins),
-        )
+        UcAssignment(uc[s], count, _bins_of(cls_a[s], count), _bins_of(cls_b[s], count))
         for s, count in enumerate(rank[:, -1].tolist())
     ]
 

@@ -457,7 +457,12 @@ def classes_reference(grid, a, b, cond):
     on its own.
     """
     table, cells = _dense_by_c(grid, (a, b), tuple(cond))
-    return {cell: _class_assignments((table[cell] > 0)[None])[0] for cell in cells}
+    return {cell: _slice_classes(table[cell] > 0) for cell in cells}
+
+
+def _slice_classes(mask):
+    """Classes of one (a, b) support mask through the class kernel."""
+    return _class_assignments(*np.nonzero(mask[None]), 1, mask.shape)[0]
 
 
 def weak_reference(grid, x, a, b, cond):
@@ -466,7 +471,7 @@ def weak_reference(grid, x, a, b, cond):
     per_class = {}
     for cell in cells:
         block = table[cell]
-        assignment = _class_assignments((block.sum(axis=0) > 0)[None])[0]
+        assignment = _slice_classes(block.sum(axis=0) > 0)
         for cls in range(1, assignment.class_count + 1):
             a_bins = np.asarray(assignment.proj_a[cls], dtype=int)
             mixture = block[:, a_bins, :].sum(axis=(1, 2))

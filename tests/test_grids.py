@@ -657,16 +657,3 @@ def test_a_cell_whose_entries_cancel_is_skipped():
     report, _, _ = check_kernel(g, "X", "A", ("C",), 1e-15)
     assert report.witness[2] == (0,)
 
-
-def test_occupied_bins_are_the_positive_margins():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        g = layouts.gapped_grid(rng, [("A", 4), ("B", 5), ("C", 3), ("X", 6)])
-        for axis, bins in enumerate(g._occupied):
-            others = tuple(i for i in range(g.prob.ndim) if i != axis)
-            assert np.array_equal(bins, np.flatnonzero(g.prob.sum(axis=others) > 0))
-        # a marginal's occupied bins are its parent's on the kept axes
-        kept = ("A", "C", "X")
-        parent = dict(zip(g.axis_names, g._occupied))
-        for name, bins in zip(kept, marginalize(g, kept)._occupied):
-            assert np.array_equal(bins, parent[name])

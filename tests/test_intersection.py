@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -138,35 +140,59 @@ GAPPED_LAYOUTS = [
 ]
 
 
+def check_classes(g, cond):
+    """The (A, B) classes given ``cond`` against the dense per-cell kernel."""
+    classes = classes_per_c(g, "A", "B", cond)
+    ref = oracles.classes_reference(g, "A", "B", cond)
+    assert list(classes) == list(ref)
+    for cell, asg in classes.items():
+        assert asg.class_count == ref[cell].class_count
+        assert np.array_equal(asg.uc, ref[cell].uc)
+        assert asg.proj_a == ref[cell].proj_a
+        assert asg.proj_b == ref[cell].proj_b
+    assert intersection_condition(g, "A", "B", cond).per_c_class_counts == {
+        cell: asg.class_count for cell, asg in ref.items()
+    }
+    return classes
+
+
+def single_cell_grid():
+    """(X, A, B, C) grid whose cell C=1 holds a single (a, b) cell."""
+    table = np.zeros((2, 3, 3, 2))
+    table[:, :, :, 0] = np.random.default_rng(5).random((2, 3, 3))
+    table[:, 1, 1, 0] = 0.0
+    table[:, 0, 2, 1] = (0.25, 0.75)
+    table[:, :, :, 0] *= 0.5 / table[:, :, :, 0].sum()
+    table[:, 0, 2, 1] *= 0.5
+    axes = tuple(index_axis(n, s) for n, s in zip("XABC", table.shape))
+    return DensityGrid(axes, table)
+
+
 def test_classes_and_weak_form_match_the_dense_layout():
-    # empty bins on every axis, so the occupied-box gather always runs
+    # empty bins on every axis, and every subset of the conditioning axes,
+    # so summed-out axes merge support cells onto one (c, a, b) key
     rng = np.random.default_rng(53)
+    grids = [
+        layouts.gapped_grid(rng, GAPPED_LAYOUTS[trial % len(GAPPED_LAYOUTS)], 0.75)
+        for trial in range(30)
+    ]
+    # 5-D adversaries: the classes sum X out
+    grids += [construct_adversary(layouts.sliced_grid(rng)) for _ in range(3)]
+    grids.append(single_cell_grid())
     multi_class_cells = 0
-    for trial in range(30):
-        names_sizes = GAPPED_LAYOUTS[trial % len(GAPPED_LAYOUTS)]
-        g = layouts.gapped_grid(rng, names_sizes, zero_frac=0.75)
-        names = [n for n, _ in names_sizes]
-        cond = tuple(n for n in names if n not in ("X", "A", "B"))
-        classes = classes_per_c(g, "A", "B", cond)
-        ref = oracles.classes_reference(g, "A", "B", cond)
-        assert list(classes) == list(ref)
-        for cell, asg in classes.items():
-            assert asg.class_count == ref[cell].class_count
-            assert np.array_equal(asg.uc, ref[cell].uc)
-            assert asg.proj_a == ref[cell].proj_a
-            assert asg.proj_b == ref[cell].proj_b
-            multi_class_cells += asg.class_count >= 2
-        assert intersection_condition(g, "A", "B", cond).per_c_class_counts == {
-            cell: asg.class_count for cell, asg in ref.items()
-        }
-        if "X" in names:
-            # tol=1 admits any premises, so the residuals are not all 0
-            weak = verify_weak_intersection(g, cond=cond, tol=1.0)
-            ref_weak = oracles.weak_reference(g, "X", "A", "B", cond)
-            assert list(weak.per_class) == list(ref_weak)
-            for key, residual in weak.per_class.items():
-                assert abs(residual - ref_weak[key]) <= 1e-15
+    for g in grids:
+        others = tuple(n for n in g.axis_names if n not in ("X", "A", "B"))
+        for size in range(len(others) + 1):
+            for cond in combinations(others, size):
+                classes = check_classes(g, cond)
+                multi_class_cells += sum(asg.class_count >= 2 for asg in classes.values())
+                if "X" in g.axis_names:
+                    # tol=1 admits any premises, so the residuals are not all 0
+                    check_weak(g, "A", "B", cond, 1e-15)
     assert multi_class_cells >= 10
+    cells = classes_per_c(single_cell_grid(), "A", "B", ("C",))
+    assert cells[(1,)].class_count == 1
+    assert cells[(1,)].proj_a == {1: (0,)} and cells[(1,)].proj_b == {1: (2,)}
 
 
 def check_weak(g, a, b, cond, bound):

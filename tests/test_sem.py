@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from ciprop import (
     intersection_condition,
     is_ci,
     joint_support_components,
+    label_support_nd,
     load_sem,
     marginalize,
     noise_support_path_connected,
@@ -44,6 +46,7 @@ from ciprop import (
     topological_order,
 )
 
+import layouts
 import oracles
 
 
@@ -422,6 +425,37 @@ def test_joint_support_component_counts():
     g = DensityGrid((Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0))), table)
     assert joint_support_components(g) == 2
     assert joint_support_components(g, ("A",)) == 1
+    # the support cells against the dense labeller of the (marginal) mask
+    rng = np.random.default_rng(71)
+    counts = set()
+    for names_sizes in [[("A", 6), ("B", 7), ("C", 3)], [("X", 4), ("A", 5), ("B", 6)]] * 6:
+        g = layouts.gapped_grid(rng, names_sizes)
+        count = joint_support_components(g)
+        assert count == label_support_nd(g.prob > 0)[1]
+        counts.add(count)
+        names = g.axis_names
+        for keep in (names[:1], names[1:], names[::2], names[::-1]):
+            dense = marginalize(g, keep).prob > 0
+            assert joint_support_components(g, keep) == label_support_nd(dense)[1]
+    assert len(counts) >= 3
+
+
+def test_joint_support_components_reads_only_the_support_cells():
+    # a 10^6-cell grid with four support cells: once its support is cached,
+    # counting allocates no dense mask and no int64 label table (8 MB)
+    table = np.zeros((100, 100, 100))
+    table[0, 0, 0] = table[0, 0, 1] = table[50, 50, 50] = table[99, 0, 99] = 0.25
+    axes = tuple(Axis(n, tuple(float(k) for k in range(100))) for n in "ABC")
+    g = DensityGrid(axes, table)
+    g._support
+    tracemalloc.start()
+    try:
+        counts = joint_support_components(g), joint_support_components(g, ("A", "C"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (3, 3)
+    assert peak < 10**6
 
 
 def test_tiny_masses_are_support():
