@@ -25,18 +25,21 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
 
-The residuals read only the support cells, which a grid finds once, by
-one scan of its table, and keeps with their masses and bins.  A query
-keys each support cell by its (c, x, a) bins, merging the cells that
-the summed-out axes put on one key, and sums per conditioning cell, row
-and column, so its cost grows with the number of support cells, not
-with the grid.  A cell off the support adds to the residuals only
-through the product of the margins, which each (c, x) row sums at once:
-p(x | c) times the mass p(a | c) of the a-bins the row lacks; a row that
-holds every a-bin of c adds exactly 0.  The sums run in another order
-than over the dense table, so deviations can differ from it in the last
-bits, and where residuals tie in exact arithmetic the witness can name
-another of the tied cells.
+The residuals read only the support cells, which a grid keeps with their
+masses and bins.  Every grid the library builds (pushforwards, marginals,
+adversaries) is handed its support cells; a grid built from a dense
+table, as the file reader and user code build them, finds them once, by
+one scan of the table.  A query keys each support cell by its (c, x, a)
+bins, merging the cells that the summed-out axes put on one key, and
+sums per conditioning cell, row and column, so its cost grows with the
+number of support cells, not with the grid.  A cell off the support
+adds to the residuals only through the product of the margins, which
+each (c, x) row sums at once: p(x | c) times the mass p(a | c) of the
+a-bins the row lacks; a row that holds every a-bin of c adds exactly 0.
+The sums run in another order than over the dense table, so deviations
+can differ from it in the last bits, and where residuals tie in exact
+arithmetic the witness can name another of the tied cells.  Marginals
+are summed over the support cells too, with the same caveat.
 """
 
 from __future__ import annotations
@@ -110,6 +113,10 @@ class DensityGrid:
     array whose memory is reachable through a writeable base (a view of a
     writeable array) is copied.  Views of a handed-over array that the
     caller took before construction are not tracked.
+
+    The support cells (``_support``: ascending flat indices and their
+    masses) are found by one scan of the table on first use and kept;
+    the grids the library builds are handed them and never scan.
     """
 
     axes: tuple[Axis, ...]
@@ -213,28 +220,74 @@ def _support_index(grid: DensityGrid) -> np.ndarray:
     return index
 
 
+def _from_support(
+    axes: Sequence[Axis], index: np.ndarray, mass: np.ndarray
+) -> DensityGrid:
+    """The grid over ``axes`` holding ``mass`` at the ascending flat ``index``.
+
+    Every other cell holds 0.  Cells of mass 0 are dropped; a non-finite
+    mass raises ``NotNormalized``, naming its cell, and axes implying more
+    than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded``, both before
+    the table is allocated.  The grid keeps the given cells as its
+    support, so it never scans its table for them.
+    """
+    axes = tuple(axes)
+    shape = tuple(ax.size for ax in axes)
+    cells = math.prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise BudgetExceeded(
+            f"grid of {cells} cells exceeds the limit {MAX_GRID_CELLS}"
+        )
+    finite = np.isfinite(mass)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        cell = tuple(int(i) for i in np.unravel_index(int(index[k]), shape))
+        raise NotNormalized(f"entry {cell} is {float(mass[k])!r}")
+    nonzero = mass != 0
+    if not nonzero.all():
+        index, mass = index[nonzero], mass[nonzero]
+    table = np.zeros(cells)
+    table[index] = mass
+    grid = DensityGrid(axes, table)
+    # a cached_property lives in the instance dict, which frozen does not guard
+    grid.__dict__["_support"] = (index, mass)
+    return grid
+
+
 def validate(grid: DensityGrid) -> None:
     """Raise unless ``grid`` is a valid joint pmf.
 
     Structural invariants (shape, axis names, monotone points) are enforced
-    at construction; this checks nonnegativity and normalization.
+    at construction; this checks nonnegativity and normalization on the
+    support cells.  A grid the library builds holds them from the start; a
+    grid built from a dense table finds them by one scan of the table,
+    which its first query reuses.  A non-finite cell raises
+    ``NotNormalized``; the first most negative cell in row-major order
+    raises ``NegativeMass``.
     """
-    table = grid.prob
-    if table.size and float(table.min()) < 0.0:
-        idx = np.unravel_index(int(np.argmin(table)), table.shape)
-        raise NegativeMass(f"entry {idx} is {table[idx]!r}")
-    total = float(table.sum())
-    # written so that a NaN entry, whose sum is NaN, fails it
+    index, mass = grid._support
+    if mass.size and float(mass.min()) < 0.0:
+        idx = np.unravel_index(int(index[np.argmin(mass)]), grid.prob.shape)
+        raise NegativeMass(f"entry {idx} is {grid.prob[idx]!r}")
+    total = float(mass.sum())
     if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalized(f"entries sum to {total!r}, not 1")
 
 
 def marginalize(grid: DensityGrid, keep: Iterable[str]) -> DensityGrid:
-    """Sum out every axis not named in ``keep``; original axis order kept."""
+    """Sum out every axis not named in ``keep``; original axis order kept.
+
+    Reads only the support cells: keyed by their kept bins, the cells
+    that land on one key are summed in ascending order of their flat
+    index, so masses can differ from a sum over the dense table in the
+    last bits.  A cell whose summands cancel to exactly 0 is off the
+    support.  Keeping every axis returns ``grid`` itself.
+    """
     kept = _kept(grid, keep)
-    drop = tuple(i for i in range(len(grid.axes)) if i not in kept)
-    table = grid.prob.sum(axis=drop) if drop else grid.prob
-    return DensityGrid(tuple(grid.axes[i] for i in kept), table)
+    if len(kept) == len(grid.axes):
+        return grid
+    index, mass, _ = _keyed_support(grid, [(p,) for p in kept])
+    return _from_support(tuple(grid.axes[i] for i in kept), index, mass)
 
 
 def _kept(grid: DensityGrid, keep: Iterable[str]) -> tuple[int, ...]:

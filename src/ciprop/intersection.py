@@ -59,6 +59,7 @@ from .grids import (
     DensityGrid,
     _bins,
     _ci_residuals,
+    _from_support,
     _groups,
     _keyed_support,
     _roles,
@@ -140,11 +141,10 @@ def _classes(
     summed mass is, as in the CI residuals.
     """
     n_a, n_b = (grid.axes[p].size for p in ab_pos)
-    c_start, c_run = _runs(keys // (n_a * n_b))
-    keep = (mass > 0) & (np.add.reduceat(mass, c_start) > 0)[c_run]
+    keep = _positive(keys, mass, n_a * n_b)
     if not keep.all():  # a table with negative entries
         keys = keys[keep]
-        c_start, c_run = _runs(keys // (n_a * n_b))
+    c_start, c_run = _runs(keys // (n_a * n_b))
     if keys.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
     c_keys = keys[c_start] // (n_a * n_b)
@@ -155,6 +155,13 @@ def _classes(
         c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
     )
     return dict(zip(map(tuple, cells.T.tolist()), stack))
+
+
+def _positive(keys: np.ndarray, mass: np.ndarray, width: int) -> np.ndarray:
+    """Which keyed cells count: those of mass > 0 in a conditioning cell
+    (``key // width``) of summed mass > 0."""
+    c_start, c_run = _runs(keys // width)
+    return (mass > 0) & (np.add.reduceat(mass, c_start) > 0)[c_run]
 
 
 def _verdict(
@@ -252,7 +259,8 @@ def _weak_residuals(
     cell of the (c, a, b, x) marginal gets the class of its (c, a).  An
     on-class (a, b) cell without mass at x has residual
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
-    class has (a, b) cells adds ``mixture(x)``.
+    class has (a, b) cells adds ``mixture(x)``.  As in the classes, only
+    the (a, b) cells of mass > 0 in conditioning cells of mass > 0 count.
     """
     x_pos, _, c_pos = _roles(grid, x, (a, b), cond_names)
     ia, ib = grid.axis_index(a), grid.axis_index(b)
@@ -261,6 +269,11 @@ def _weak_residuals(
     )
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
+    keep = _positive(keys[cell_start] // n_x, m_cell, n_a * n_b)[cell_run]
+    if not keep.all():  # a table with negative entries: the cells of the classes
+        keys, mass = keys[keep], mass[keep]
+        cell_start, cell_run = _runs(keys // n_x)
+        m_cell = np.add.reduceat(mass, cell_start)
     assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x, m_cell)
     c_start, c_run = _runs(keys // (n_a * n_b * n_x))
     c_shape = [grid.axes[p].size for p in c_pos]
@@ -351,12 +364,16 @@ def _attach(
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
-    out = np.zeros((values.size,) + base.prob.shape)
-    masses = base._support[1]
-    for offset, p_k in zip(pts, probs):
-        x_idx = np.searchsorted(values, np.round(levels + offset, 9))
-        out[(x_idx, *coords)] += masses * p_k
-    result = DensityGrid((x_axis, *base.axes), out)
+    # the new axis comes first, so a cell's flat index is x-bin * base size
+    # + its flat index in base; each offset adds every support cell once,
+    # and a cell adds the offsets that land on it in their order
+    index, masses = base._support
+    x_bins = [np.searchsorted(values, np.round(levels + offset, 9)) for offset in pts]
+    flat = np.concatenate([x * base.prob.size + index for x in x_bins])
+    weights = np.concatenate([masses * p_k for p_k in probs])
+    cells, inverse = np.unique(flat, return_inverse=True)
+    mass = np.bincount(inverse, weights=weights, minlength=cells.size)
+    result = _from_support((x_axis, *base.axes), cells, mass)
     validate(result)
     return result
 

@@ -47,6 +47,7 @@ from .grids import (
     MAX_GRID_CELLS,
     Axis,
     DensityGrid,
+    _from_support,
     _keyed_support,
     _kept,
     marginalize,
@@ -340,9 +341,23 @@ def propagate(sem: SemSpec) -> DensityGrid:
     ``MAX_GRID_CELLS``; both are checked before any allocation); node
     values are computed on raw parent values in topological order and
     snapped to output bins only for mass accumulation and table lookups.
-    Output axes are ordered alphabetically by node name.  Accumulation
-    order is fixed, so results are bit-reproducible.
+    Output axes are ordered alphabetically by node name.  One sort merges
+    the configurations that land on one cell, and each cell adds their
+    probabilities in enumeration order, the order of an accumulation
+    over the dense table, so results are bit-reproducible.  The grid is
+    built from these support cells, without a pass over its table.
     """
+    axes, flat_index, weights = _configurations(sem)
+    index, inverse = np.unique(flat_index, return_inverse=True)
+    mass = np.bincount(inverse, weights=weights, minlength=index.size)
+    grid = _from_support(axes, index, mass)
+    validate(grid)
+    return grid
+
+
+def _configurations(sem: SemSpec) -> tuple[tuple[Axis, ...], np.ndarray, np.ndarray]:
+    """The output axes, and the flat output cell and the probability of
+    every joint noise configuration, in enumeration order."""
     order = topological_order(sem.dag)
     sizes = [len(sem.noises[n].points) for n in order]
     total = math.prod(sizes)
@@ -380,16 +395,11 @@ def propagate(sem: SemSpec) -> DensityGrid:
         bins[node] = _snap(sem.axes[node], value, node)
 
     flat_bins = [np.broadcast_to(bins[n], full).ravel() for n in alpha]
-    flat_index = np.ravel_multi_index(tuple(flat_bins), dims)
-    mass = np.bincount(
-        flat_index,
-        weights=np.broadcast_to(weights, full).ravel(),
-        minlength=cells,
+    return (
+        tuple(sem.axes[n] for n in alpha),
+        np.ravel_multi_index(tuple(flat_bins), dims),
+        np.broadcast_to(weights, full).ravel(),
     )
-    # handed over flat: the grid takes the array as it is, without a copy
-    grid = DensityGrid(tuple(sem.axes[n] for n in alpha), mass)
-    validate(grid)
-    return grid
 
 
 def _lattice(lo: float, hi: float, step: float) -> tuple[float, ...]:

@@ -7,10 +7,11 @@ mass maps index tuples to floats.
 
 The last group works on package grids: the axis flattening that grouped
 roles are checked against, the per-bin and per-cell loops that the
-package replaced with array code, and the CI residuals, classes and
-weak-form residuals over every bin of the full grid.  The package sums
-the residuals over the support cells and the classes over the occupied
-bins; these dense sums are kept as references for those paths.
+package replaced with array code, the pushforward and the marginals
+accumulated over the whole dense table, and the CI residuals, classes and
+weak-form residuals over every bin of the full grid.  The package builds
+its grids and sums the residuals and the classes over the support cells;
+these dense sums are kept as references for those paths.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from ciprop import (
     OverlappingRoles,
     ShapeMismatch,
     ZeroMassCondition,
-    marginalize,
     non_descendants,
     validate,
 )
+from ciprop.sem import _configurations
 from ciprop.topology import _class_assignments
 
 
@@ -277,6 +278,27 @@ def flatten_axes(grid, names, new_name):
     return DensityGrid(axes, table.reshape(shape))
 
 
+def propagate_reference(sem):
+    """The pushforward accumulated over the dense table of the output grid.
+
+    One ``bincount`` over every cell of the grid adds the probabilities of
+    the noise configurations that land on a cell in enumeration order.
+    """
+    axes, flat_index, weights = _configurations(sem)
+    cells = int(np.prod([ax.size for ax in axes]))
+    table = np.bincount(flat_index, weights=weights, minlength=cells)
+    grid = DensityGrid(axes, table)
+    validate(grid)
+    return grid
+
+
+def marginalize_reference(grid, keep):
+    """The marginal on ``keep`` summed over the dense table."""
+    kept = [i for i, name in enumerate(grid.axis_names) if name in set(keep)]
+    drop = tuple(i for i in range(len(grid.axes)) if i not in kept)
+    return DensityGrid(tuple(grid.axes[i] for i in kept), grid.prob.sum(axis=drop))
+
+
 def non_constancy_reference(sem, node, parent, grid):
     """Prop 4 witness search, one group and one parent bin at a time.
 
@@ -304,7 +326,8 @@ def non_constancy_reference(sem, node, parent, grid):
         for cset in combinations(candidates, size)
     ]
     for cset in cond_sets:
-        marg = marginalize(grid, (parent,) + tuple(dict.fromkeys(others + cset)))
+        keep = (parent,) + tuple(dict.fromkeys(others + cset))
+        marg = marginalize_reference(grid, keep)
         j_pos = marg.axis_index(parent)
         group_axes = [i for i in range(len(marg.axes)) if i != j_pos]
         found = None
@@ -375,7 +398,7 @@ def ci_reference(grid, x, a, cond=()):
     a_names = (a,) if isinstance(a, str) else tuple(a)
     c_names = tuple(cond)
     roles = (*x_names, *a_names, *c_names)
-    sub = marginalize(grid, roles) if set(roles) != set(grid.axis_names) else grid
+    sub = marginalize_reference(grid, roles)
     x_ord = tuple(n for n in sub.axis_names if n in x_names)
     a_ord = tuple(n for n in sub.axis_names if n in a_names)
     c_ord = tuple(n for n in sub.axis_names if n in c_names)
@@ -443,7 +466,7 @@ def _dense_by_c(grid, axes, cond):
     Returns the table with the conditioning axes first (in grid order) and
     the positive-mass conditioning cells in row-major order.
     """
-    sub = marginalize(grid, (*axes, *cond))
+    sub = marginalize_reference(grid, (*axes, *cond))
     c_ord = tuple(n for n in sub.axis_names if n in cond)
     table = np.transpose(sub.prob, [sub.axis_index(n) for n in (*c_ord, *axes)])
     positive = table.sum(axis=tuple(range(len(c_ord), table.ndim))) > 0

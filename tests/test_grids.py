@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import ciprop.grids as grids_module
 from ciprop import (
     Axis,
     BudgetExceeded,
@@ -20,6 +21,7 @@ from ciprop import (
     ShapeMismatch,
     UnknownAxis,
     ZeroMassCondition,
+    attach_class_variable,
     classes_per_c,
     condition,
     construct_adversary,
@@ -28,9 +30,13 @@ from ciprop import (
     grid_to_json,
     intersection_condition,
     is_ci,
+    joint_support_components,
     marginalize,
+    non_constancy_check,
     propagate,
     validate,
+    verify_intersection,
+    verify_weak_intersection,
 )
 
 import layouts
@@ -657,3 +663,104 @@ def test_a_cell_whose_entries_cancel_is_skipped():
     report, _, _ = check_kernel(g, "X", "A", ("C",), 1e-15)
     assert report.witness[2] == (0,)
 
+
+# -- grids built from their support cells -------------------------------------
+
+
+def check_holds_its_support(grid):
+    """The grid was handed the support cells that a scan of its table finds."""
+    assert "_support" in grid.__dict__
+    index, mass = grid._support
+    scanned = grids_module._support_index(grid)
+    assert index.dtype == scanned.dtype and np.array_equal(index, scanned)
+    assert mass.tobytes() == grid.prob.ravel()[scanned].tobytes()
+
+
+def test_marginals_match_the_dense_sums():
+    rng = np.random.default_rng(17)
+    names_sizes = [("A", 4), ("B", 5), ("C", 3), ("D", 4)]
+    for _ in range(6):
+        g = layouts.gapped_grid(rng, names_sizes)
+        for size in range(1, len(names_sizes) + 1):
+            for keep in combinations(g.axis_names, size):
+                m = marginalize(g, keep)
+                ref = oracles.marginalize_reference(g, keep)
+                assert m.axes == ref.axes
+                assert np.array_equal(m._support[0], np.flatnonzero(ref.prob))
+                assert np.abs(m.prob - ref.prob).max() <= 1e-15
+
+
+def test_a_marginal_cell_that_cancels_is_off_the_support():
+    # (A=0, C=1) holds +0.125 and -0.125, which sum to exactly 0 over B
+    table = np.zeros((2, 2, 2))
+    table[:, :, 0] = [[0.25, 0.5], [0.25, 0.0]]
+    table[0, 0, 1], table[0, 1, 1] = 0.125, -0.125
+    g = make_grid([("A", 2), ("B", 2), ("C", 2)], table)
+    m = marginalize(g, ("A", "C"))
+    ref = oracles.marginalize_reference(g, ("A", "C"))
+    assert m.prob[0, 1] == ref.prob[0, 1] == 0.0
+    assert np.array_equal(m._support[0], [0, 2])
+    assert np.array_equal(m._support[0], np.flatnonzero(ref.prob))
+    assert np.abs(m.prob - ref.prob).max() <= 1e-15
+    check_holds_its_support(m)
+
+
+def test_built_grids_hold_the_support_of_their_table():
+    grid = propagate(example1(0.1))
+    built = [grid, marginalize(grid, ("A", "B")), marginalize(grid, ("X",))]
+    built.append(construct_adversary(built[1]))
+    rng = np.random.default_rng(59)
+    for _ in range(4):
+        g = layouts.sliced_grid(rng)
+        built.append(marginalize(g, ("A", "B", "C1")))
+        if not intersection_condition(g, "A", "B", ("C1", "C2")).holds:
+            built.append(construct_adversary(g))
+    # the zero-probability offset adds no cells
+    base = layouts.mask_grid_uniform(layouts.two_block_mask())
+    def level(c_cell, uc):
+        return float(uc)
+
+    built.append(attach_class_variable(base, level, (-0.5, 0.0, 0.5), (0.5, 0.0, 0.5)))
+    assert len(built) >= 10
+    for g in built:
+        check_holds_its_support(g)
+
+
+def test_from_support_refuses_non_finite_masses_and_huge_grids(monkeypatch):
+    axes = tuple(Axis(n, (0.0, 1.0)) for n in "AB")
+    with pytest.raises(NotNormalized, match=r"entry \(1, 0\) is nan"):
+        grids_module._from_support(axes, np.array([0, 2]), np.array([0.5, np.nan]))
+    g = grids_module._from_support(axes, np.array([0, 3]), np.array([1.0, 0.0]))
+    assert np.array_equal(g._support[0], [0])
+    monkeypatch.setattr(grids_module, "MAX_GRID_CELLS", 3)
+    with pytest.raises(BudgetExceeded, match="exceeds the limit 3"):
+        grids_module._from_support(axes, np.array([0]), np.array([1.0]))
+
+
+def test_queries_on_built_grids_never_scan_their_table(monkeypatch):
+    scans = []
+    scan = grids_module._support_index
+
+    def counted(grid):
+        scans.append(grid)
+        return scan(grid)
+
+    monkeypatch.setattr(grids_module, "_support_index", counted)
+    sem = example1(0.1)
+    grid = propagate(sem)
+    intersection_condition(grid, "A", "B", ("X",))
+    intersection_condition(grid, "A", "B", ())
+    for x, a, cond in (("X", "A", ("B",)), ("X", "B", ("A",)), ("X", ("A", "B"), ())):
+        is_ci(grid, x, a, cond)
+    verify_weak_intersection(grid, "X", "A", "B")
+    joint_support_components(grid)
+    joint_support_components(grid, ("A", "B"))
+    non_constancy_check(sem, "X", "B", grid)
+    adversary = construct_adversary(marginalize(grid, ("A", "B")))
+    verify_intersection(adversary, "X", "A", "B", ())
+    assert scans == []
+    # a grid built from a dense table scans once, and its first query reuses it
+    dense = DensityGrid(grid.axes, grid.prob.copy())
+    validate(dense)
+    is_ci(dense, "X", "A", ("B",))
+    assert scans == [dense]

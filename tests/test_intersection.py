@@ -7,10 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ciprop.grids as grids_module
 import ciprop.intersection as intersection_module
 from ciprop import (
     AdversaryCheckFailed,
     Axis,
+    BudgetExceeded,
     DensityGrid,
     PremiseViolated,
     ShapeMismatch,
@@ -316,6 +318,19 @@ def test_weak_form_survives_on_mixture_grids():
         }
 
 
+def test_weak_form_skips_a_conditioning_cell_whose_entries_cancel():
+    # C=1 holds +0.1 and -0.1: nonzero cells but no mass, so, as in the
+    # premises and the classes, no conditioning cell (a table that validate
+    # refuses, built in code)
+    table = np.zeros((2, 2, 2, 2))
+    table[..., 0] = 1 / 8
+    table[0, 0, 0, 1], table[1, 1, 1, 1] = 0.1, -0.1
+    g = DensityGrid(tuple(index_axis(n, 2) for n in "XABC"), table)
+    report = verify_weak_intersection(g, "X", "A", "B")
+    assert report.holds
+    assert report.per_class == {((0,), 1): 0.0}
+
+
 def test_weak_form_requires_the_premises():
     table = np.zeros((2, 2, 2))
     for a in range(2):
@@ -525,6 +540,18 @@ def test_adversary_on_a_tiny_conditioning_cell():
     assert max(report.premise_xa.deviation, report.premise_xb.deviation) <= 1e-9
     assert report.conclusion.witness[2] == (1,)
     assert is_ci(adv, "X", "B", ("C",)).pointwise_deviation >= 0.1 * (1.0 - 1e-9)
+
+
+def test_adversary_refuses_an_output_over_the_grid_budget(monkeypatch):
+    base = mask_grid(layouts.two_block_mask())
+    # below either output, which adds an X axis to the base
+    monkeypatch.setattr(grids_module, "MAX_GRID_CELLS", base.prob.size)
+    with pytest.raises(BudgetExceeded, match="exceeds the limit"):
+        construct_adversary(base)
+    with pytest.raises(BudgetExceeded, match="exceeds the limit"):
+        attach_class_variable(base, lambda c_cell, uc: float(uc), (-0.1, 0.1))
+    monkeypatch.setattr(grids_module, "MAX_GRID_CELLS", 10 * base.prob.size)
+    assert construct_adversary(base).prob.size == 10 * base.prob.size
 
 
 def test_adversary_is_deterministic():
