@@ -22,7 +22,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CipropError, IndexOutOfRange, ZeroMassCondition
 from .grids import (
@@ -36,7 +37,6 @@ from .grids import (
     save_grid,
 )
 from .intersection import (
-    IntersectionVerdict,
     _adversary,
     _verdict,
     classes_per_c,
@@ -54,7 +54,7 @@ from .sem import (
     propagate,
     save_sem,
 )
-from .topology import UcAssignment, label_support_nd, render_labels
+from .topology import UcAssignment, _components, label_support_nd, render_labels
 
 
 class _UsageError(Exception):
@@ -80,18 +80,15 @@ def _parse_fixed(pairs: list[str] | None) -> dict[str, int]:
 
 
 def _runs(bins: tuple[int, ...]) -> str:
+    """Ascending bins as runs, (0, 1, 2, 5) as '0-2,5'; no bins as '-'."""
     if not bins:
         return "-"
-    parts = []
-    start = prev = bins[0]
-    for b in bins[1:]:
-        if b == prev + 1:
-            prev = b
-            continue
-        parts.append(f"{start}-{prev}" if prev > start else f"{start}")
-        start = prev = b
-    parts.append(f"{start}-{prev}" if prev > start else f"{start}")
-    return ",".join(parts)
+    cuts = [k for k in range(1, len(bins)) if bins[k] != bins[k - 1] + 1]
+    spans = zip([0, *cuts], [*cuts, len(bins)])
+    return ",".join(
+        f"{bins[lo]}-{bins[hi - 1]}" if hi - lo > 1 else f"{bins[lo]}"
+        for lo, hi in spans
+    )
 
 
 def _cell_name(cell: tuple[int, ...]) -> str:
@@ -138,7 +135,7 @@ def _classes_by_cell(
 ) -> dict[tuple[int, ...], UcAssignment]:
     """Classes of every positive conditioning cell, or of the ``--c`` slice.
 
-    Each slice's support is the set of its cells with ``uc > 0``.
+    Each slice's support is the set of its cells of positive mass.
     """
     fixed = _parse_fixed(args.c)
     cond = tuple(fixed) or _cond_axes(grid, args.a, args.b, args.x)
@@ -157,10 +154,23 @@ def _classes_by_cell(
     return {cell: assignments[cell]}
 
 
+def _component_counts(assignments: dict[tuple[int, ...], UcAssignment]) -> list[int]:
+    """Each slice's count of support components, by one labelling of the
+    slices stacked along A with an empty row after each, so that no face
+    joins two; the largest label up to a slice's last cell counts so far."""
+    slices = list(assignments.values())
+    n_a, n_b = slices[0]._shape
+    stride = (n_a + 1) * n_b
+    cells = np.concatenate([asg._cells + k * stride for k, asg in enumerate(slices)])
+    labels = _components(cells, (len(slices) * (n_a + 1), n_b))[0]
+    last = np.cumsum([asg._cells.size for asg in slices]) - 1
+    return np.diff(np.maximum.accumulate(labels)[last], prepend=0).tolist()
+
+
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     for cell, assignment in _classes_by_cell(args, grid).items():
-        labels, count = label_support_nd(assignment.uc > 0)
+        labels, count = label_support_nd(assignment._uc() > 0)
         print(f"c-cell {_cell_name(cell)}: components={count}")
         print(render_labels(labels))
     return 0
@@ -168,9 +178,10 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
+    assignments = _classes_by_cell(args, grid)
+    counts = _component_counts(assignments)
     single_class = True
-    for cell, assignment in _classes_by_cell(args, grid).items():
-        count = label_support_nd(assignment.uc > 0)[1]
+    for (cell, assignment), count in zip(assignments.items(), counts):
         single_class = single_class and assignment.class_count <= 1
         print(
             f"c-cell {_cell_name(cell)}: components={count} "
@@ -181,7 +192,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
                 f"  class {cls}: {args.a} bins {_runs(assignment.proj_a[cls])} "
                 f"| {args.b} bins {_runs(assignment.proj_b[cls])}"
             )
-        print(render_labels(assignment.uc))
+        print(render_labels(assignment._uc()))
     return _finish(args, single_class)
 
 
@@ -283,63 +294,35 @@ def _cmd_sem_prop4(args: argparse.Namespace) -> int:
     return _finish(args, report.holds)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Aggregated single-grid analysis for the ``report`` subcommand."""
-
-    digest: str
-    axes: tuple[str, ...]
-    per_c: dict[tuple[int, ...], tuple[int, int]]
-    ci_rows: tuple[tuple[str, CiReport], ...]
-    verdict: IntersectionVerdict
-    elapsed: float | None
-
-    def render(self) -> str:
-        lines = [f"input sha256: {self.digest}", f"axes: {', '.join(self.axes)}"]
-        for cell in sorted(self.per_c):
-            comp, cls = self.per_c[cell]
-            lines.append(
-                f"c-cell {_cell_name(cell)}: components={comp} classes={cls}"
-            )
-        lines.extend(_ci_line(label, rep) for label, rep in self.ci_rows)
-        lines.append(f"intersection: {'HOLDS' if self.verdict.holds else 'FAILS'}")
-        if self.elapsed is not None:
-            lines.append(f"wall clock: {self.elapsed:.3f}s")
-        return "\n".join(lines)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     # one read: the digest names the bytes that are analysed
     with open(args.grid, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()[:16]
     grid = grid_from_json(data.decode("utf-8"))
     cond = _cond_axes(grid, args.a, args.b, args.x)
     assignments = classes_per_c(grid, args.a, args.b, cond)
-    per_c = {
-        cell: (label_support_nd(asg.uc > 0)[1], asg.class_count)
-        for cell, asg in assignments.items()
-    }
-    ci_rows: list[tuple[str, CiReport]] = []
+    counts = _component_counts(assignments)
+    lines = [
+        f"input sha256: {hashlib.sha256(data).hexdigest()[:16]}",
+        f"axes: {', '.join(f'{ax.name}({ax.size})' for ax in grid.axes)}",
+        *(
+            f"c-cell {_cell_name(cell)}: components={n} classes={asg.class_count}"
+            for (cell, asg), n in zip(assignments.items(), counts)
+        ),
+    ]
     if args.x in grid.axis_names:
         checks = verify_intersection(grid, args.x, args.a, args.b, cond, args.tol)
-        ci_rows = [
-            (f"{args.x} _||_ {args.a} | {args.b}", checks.premise_xa),
-            (f"{args.x} _||_ {args.b} | {args.a}", checks.premise_xb),
-            (f"{args.x} _||_ ({args.a},{args.b})", checks.conclusion),
+        lines += [
+            _ci_line(f"{args.x} _||_ {args.a} | {args.b}", checks.premise_xa),
+            _ci_line(f"{args.x} _||_ {args.b} | {args.a}", checks.premise_xb),
+            _ci_line(f"{args.x} _||_ ({args.a},{args.b})", checks.conclusion),
         ]
     verdict = _verdict(assignments)
-    elapsed = None if args.deterministic else time.perf_counter() - started
-    report = AnalysisReport(
-        digest=digest,
-        axes=tuple(f"{ax.name}({ax.size})" for ax in grid.axes),
-        per_c=per_c,
-        ci_rows=tuple(ci_rows),
-        verdict=verdict,
-        elapsed=elapsed,
-    )
-    print(report.render())
+    lines.append(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
+    if not args.deterministic:
+        lines.append(f"wall clock: {time.perf_counter() - started:.3f}s")
+    print("\n".join(lines))
     return _finish(args, verdict.holds)
 
 

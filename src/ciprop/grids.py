@@ -157,12 +157,9 @@ class DensityGrid:
     @cached_property
     def _coords(self) -> tuple[np.ndarray, ...]:
         """Per axis, the bin of every support cell, in the narrowest unsigned type."""
-        return tuple(
-            bins.astype(np.min_scalar_type(ax.size - 1))
-            for bins, ax in zip(
-                np.unravel_index(self._support[0], self.prob.shape), self.axes
-            )
-        )
+        shape = [ax.size for ax in self.axes]
+        bins = np.unravel_index(self._support[0], shape)
+        return tuple(b.astype(np.min_scalar_type(n - 1)) for b, n in zip(bins, shape))
 
     # -- axis lookup ----------------------------------------------------
 
@@ -267,8 +264,9 @@ def validate(grid: DensityGrid) -> None:
     """
     index, mass = grid._support
     if mass.size and float(mass.min()) < 0.0:
-        idx = np.unravel_index(int(index[np.argmin(mass)]), grid.prob.shape)
-        raise NegativeMass(f"entry {idx} is {grid.prob[idx]!r}")
+        k = int(np.argmin(mass))
+        idx = np.unravel_index(int(index[k]), [ax.size for ax in grid.axes])
+        raise NegativeMass(f"entry {idx} is {mass[k]!r}")
     total = float(mass.sum())
     if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalized(f"entries sum to {total!r}, not 1")
@@ -471,7 +469,7 @@ def _ci_residuals(
     box = np.multiply.outer(px[row_c == k], pa[a_lo : a_lo + c_cols[k]])
     box[row_run[at] - r_lo, col_run[at] - a_lo] = resid[at]
     i, j = divmod(int(np.argmax(box)), box.shape[1])
-    shape = grid.prob.shape
+    shape = [ax.size for ax in grid.axes]
     if box[i, j] > 0:
         x_key = int(keys[row_start[r_lo + i]]) // n_a % n_x
         x_idx = _bins(x_key, [shape[p] for p in x_pos])

@@ -13,8 +13,10 @@ cell, or a conditioning cell, counts when its mass is positive.
 :func:`classes_per_c` keys the grid's support cells by (c, a, b), merging
 the cells that the summed-out axes put on one key, and finds the classes
 of every conditioning cell in one call to the kernel of
-:mod:`ciprop.topology`.  :func:`verify_weak_intersection` reads the same
-support cells keyed by (c, a, b, x) and takes its classes from them.
+:mod:`ciprop.topology`, which keeps the class of each a-bin per c-cell.
+:func:`verify_weak_intersection` reads the same support cells keyed by
+(c, a, b, x), and it and the adversary give each support cell its class
+by one gather through its (c-cell, a-bin).
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -33,9 +35,8 @@ exactly, while the two well-separated X-bands tied to distinct classes
 break the conclusion by at least ``max(w, 1-w) / 5 >= 0.1`` in the
 pointwise conditional residual, where ``w`` is the class-1 mass of the
 target slice.  These guarantees are checked on every constructed grid;
-a miss raises :class:`AdversaryCheckFailed`.  The new variable is laid
-out with array operations: ``g`` is called once per (c-cell, class), and
-one gather reads the level of every support cell.
+a miss raises :class:`AdversaryCheckFailed`.  ``g`` is called once per
+(c-cell, class).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
-    _bins,
     _ci_residuals,
     _from_support,
     _groups,
@@ -275,32 +275,32 @@ def _weak_residuals(
         cell_start, cell_run = _runs(keys // n_x)
         m_cell = np.add.reduceat(mass, cell_start)
     assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x, m_cell)
-    c_start, c_run = _runs(keys // (n_a * n_b * n_x))
-    c_shape = [grid.axes[p].size for p in c_pos]
-    cells = [_bins(int(k), c_shape) for k in keys[c_start] // (n_a * n_b * n_x)]
-    counts = [assignments[cell].class_count for cell in cells]
-    offsets = np.cumsum([0, *counts])
-    # group (c-cell, class) of each (c-cell, a-bin) on the support
-    group_of_a = np.zeros((len(cells), n_a), dtype=np.intp)
-    for k, cell in enumerate(cells):
-        for cls, bins in assignments[cell].proj_a.items():
-            group_of_a[k, list(bins)] = offsets[k] + cls - 1
-    group = group_of_a[c_run, keys // (n_b * n_x) % n_a]
+    groups, group_of = _class_groups(assignments)
+    # the c-cells of the classes are those of the keys, in the same order
+    c_run = _runs(keys // (n_a * n_b * n_x))[1]
+    group = group_of[c_run, keys // (n_b * n_x) % n_a]
     rows, row_run, m_row = _groups(group * n_x + keys % n_x, mass)
     row_group = rows // n_x
     g_start = _runs(row_group)[0]
     mixture = m_row / np.add.reduceat(m_row, g_start)[row_group]
     laws = mass / m_cell[cell_run]
-    worst = np.zeros(offsets[-1])
+    worst = np.zeros(len(groups))
     np.maximum.at(worst, group, np.abs(laws - mixture[row_run]))
     on_class = np.bincount(group[cell_start], minlength=worst.size)
     short = np.bincount(row_run) < on_class[row_group]
     np.maximum.at(worst, row_group[short], mixture[short])
-    return {
-        (cell, cls): float(worst[offsets[k] + cls - 1])
-        for k, cell in enumerate(cells)
-        for cls in range(1, counts[k] + 1)
-    }
+    return dict(zip(groups, worst.tolist()))
+
+
+def _class_groups(
+    assignments: Mapping[tuple[int, ...], UcAssignment],
+) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray]:
+    """Every (c-cell, class) group in order, and the group of each (c-cell
+    number, a-bin) on the support, as its index in that order."""
+    counts = [asg.class_count for asg in assignments.values()]
+    groups = [(cell, c + 1) for cell, n in zip(assignments, counts) for c in range(n)]
+    class_of_a = np.stack([asg._class_of_a for asg in assignments.values()])
+    return groups, np.cumsum([-1, *counts[:-1]])[:, None] + class_of_a
 
 
 def attach_class_variable(
@@ -350,26 +350,27 @@ def _attach(
         probs = np.asarray(noise_probs, dtype=float)
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
-    cond_names = _cond_names(base, (a, b), None)
-    pos = [base.axis_index(n) for n in (*cond_names, a, b)]
-
-    # level of every (c-cell, a-bin, b-bin): the c-cell's table of class
-    # levels indexed by its uc (class 0, off support, is never read)
-    by_cell = np.zeros(tuple(base.prob.shape[p] for p in pos))
-    for c_cell, asg in assignments.items():
-        table = [0.0] + [float(g(c_cell, cls)) for cls in range(1, asg.class_count + 1)]
-        by_cell[c_cell] = np.asarray(table)[asg.uc]
-    coords = base._coords
-    levels = by_cell[tuple(coords[p] for p in pos)]
+    c_pos = [base.axis_index(n) for n in _cond_names(base, (a, b), None)]
+    c_shape = [base.axes[p].size for p in c_pos]
+    coords, (index, masses) = base._coords, base._support
+    groups, group_of = _class_groups(assignments)
+    level = np.array([float(g(cell, cls)) for cell, cls in groups])
+    # each support cell's c-cell (all keys 0 without conditioning axes);
+    # cells off the classes (mass <= 0, or c-cell mass <= 0) get level 0.0
+    c_keys = np.atleast_1d(np.ravel_multi_index(np.array(list(assignments)).T, c_shape))
+    c_flat = np.ravel_multi_index(tuple(coords[p] for p in c_pos), c_shape)
+    c_run = np.minimum(np.searchsorted(c_keys, c_flat), c_keys.size - 1)
+    on = (masses > 0) & (c_keys[c_run] == c_flat)
+    levels = np.where(on, level[group_of[c_run, coords[base.axis_index(a)]]], 0.0)
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
     # the new axis comes first, so a cell's flat index is x-bin * base size
     # + its flat index in base; each offset adds every support cell once,
     # and a cell adds the offsets that land on it in their order
-    index, masses = base._support
     x_bins = [np.searchsorted(values, np.round(levels + offset, 9)) for offset in pts]
-    flat = np.concatenate([x * base.prob.size + index for x in x_bins])
+    size = int(np.prod([ax.size for ax in base.axes]))
+    flat = np.concatenate([x * size + index for x in x_bins])
     weights = np.concatenate([masses * p_k for p_k in probs])
     cells, inverse = np.unique(flat, return_inverse=True)
     mass = np.bincount(inverse, weights=weights, minlength=cells.size)

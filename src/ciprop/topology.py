@@ -22,13 +22,15 @@ The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
 off-support cells.  Projections of distinct classes are disjoint on both
 axes, so on-support ``uc`` is simultaneously a function of the A bin alone
-and of the B bin alone.
+and of the B bin alone.  So a slice keeps the class of each A bin, which
+callers gather, and derives the dense ``uc`` table on demand.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,21 +43,32 @@ _CHARSET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 class UcAssignment:
     """Equivalence classes of components and the derived cell variable.
 
-    ``uc`` holds class index i >= 1 on cells of class i and 0 off support;
-    classes are numbered by their first cell in row-major order.
+    Classes are numbered by their first cell in row-major order.
     ``proj_a`` / ``proj_b`` give each class's occupied bins per axis; the
-    sets are pairwise disjoint across classes on both axes.
+    sets are pairwise disjoint across classes on both axes.  The slice's
+    support cells are ``_cells``, as flat indices ``a * nB + b``, and
+    ``_class_of_a`` is the class of each A bin, 0 off support.  ``uc``,
+    built on first read, holds class i on cells of class i, 0 off support.
     """
 
-    uc: np.ndarray
     class_count: int
     proj_a: Mapping[int, tuple[int, ...]]
     proj_b: Mapping[int, tuple[int, ...]]
+    _shape: tuple[int, int]
+    _cells: np.ndarray
+    _class_of_a: np.ndarray
 
-    def __post_init__(self) -> None:
-        uc = np.ascontiguousarray(np.asarray(self.uc, dtype=np.int64))
+    def _uc(self) -> np.ndarray:
+        """A new ``uc`` table, for a caller that drops it after use."""
+        uc = np.zeros(self._shape, dtype=np.int64)
+        uc.flat[self._cells] = self._class_of_a[self._cells // self._shape[1]]
+        return uc
+
+    @cached_property
+    def uc(self) -> np.ndarray:
+        uc = self._uc()
         uc.flags.writeable = False
-        object.__setattr__(self, "uc", uc)
+        return uc
 
 
 def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,44 +131,53 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
     return labels.reshape(support.shape), count
 
 
-def _bins_of(classes: np.ndarray, count: int) -> dict[int, tuple[int, ...]]:
-    return {
-        cls: tuple(np.flatnonzero(classes == cls).tolist())
-        for cls in range(1, count + 1)
-    }
-
-
 def _class_assignments(
     k: np.ndarray, i: np.ndarray, j: np.ndarray, n_c: int, shape: tuple[int, int]
 ) -> list[UcAssignment]:
     """Coordinate-wise classes of the (A, B) supports of ``n_c`` slices.
 
     Support cell m of slice ``k[m]`` sits at A bin ``i[m]`` and B bin
-    ``j[m]`` of a lattice of ``shape``; every slice holds at least one.
-    All slices go through one kernel call.  Slice k owns the nodes
-    ``k * (nA + nB) + i`` for its A bins and ``k * (nA + nB) + nA + j`` for
-    its B bins, and its support cells are the edges.  A class's root is
-    its smallest A bin, which holds the class's first row-major cell, so
-    ranking the roots of a slice numbers its classes by first cell.
+    ``j[m]`` of a lattice of ``shape``; the cells come in ascending
+    (k, i, j) order and every slice holds at least one.  All slices go
+    through one kernel call.  Slice k owns the nodes ``k * (nA + nB) + i``
+    for its A bins and ``k * (nA + nB) + nA + j`` for its B bins, and its
+    support cells are the edges.  A class's root is its smallest A bin,
+    which holds the class's first row-major cell, so ranking the roots of
+    a slice numbers its classes by first cell.
     """
     n_a, n_b = shape
     width = n_a + n_b
     roots = _roots(n_c * width, k * width + i, k * width + n_a + j)
-    roots = roots.reshape(n_c, width) - np.arange(n_c)[:, None] * width
-    rows = np.zeros((n_c, n_a), dtype=bool)
-    rows[k, i] = True
-    cols = np.zeros((n_c, n_b), dtype=bool)
-    cols[k, j] = True
-    root_a = np.where(rows, roots[:, :n_a], 0)
-    root_b = np.where(cols, roots[:, n_a:], 0)
-    rank = np.cumsum(rows & (root_a == np.arange(n_a)), axis=1)
-    cls_a = np.where(rows, np.take_along_axis(rank, root_a, axis=1), 0)
-    cls_b = np.where(cols, np.take_along_axis(rank, root_b, axis=1), 0)
-    uc = np.zeros((n_c, n_a, n_b), dtype=cls_a.dtype)
-    uc[k, i, j] = cls_a[k, i]
+    root = roots[k * width + i] - k * width  # each cell's class root, an A bin
+    # the class of each A bin, then of each B bin, of every slice
+    classes = np.zeros((n_c, width), dtype=np.int64)
+    classes[k, root] = 1  # number the roots of a slice by their A bin
+    rank = np.cumsum(classes, axis=1)
+    classes[k, i] = rank[k, root]
+    classes[k, n_a + j] = classes[k, i]
+    counts = rank[:, -1]
+    first = np.cumsum(counts) - counts
+    # projections: one sort of the occupied bins by (class, A bin or nA + B bin)
+    s, col = np.nonzero(classes)
+    keys = np.sort((first[s] + classes[s, col]) * width + col)
+    bins = keys % width - n_a * (keys % width >= n_a)
+    starts = np.arange(1, counts.sum() + 2)[:, None] * width + [0, n_a]
+    cuts, bins = np.searchsorted(keys, starts.ravel()).tolist(), bins.tolist()
+    proj = [tuple(bins[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    proj_a, proj_b = proj[0::2], proj[1::2]
+    cells = np.split(i * n_b + j, np.searchsorted(k, np.arange(1, n_c)))
     return [
-        UcAssignment(uc[s], count, _bins_of(cls_a[s], count), _bins_of(cls_b[s], count))
-        for s, count in enumerate(rank[:, -1].tolist())
+        UcAssignment(
+            count,
+            dict(enumerate(proj_a[lo : lo + count], 1)),
+            dict(enumerate(proj_b[lo : lo + count], 1)),
+            shape,
+            slice_cells,
+            slice_classes[:n_a],
+        )
+        for lo, count, slice_cells, slice_classes in zip(
+            first.tolist(), counts.tolist(), cells, classes
+        )
     ]
 
 
@@ -164,10 +186,6 @@ def render_labels(labels: np.ndarray) -> str:
 
     Rows are A bins from low to high coordinate, columns B bins.
     """
-    labels = np.asarray(labels)
-    rows = []
-    for row in labels:
-        rows.append(
-            "".join("." if v == 0 else _CHARSET[int(v) % 36] for v in row)
-        )
-    return "\n".join(rows)
+    labels = np.asarray(labels, dtype=np.int64)
+    text = np.where(labels == 0, ".", np.array(list(_CHARSET))[labels % 36])
+    return "\n".join("".join(row) for row in text.tolist())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import types
 
 import numpy as np
@@ -18,7 +19,9 @@ from ciprop import (
     SemSpec,
     grid_to_json,
     is_ci,
+    label_support_nd,
     load_grid,
+    render_labels,
     save_grid,
     save_sem,
 )
@@ -221,6 +224,37 @@ def test_components_with_fixed_slice(workdir, capsys):
     assert run(["components", str(grid), "--c", "X=0"]) == 0
     out = capsys.readouterr().out
     assert "c-cell (0): components=1" in out
+
+
+def test_component_counts_of_stacked_slices_match_each_slice(tmp_path, capsys):
+    # C=0 and C=1 hold mass at the same (a, b) = (3, 1); C=0's last A row
+    # and C=1's first A row hold mass in column 1
+    table = np.zeros((4, 4, 3))
+    table[[3, 0, 0], [1, 0, 2], 0] = 1.0
+    table[[0, 3, 1, 2], [1, 1, 3, 3], 1] = 1.0
+    table[[0, 0, 2], [0, 1, 2], 2] = 1.0
+    axes = tuple(Axis(n, tuple(map(float, range(k)))) for n, k in zip("ABC", (4, 4, 3)))
+    grids = [DensityGrid(axes, table / table.sum())]
+    rng = np.random.default_rng(83)
+    grids += [layouts.sliced_grid(rng) for _ in range(3)]
+    for k, grid in enumerate(grids):
+        path = str(tmp_path / f"g{k}.json")
+        save_grid(grid, path)
+        dense = np.moveaxis(grid.prob, (0, 1), (-2, -1))
+        want, counts = [], {}
+        for cell in np.ndindex(dense.shape[:-2]):
+            if dense[cell].sum() > 0:
+                labels, counts[cell] = label_support_nd(dense[cell] > 0)
+                name = ",".join(map(str, cell))
+                want.append(f"c-cell ({name}): components={counts[cell]}")
+                want.append(render_labels(labels))
+        assert run(["components", path]) == 0
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+        for argv in (["classes", path], ["report", path, "--deterministic"]):
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            found = re.findall(r"c-cell \(([\d,]+)\): components=(\d+)", out)
+            assert {tuple(map(int, c.split(","))): int(n) for c, n in found} == counts
 
 
 def test_classes_assert_holds_on_full_support(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ciprop.grids as grids_module
+from ciprop import cli
 from ciprop import (
     Axis,
     BudgetExceeded,
@@ -19,6 +20,7 @@ from ciprop import (
     NotNormalized,
     OverlappingRoles,
     ShapeMismatch,
+    UcAssignment,
     UnknownAxis,
     ZeroMassCondition,
     attach_class_variable,
@@ -34,6 +36,7 @@ from ciprop import (
     marginalize,
     non_constancy_check,
     propagate,
+    save_grid,
     validate,
     verify_intersection,
     verify_weak_intersection,
@@ -764,3 +767,33 @@ def test_queries_on_built_grids_never_scan_their_table(monkeypatch):
     validate(dense)
     is_ci(dense, "X", "A", ("B",))
     assert scans == [dense]
+
+
+def test_queries_on_built_grids_never_build_the_class_table(monkeypatch, tmp_path):
+    builds = []
+    build = UcAssignment.uc.func
+
+    def counted(assignment):
+        builds.append(assignment)
+        return build(assignment)
+
+    monkeypatch.setattr(UcAssignment, "uc", property(counted))
+    grid = propagate(example1(0.1))
+    base = marginalize(grid, ("A", "B"))
+    intersection_condition(grid, "A", "B", ("X",))
+    intersection_condition(grid, "A", "B", ())
+    construct_adversary(base)
+    attach_class_variable(base, lambda c_cell, uc: float(uc), (-0.1, 0.1))
+    verify_weak_intersection(grid, "X", "A", "B")
+    path = str(tmp_path / "grid.json")
+    save_grid(grid, path)
+    for argv in (
+        ["report", path, "--deterministic"],
+        ["classes", path],
+        ["classes", path, "--x", "Y"],
+    ):
+        assert cli.run(argv) == 0
+    assert builds == []
+    assignment = classes_per_c(grid, "A", "B", ())[()]
+    assert assignment.uc.shape == grid.prob.shape[:2]
+    assert builds == [assignment]

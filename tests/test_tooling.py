@@ -53,3 +53,33 @@ def test_public_names():
     )
     assert len(PUBLIC_NAMES) == 60
     assert names == PUBLIC_NAMES
+
+
+# The functions that read a grid's dense table.  Every other function
+# works from the axes and the support cells; adding a reader is a
+# deliberate edit of this list.
+PROB_READERS = [
+    "grids.DensityGrid.__post_init__",
+    "grids.DensityGrid._support",
+    "grids._support_index",
+    "grids.condition",
+    "grids.grid_from_json",
+    "sem._first_witness",
+]
+
+
+def test_dense_table_readers():
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "prob":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert sorted(found) == PROB_READERS

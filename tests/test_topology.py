@@ -222,6 +222,15 @@ def test_single_component_single_class():
     assert np.array_equal(asg.uc, np.ones((3, 3)))
 
 
+def test_class_variable_is_a_read_only_int64_table():
+    asg = layouts.mask_classes(layouts.seven_block_mask())
+    uc = asg.uc
+    assert uc is asg.uc
+    assert uc.dtype == np.int64 and uc.flags.c_contiguous
+    with pytest.raises(ValueError):
+        uc[0, 0] = 5
+
+
 def test_chain_of_overlaps_merges_transitively():
     # components 1 and 3 overlap nothing directly; 2 bridges them
     cells = np.zeros((6, 6), dtype=bool)
