@@ -9,7 +9,7 @@ The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
 the cells of positive mass and find the classes of all conditioning cells
 in one pass over the grid's support cells, through ``classes_per_c``;
-``--c`` picks its slice from the classes of every cell of the fixed axes.  Each command
+``--c`` finds those of its slice alone, by ``condition``.  Each command
 computes the classes once: ``intersection -o`` builds its adversary from
 the classes behind its verdict, and ``report`` takes its three CI rows
 from one ``verify_intersection``.
@@ -25,11 +25,13 @@ import time
 
 import numpy as np
 
-from .errors import CipropError, IndexOutOfRange, ZeroMassCondition
+from .errors import CipropError
 from .grids import (
     DEFAULT_TOL,
     CiReport,
     DensityGrid,
+    _roles,
+    condition,
     grid_from_json,
     is_ci,
     load_grid,
@@ -38,6 +40,7 @@ from .grids import (
 )
 from .intersection import (
     _adversary,
+    _cond_names,
     _verdict,
     classes_per_c,
     construct_adversary,
@@ -126,32 +129,17 @@ def _cmd_check_ci(args: argparse.Namespace) -> int:
     return _finish(args, report.holds)
 
 
-def _cond_axes(grid: DensityGrid, a: str, b: str, x: str | None) -> tuple[str, ...]:
-    return tuple(n for n in grid.axis_names if n not in (a, b) and n != x)
-
-
 def _classes_by_cell(
     args: argparse.Namespace, grid: DensityGrid
 ) -> dict[tuple[int, ...], UcAssignment]:
-    """Classes of every positive conditioning cell, or of the ``--c`` slice.
-
-    Each slice's support is the set of its cells of positive mass.
-    """
+    """Classes of every positive conditioning cell, or of the ``--c`` slice alone."""
     fixed = _parse_fixed(args.c)
-    cond = tuple(fixed) or _cond_axes(grid, args.a, args.b, args.x)
-    assignments = classes_per_c(grid, args.a, args.b, cond)
     if not fixed:
-        return assignments
-    for name, bin_idx in fixed.items():
-        size = grid.axis(name).size
-        if not 0 <= bin_idx < size:
-            raise IndexOutOfRange(
-                f"bin {bin_idx} out of range for axis {name!r} (size {size})"
-            )
+        cond = _cond_names(grid, (args.a, args.b, args.x), None)
+        return classes_per_c(grid, args.a, args.b, cond)
+    _roles(grid, args.a, args.b, tuple(fixed))
     cell = tuple(fixed[n] for n in grid.axis_names if n in fixed)
-    if cell not in assignments:
-        raise ZeroMassCondition(f"slice {fixed} has mass 0.0")
-    return {cell: assignments[cell]}
+    return {cell: classes_per_c(condition(grid, fixed), args.a, args.b, ())[()]}
 
 
 def _component_counts(assignments: dict[tuple[int, ...], UcAssignment]) -> list[int]:
@@ -198,7 +186,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
-    cond = _cond_axes(grid, args.a, args.b, args.x)
+    cond = _cond_names(grid, (args.a, args.b, args.x), None)
     assignments = classes_per_c(grid, args.a, args.b, cond)
     verdict = _verdict(assignments)
     for cell in sorted(verdict.per_c_class_counts):
@@ -229,7 +217,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         name=args.x,
     )
     save_grid(adversary, args.out)
-    cond = tuple(n for n in grid.axis_names if n not in (args.a, args.b))
+    cond = _cond_names(grid, (args.a, args.b), None)
     report = verify_intersection(adversary, args.x, args.a, args.b, cond, args.tol)
     print(f"adversary grid written to {args.out}")
     print(_ci_line(f"{args.x} _||_ {args.a} | {args.b}", report.premise_xa))
@@ -300,7 +288,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.grid, "rb") as fh:
         data = fh.read()
     grid = grid_from_json(data.decode("utf-8"))
-    cond = _cond_axes(grid, args.a, args.b, args.x)
+    cond = _cond_names(grid, (args.a, args.b, args.x), None)
     assignments = classes_per_c(grid, args.a, args.b, cond)
     counts = _component_counts(assignments)
     lines = [

@@ -25,21 +25,21 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
 
-The residuals read only the support cells, which a grid keeps with their
-masses and bins.  Every grid the library builds (pushforwards, marginals,
-adversaries) is handed its support cells; a grid built from a dense
-table, as the file reader and user code build them, finds them once, by
-one scan of the table.  A query keys each support cell by its (c, x, a)
-bins, merging the cells that the summed-out axes put on one key, and
-sums per conditioning cell, row and column, so its cost grows with the
-number of support cells, not with the grid.  A cell off the support
+A grid is its support cells; the dense table is built from them on
+first read.  Every grid the library builds (pushforwards, marginals,
+slices, adversaries, sparse files) is handed them; a grid built from a
+dense table, as dense files and user code build them, finds them once,
+by one scan.  A query keys each support cell by its (c, x, a) bins,
+merging the cells that the summed-out axes put on one key, and sums per
+conditioning cell, row and column, so its cost grows with the number of
+support cells, not with the grid.  A cell off the support
 adds to the residuals only through the product of the margins, which
 each (c, x) row sums at once: p(x | c) times the mass p(a | c) of the
 a-bins the row lacks; a row that holds every a-bin of c adds exactly 0.
 The sums run in another order than over the dense table, so deviations
 can differ from it in the last bits, and where residuals tie in exact
 arithmetic the witness can name another of the tied cells.  Marginals
-are summed over the support cells too, with the same caveat.
+and slices are summed over the support cells too, with the same caveat.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from .jsonio import render_json
 NORM_TOL = 1e-9
 # Default verdict tolerance for conditional-independence checks.
 DEFAULT_TOL = 1e-9
-# Largest dense table that propagate and the file reader build: 2^28
-# float64 cells, 2 GiB.
+# Most cells a grid's axes may imply: its dense table of 2^28 float64
+# cells, if read, is 2 GiB.
 MAX_GRID_CELLS = 2**28
 
 
@@ -103,32 +103,26 @@ class Axis:
         return np.asarray(self.points, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityGrid:
     """A joint pmf over named axes; ``prob`` is row-major over axis order.
 
-    The grid owns its table and the table is read-only.  An array that
-    owns its memory is taken over without a copy and made read-only in
-    place, so the handle the caller passed can no longer write it; an
+    A grid is its support cells (``_support``: ascending flat indices and
+    their masses); ``prob``, the read-only dense table, is built from them
+    by one scatter on first read.  ``DensityGrid(axes, prob)`` seeds the
+    table, which is scanned once for the support.  An array that owns its
+    memory is taken over without a copy and made read-only in place; an
     array whose memory is reachable through a writeable base (a view of a
-    writeable array) is copied.  Views of a handed-over array that the
-    caller took before construction are not tracked.
-
-    The support cells (``_support``: ascending flat indices and their
-    masses) are found by one scan of the table on first use and kept;
-    the grids the library builds are handed them and never scan.
+    writeable array) is copied, and earlier views of a handed-over array
+    are not tracked.  A grid is equal only to itself.
     """
 
     axes: tuple[Axis, ...]
-    prob: np.ndarray
 
-    def __post_init__(self) -> None:
-        axes = tuple(self.axes)
-        names = [ax.name for ax in axes]
-        if len(set(names)) != len(names):
-            raise ShapeMismatch(f"duplicate axis names in {names}")
+    def __init__(self, axes: Sequence[Axis], prob: np.ndarray) -> None:
+        axes = _distinct(axes)
         shape = tuple(ax.size for ax in axes)
-        table = np.asarray(self.prob, dtype=float)
+        table = np.asarray(prob, dtype=float)
         base = table.base
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
@@ -145,8 +139,16 @@ class DensityGrid:
             raise ShapeMismatch(f"table shape {table.shape} != axes shape {shape}")
         table = np.ascontiguousarray(table)
         table.flags.writeable = False
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "prob", table)
+        self.__dict__.update(axes=axes, prob=table)
+
+    @cached_property
+    def prob(self) -> np.ndarray:
+        """The dense table: 0 off the support cells."""
+        index, mass = self._support
+        table = np.zeros(math.prod(ax.size for ax in self.axes))
+        table[index] = mass
+        table.flags.writeable = False
+        return table.reshape([ax.size for ax in self.axes])
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +219,25 @@ def _support_index(grid: DensityGrid) -> np.ndarray:
     return index
 
 
+def _distinct(axes: Iterable[Axis]) -> tuple[Axis, ...]:
+    axes = tuple(axes)
+    names = [ax.name for ax in axes]
+    if len(set(names)) != len(names):
+        raise ShapeMismatch(f"duplicate axis names in {names}")
+    return axes
+
+
 def _from_support(
     axes: Sequence[Axis], index: np.ndarray, mass: np.ndarray
 ) -> DensityGrid:
     """The grid over ``axes`` holding ``mass`` at the ascending flat ``index``.
 
-    Every other cell holds 0.  Cells of mass 0 are dropped; a non-finite
-    mass raises ``NotNormalized``, naming its cell, and axes implying more
-    than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded``, both before
-    the table is allocated.  The grid keeps the given cells as its
-    support, so it never scans its table for them.
+    Every other cell holds 0.  Cells of mass 0 are dropped; axes implying
+    more than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded``, and a
+    non-finite mass raises ``NotNormalized``, naming its cell.  No table
+    is allocated: the given cells are the grid.
     """
-    axes = tuple(axes)
+    axes = _distinct(axes)
     shape = tuple(ax.size for ax in axes)
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
@@ -243,11 +252,10 @@ def _from_support(
     nonzero = mass != 0
     if not nonzero.all():
         index, mass = index[nonzero], mass[nonzero]
-    table = np.zeros(cells)
-    table[index] = mass
-    grid = DensityGrid(axes, table)
-    # a cached_property lives in the instance dict, which frozen does not guard
-    grid.__dict__["_support"] = (index, mass)
+    grid = object.__new__(DensityGrid)
+    # fields and cached properties live in the instance dict, which frozen
+    # does not guard
+    grid.__dict__.update(axes=axes, _support=(index, mass))
     return grid
 
 
@@ -303,7 +311,8 @@ def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
     """Slice at the fixed bins and renormalize; the fixed axes are dropped."""
     if not fixed:
         return grid
-    slicer: list[object] = [slice(None)] * len(grid.axes)
+    index, mass = grid._support
+    at = np.ones(index.size, dtype=bool)
     for name, bin_idx in fixed.items():
         i = grid.axis_index(name)
         if not 0 <= int(bin_idx) < grid.axes[i].size:
@@ -311,15 +320,17 @@ def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
                 f"bin {bin_idx} out of range for axis {name!r} "
                 f"(size {grid.axes[i].size})"
             )
-        slicer[i] = int(bin_idx)
-    remaining = tuple(ax for ax in grid.axes if ax.name not in fixed)
-    if not remaining:
+        at &= grid._coords[i] == int(bin_idx)
+    kept = [i for i, ax in enumerate(grid.axes) if ax.name not in fixed]
+    if not kept:
         raise ShapeMismatch("conditioning on every axis leaves an empty grid")
-    block = grid.prob[tuple(slicer)]
-    mass = float(block.sum())
-    if mass <= 0.0:
-        raise ZeroMassCondition(f"slice {dict(fixed)} has mass {mass!r}")
-    return DensityGrid(remaining, block / mass)
+    total = float(mass[at].sum())
+    if total <= 0.0:
+        raise ZeroMassCondition(f"slice {dict(fixed)} has mass {total!r}")
+    axes = [grid.axes[i] for i in kept]
+    bins = [grid._coords[i][at] for i in kept]
+    index = np.ravel_multi_index(bins, [ax.size for ax in axes])
+    return _from_support(axes, index, mass[at] / total)
 
 
 def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
@@ -530,8 +541,8 @@ def save_grid(grid: DensityGrid, path: str) -> None:
         fh.write(grid_to_json(grid))
 
 
-def _scatter(index: object, mass: object, cells: int) -> np.ndarray:
-    """The flat table of ``cells`` zeros with ``mass`` at the ``index`` cells."""
+def _sparse(index: object, mass: object, cells: int) -> tuple[np.ndarray, ...]:
+    """The checked ``index`` and ``mass`` lists of a sparse document."""
     if not isinstance(index, list) or not isinstance(mass, list):
         raise ShapeMismatch("'index' and 'mass' must be lists")
     if len(index) != len(mass):
@@ -551,19 +562,20 @@ def _scatter(index: object, mass: object, cells: int) -> np.ndarray:
         raise ShapeMismatch(
             f"'index' entries must be strictly increasing in [0, {cells})"
         )
-    table = np.zeros(cells)
-    table[flat] = np.array(mass, dtype=float)
-    return table
+    masses = np.array(mass, dtype=float)
+    if masses.ndim != 1:
+        raise ShapeMismatch("'mass' entries must be numbers")
+    return flat, masses
 
 
 def grid_from_json(text: str) -> DensityGrid:
     """Parse, canonicalize axis order alphabetically, and validate.
 
     Reads the sparse ``"index"`` / ``"mass"`` lists that ``grid_to_json``
-    writes, or a dense ``"prob"`` list of every cell in row-major order;
-    a document holds exactly one of the two.  Axes implying more than
-    ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded`` before the table is
-    allocated.
+    writes, the grid's support cells, or a dense ``"prob"`` list of every
+    cell in row-major order; a document holds exactly one of the two.
+    Axes implying more than ``MAX_GRID_CELLS`` cells raise
+    ``BudgetExceeded`` before any table is allocated.
     """
     doc = json.loads(text)
     try:
@@ -578,17 +590,29 @@ def grid_from_json(text: str) -> DensityGrid:
         if "prob" in doc:
             table = np.asarray(doc["prob"], dtype=float)
         else:
-            table = _scatter(doc["index"], doc["mass"], cells)
+            index, mass = _sparse(doc["index"], doc["mass"], cells)
     except CipropError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed grid document: {exc}") from exc
-    grid = DensityGrid(axes, table)
+    shape = [ax.size for ax in axes]
     order = sorted(range(len(axes)), key=lambda i: axes[i].name)
-    if order != list(range(len(axes))):
-        grid = DensityGrid(
-            tuple(axes[i] for i in order), np.transpose(grid.prob, order)
-        )
+    alphabetical = tuple(axes[i] for i in order)
+    reorder = order != list(range(len(axes)))
+    if "prob" in doc:
+        grid = DensityGrid(axes, table)
+        if reorder:
+            grid = DensityGrid(alphabetical, table.reshape(shape).transpose(order))
+    else:
+        _distinct(axes)  # duplicate names are refused first, as in the dense branch
+        if reorder:  # re-key the cells over the alphabetical axes
+            bins = np.unravel_index(index, shape)
+            index = np.ravel_multi_index(
+                [bins[i] for i in order], [shape[i] for i in order]
+            )
+            by_index = np.argsort(index)
+            index, mass = index[by_index], mass[by_index]
+        grid = _from_support(alphabetical, index, mass)
     validate(grid)
     return grid
 

@@ -15,9 +15,8 @@ not identifiable from the joint distribution when noise supports have
 gaps.  Identifiability diagnostics live here too: per-node noise-support
 connectivity and joint-support component counts (path-connectedness
 certificate), and the non-constancy witness search for mechanism/parent
-pairs.  That search reads one marginal per conditioning set and
-evaluates the mechanism once on the lattice of its parent bins, as
-:func:`propagate` does on the noise lattice.
+pairs.  That search keys the support cells once per conditioning set
+and evaluates the mechanism once on the cells that hold mass.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .grids import (
     _from_support,
     _keyed_support,
     _kept,
-    marginalize,
+    _runs,
     validate,
 )
 from .jsonio import render_json
@@ -345,7 +344,7 @@ def propagate(sem: SemSpec) -> DensityGrid:
     the configurations that land on one cell, and each cell adds their
     probabilities in enumeration order, the order of an accumulation
     over the dense table, so results are bit-reproducible.  The grid is
-    built from these support cells, without a pass over its table.
+    these support cells; no table is built.
     """
     axes, flat_index, weights = _configurations(sem)
     index, inverse = np.unique(flat_index, return_inverse=True)
@@ -594,40 +593,28 @@ def _first_witness(
     Groups are the cells of the (others, cset) axes of the marginal, in
     row-major order.  A group has a witness when one of its positive
     parent bins maps to an output more than 1e-9 away from the output of
-    its first positive parent bin.
+    its first positive parent bin; the mechanism sees those cells only.
     """
-    marg = marginalize(grid, (parent,) + tuple(dict.fromkeys(others + cset)))
-    group = tuple(n for n in marg.axis_names if n != parent)
-    # (group..., parent) layout; the mechanism sees every parent bin on it
-    prob = np.moveaxis(marg.prob, marg.axis_index(parent), -1)
-    order = (*group, parent)
-    values: dict[str, np.ndarray] = {}
-    bins: dict[str, np.ndarray] = {}
-    for p in sem.dag.parents[node]:
-        i = order.index(p)
-        bins[p] = np.arange(prob.shape[i]).reshape(
-            [-1 if k == i else 1 for k in range(prob.ndim)]
-        )
-        values[p] = sem.axes[p].values()[bins[p]]
-    mech = sem.mechanisms[node]
-    out = np.broadcast_to(
-        mech.evaluate(values, bins, sem.dag.parents[node]), prob.shape
-    )
-    positive = prob > 0
-    first = np.argmax(positive, axis=-1)
-    base = np.take_along_axis(out, first[..., None], axis=-1)
-    spread = positive & (np.abs(out - base) > 1e-9)
-    hit = spread.any(axis=-1)
-    if not hit.any():
+    kept = _kept(grid, (parent, *others, *cset))
+    j = grid.axis_index(parent)
+    roles = [p for p in kept if p != j] + [j]
+    keys, mass, sizes = _keyed_support(grid, [(p,) for p in roles])
+    keys = keys[mass > 0]
+    bins = dict(zip((grid.axes[p].name for p in roles), np.unravel_index(keys, sizes)))
+    values = {n: sem.axes[n].values()[b] for n, b in bins.items()}
+    out = sem.mechanisms[node].evaluate(values, bins, sem.dag.parents[node])
+    out = np.broadcast_to(out, keys.shape)
+    start, run = _runs(keys // sizes[-1])
+    spread = np.abs(out - out[start][run]) > 1e-9
+    if not spread.any():
         return None
-    at = np.unravel_index(int(np.argmax(hit)), hit.shape)
-    group_bins = dict(zip(group, (int(v) for v in at)))
-    j_axis = marg.axis(parent)
+    k = int(np.argmax(spread))
+    points = grid.axes[j].points
     return (
-        float(j_axis.points[int(first[at])]),
-        float(j_axis.points[int(np.argmax(spread[at]))]),
-        {k: grid.axis(k).points[group_bins[k]] for k in others},
-        {c: grid.axis(c).points[group_bins[c]] for c in cset},
+        float(points[bins[parent][start[run[k]]]]),
+        float(points[bins[parent][k]]),
+        {n: grid.axis(n).points[bins[n][k]] for n in others},
+        {c: grid.axis(c).points[bins[c][k]] for c in cset},
     )
 
 

@@ -27,6 +27,7 @@ from ciprop import (
 )
 from ciprop import cli
 from ciprop import grids as grids_module
+from ciprop import intersection as intersection_module
 from ciprop.cli import run
 
 import layouts
@@ -224,6 +225,26 @@ def test_components_with_fixed_slice(workdir, capsys):
     assert run(["components", str(grid), "--c", "X=0"]) == 0
     out = capsys.readouterr().out
     assert "c-cell (0): components=1" in out
+
+
+def test_a_fixed_slice_hands_the_class_kernel_one_cell(workdir, monkeypatch, capsys):
+    _, _, grid = workdir
+    slices = []
+    kernel = intersection_module._class_assignments
+
+    def counted(k, i, j, n_c, shape):
+        slices.append(n_c)
+        return kernel(k, i, j, n_c, shape)
+
+    monkeypatch.setattr(intersection_module, "_class_assignments", counted)
+    assert run(["classes", str(grid), "--c", "X=3"]) == 0
+    assert slices == [1]
+    assert "c-cell (3): components=1 classes=1\n" in capsys.readouterr().out
+    # the roles are checked on the whole grid, before it is sliced
+    assert run(["classes", str(grid), "--c", "A=0"]) == 3
+    assert "error[OverlappingRoles]" in capsys.readouterr().err
+    assert run(["classes", str(grid), "--c", "Z=1"]) == 3
+    assert "unknown axes ['Z']" in capsys.readouterr().err
 
 
 def test_component_counts_of_stacked_slices_match_each_slice(tmp_path, capsys):

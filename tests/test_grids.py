@@ -37,6 +37,7 @@ from ciprop import (
     non_constancy_check,
     propagate,
     save_grid,
+    save_sem,
     validate,
     verify_intersection,
     verify_weak_intersection,
@@ -86,6 +87,8 @@ def test_grid_accepts_flat_table_and_is_readonly():
     assert not g.prob.flags.writeable
     with pytest.raises(ValueError):
         g.prob[0, 0] = 1.0
+    # a grid is equal only to itself
+    assert g == g and g != make_grid([("A", 2), ("B", 3)], g.prob)
 
 
 def test_grid_owns_its_table():
@@ -431,6 +434,20 @@ def test_json_loader_validates():
         grid_from_json('{"prob": [1.0]}')
 
 
+def test_non_finite_mass_is_named_in_the_alphabetical_axis_order():
+    axes = (
+        '[{"name": "B", "points": [0.0, 1.0, 2.0]},'
+        ' {"name": "A", "points": [-1.0, 1.0]}]'
+    )
+    # document cells 1 and 4 are (A, B) = (1, 0) and (0, 2); the second
+    # comes first in the loaded grid
+    dense = f'{{"axes": {axes}, "prob": [0.0, NaN, 0.0, 0.0, NaN, 0.375]}}'
+    sparse = f'{{"axes": {axes}, "index": [1, 4, 5], "mass": [NaN, NaN, 0.375]}}'
+    for doc in (dense, sparse):
+        with pytest.raises(NotNormalized, match=r"^entry \(0, 2\) is nan$"):
+            grid_from_json(doc)
+
+
 def test_json_preserves_awkward_floats():
     pts = (0.1, 0.1 + 0.2, 1.0 / 3.0)
     g = DensityGrid((Axis("A", pts),), np.array([0.1, 0.2, 0.7]))
@@ -724,7 +741,11 @@ def test_built_grids_hold_the_support_of_their_table():
         return float(uc)
 
     built.append(attach_class_variable(base, level, (-0.5, 0.0, 0.5), (0.5, 0.0, 0.5)))
-    assert len(built) >= 10
+    built.append(condition(grid, {"X": 3}))
+    # a sparse document over non-alphabetical axes, re-keyed on reading
+    g = layouts.gapped_grid(rng, [("X", 4), ("C", 3), ("A", 5)])
+    built.append(grid_from_json(grid_to_json(g)))
+    assert len(built) >= 12
     for g in built:
         check_holds_its_support(g)
 
@@ -797,3 +818,49 @@ def test_queries_on_built_grids_never_build_the_class_table(monkeypatch, tmp_pat
     assignment = classes_per_c(grid, "A", "B", ())[()]
     assert assignment.uc.shape == grid.prob.shape[:2]
     assert builds == [assignment]
+
+
+def test_queries_on_built_grids_never_build_their_table(monkeypatch, tmp_path):
+    reads = []
+    build = DensityGrid.prob.func
+
+    def counted(grid):
+        reads.append(grid)
+        return build(grid)
+
+    # every grid here is built from its support cells, so none holds a table
+    monkeypatch.setattr(DensityGrid, "prob", property(counted))
+    sem = example1(0.1)
+    grid = propagate(sem)
+    intersection_condition(grid, "A", "B", ("X",))
+    intersection_condition(grid, "A", "B", ())
+    for x, a, cond in (("X", "A", ("B",)), ("X", "B", ("A",)), ("X", ("A", "B"), ())):
+        is_ci(grid, x, a, cond)
+    verify_weak_intersection(grid, "X", "A", "B")
+    joint_support_components(grid)
+    joint_support_components(grid, ("A", "B"))
+    non_constancy_check(sem, "X", "B", grid)
+    adversary = construct_adversary(marginalize(grid, ("A", "B")))
+    verify_intersection(adversary, "X", "A", "B", ())
+    condition(grid, {"X": 3})
+    repr(grid)
+    model, path, ab, out = (
+        str(tmp_path / n) for n in ("m.json", "g.json", "ab.json", "o.json")
+    )
+    save_sem(sem, model)
+    save_grid(marginalize(grid, ("A", "B")), ab)
+    for argv in (
+        ["sem", "propagate", model, "-o", path],
+        ["report", path, "--deterministic"],
+        ["classes", path],
+        ["classes", path, "--c", "X=3"],
+        ["intersection", path, "-o", out],
+        ["weak-intersection", path],
+        ["adversary", ab, "-o", out],
+        ["sem", "check-prop3", model],
+        ["sem", "check-prop4", model, "--node", "X", "--parent", "B"],
+    ):
+        assert cli.run(argv) == 0
+    assert reads == []
+    assert grid.prob.shape == (22, 47, 107)
+    assert reads == [grid]

@@ -366,7 +366,7 @@ def test_output_grid_budget_admits_step_001_only():
 
 
 def test_propagate_hands_over_its_table():
-    # the grid is a read-only view of the flat accumulator, not a copy
+    # the table, built on first read, is a read-only view of one flat array
     grid = propagate(chain_sem())
     assert grid.prob.base is not None
     assert grid.prob.base.shape == (grid.prob.size,)

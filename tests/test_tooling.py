@@ -59,12 +59,8 @@ def test_public_names():
 # works from the axes and the support cells; adding a reader is a
 # deliberate edit of this list.
 PROB_READERS = [
-    "grids.DensityGrid.__post_init__",
     "grids.DensityGrid._support",
     "grids._support_index",
-    "grids.condition",
-    "grids.grid_from_json",
-    "sem._first_witness",
 ]
 
 
