@@ -1,9 +1,9 @@
 """Exact finite-grid joint distributions and conditional-independence tests.
 
 A :class:`DensityGrid` is a joint probability mass function over named,
-strictly increasing real axes.  All operations are pure: grids are frozen
-and their tables are read-only, so values can be shared freely across
-threads.
+strictly increasing real axes.  All operations are pure: grids are
+frozen, share no memory with their callers' arrays, and their tables are
+read-only, so values can be shared freely across threads.
 
 Conditional independence of ``X`` and ``A`` given ``C`` is measured per
 conditioning cell ``c`` with ``p(c) > 0`` as the total-variation
@@ -25,21 +25,22 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
 
-A grid is its support cells; the dense table is built from them on
-first read.  Every grid the library builds (pushforwards, marginals,
-slices, adversaries, sparse files) is handed them; a grid built from a
-dense table, as dense files and user code build them, finds them once,
-by one scan.  A query keys each support cell by its (c, x, a) bins,
-merging the cells that the summed-out axes put on one key, and sums per
-conditioning cell, row and column, so its cost grows with the number of
-support cells, not with the grid.  A cell off the support
-adds to the residuals only through the product of the margins, which
-each (c, x) row sums at once: p(x | c) times the mass p(a | c) of the
-a-bins the row lacks; a row that holds every a-bin of c adds exactly 0.
-The sums run in another order than over the dense table, so deviations
-can differ from it in the last bits, and where residuals tie in exact
-arithmetic the witness can name another of the tied cells.  Marginals
-and slices are summed over the support cells too, with the same caveat.
+A grid is its support cells: finite, positive masses, checked when the
+grid is made.  Every grid the library builds (pushforwards, marginals,
+slices, adversaries, files) is handed them; ``DensityGrid(axes, prob)``
+finds them by one scan of the table it is given, and the dense table is
+built from them on first read.  A query keys each support cell by its
+(c, x, a) bins, merging the cells that the summed-out axes put on one
+key, and sums per conditioning cell, row and column, so its cost grows
+with the number of support cells, not with the grid.  A cell off the
+support adds to the residuals only through the product of the margins,
+which each (c, x) row sums at once: p(x | c) times the mass p(a | c) of
+the a-bins the row lacks; a row that holds every a-bin of c adds
+exactly 0.  The sums run in another order than over the dense table, so
+deviations can differ from it in the last bits, and where residuals tie
+in exact arithmetic the witness can name another of the tied cells.
+Marginals and slices are summed over the support cells too, with the
+same caveat.
 """
 
 from __future__ import annotations
@@ -108,13 +109,11 @@ class DensityGrid:
     """A joint pmf over named axes; ``prob`` is row-major over axis order.
 
     A grid is its support cells (``_support``: ascending flat indices and
-    their masses); ``prob``, the read-only dense table, is built from them
-    by one scatter on first read.  ``DensityGrid(axes, prob)`` seeds the
-    table, which is scanned once for the support.  An array that owns its
-    memory is taken over without a copy and made read-only in place; an
-    array whose memory is reachable through a writeable base (a view of a
-    writeable array) is copied, and earlier views of a handed-over array
-    are not tracked.  A grid is equal only to itself.
+    their finite, positive masses); ``prob``, the read-only dense table,
+    is built from them by one scatter on first read.
+    ``DensityGrid(axes, prob)`` scans the table once for its support cells
+    and checks them as :func:`_from_support` does; the grid keeps no
+    reference to the table.  A grid is equal only to itself.
     """
 
     axes: tuple[Axis, ...]
@@ -122,24 +121,8 @@ class DensityGrid:
     def __init__(self, axes: Sequence[Axis], prob: np.ndarray) -> None:
         axes = _distinct(axes)
         shape = tuple(ax.size for ax in axes)
-        table = np.asarray(prob, dtype=float)
-        base = table.base
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None:
-            table = table.copy()
-        table.flags.writeable = False
-        if table.ndim == 1:
-            if table.size != int(np.prod(shape)):
-                raise ShapeMismatch(
-                    f"table has {table.size} entries, axes imply {np.prod(shape)}"
-                )
-            table = table.reshape(shape)
-        elif table.shape != shape:
-            raise ShapeMismatch(f"table shape {table.shape} != axes shape {shape}")
-        table = np.ascontiguousarray(table)
-        table.flags.writeable = False
-        self.__dict__.update(axes=axes, prob=table)
+        flat = _shaped(prob, shape).ravel()
+        self.__dict__.update(axes=axes, _support=_checked(shape, flat))
 
     @cached_property
     def prob(self) -> np.ndarray:
@@ -149,12 +132,6 @@ class DensityGrid:
         table[index] = mass
         table.flags.writeable = False
         return table.reshape([ax.size for ax in self.axes])
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending flat indices of the cells with mass, and their masses."""
-        index = _support_index(self)
-        return index, self.prob.ravel()[index]
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, ...]:
@@ -202,23 +179,6 @@ class CiReport:
     pointwise_deviation: float | None = None
 
 
-def _support_index(grid: DensityGrid) -> np.ndarray:
-    """Ascending row-major flat indices of the cells with nonzero mass.
-
-    Raises ``NotNormalized``, naming the first of these cells, when one of
-    them is not finite; only the cells found are checked.
-    """
-    # a boolean mask first: nonzero on it is several times faster than on
-    # the float table; NaN is nonzero, so it is among the cells found
-    index = np.flatnonzero(grid.prob != 0)
-    finite = np.isfinite(grid.prob.ravel()[index])
-    if not finite.all():
-        flat = int(index[np.argmin(finite)])
-        cell = tuple(int(i) for i in np.unravel_index(flat, grid.prob.shape))
-        raise NotNormalized(f"entry {cell} is {float(grid.prob.flat[flat])!r}")
-    return index
-
-
 def _distinct(axes: Iterable[Axis]) -> tuple[Axis, ...]:
     axes = tuple(axes)
     names = [ax.name for ax in axes]
@@ -227,55 +187,92 @@ def _distinct(axes: Iterable[Axis]) -> tuple[Axis, ...]:
     return axes
 
 
-def _from_support(
-    axes: Sequence[Axis], index: np.ndarray, mass: np.ndarray
-) -> DensityGrid:
-    """The grid over ``axes`` holding ``mass`` at the ascending flat ``index``.
+def _shaped(prob: object, shape: tuple[int, ...]) -> np.ndarray:
+    """``prob`` as a float table of ``shape``; a flat table is reshaped."""
+    table = np.asarray(prob, dtype=float)
+    if table.ndim == 1:
+        if table.size != math.prod(shape):
+            raise ShapeMismatch(
+                f"table has {table.size} entries, axes imply {math.prod(shape)}"
+            )
+        return table.reshape(shape)
+    if table.shape != shape:
+        raise ShapeMismatch(f"table shape {table.shape} != axes shape {shape}")
+    return table
 
-    Every other cell holds 0.  Cells of mass 0 are dropped; axes implying
-    more than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded``, and a
-    non-finite mass raises ``NotNormalized``, naming its cell.  No table
-    is allocated: the given cells are the grid.
+
+def _checked(
+    shape: tuple[int, ...], mass: np.ndarray, index: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support cells of a grid of ``shape``: ascending flat indices, masses.
+
+    ``mass`` holds the masses at the ascending flat ``index``, or, without
+    one, the row-major table, which is scanned.  Refuses, in this order,
+    more than ``MAX_GRID_CELLS`` cells (``BudgetExceeded``), then, naming
+    its cell, a mass that is not finite (``NotNormalized``) and the first
+    most negative mass (``NegativeMass``).  Masses of 0 are dropped.
     """
-    axes = _distinct(axes)
-    shape = tuple(ax.size for ax in axes)
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
         raise BudgetExceeded(
             f"grid of {cells} cells exceeds the limit {MAX_GRID_CELLS}"
         )
+    if index is None:
+        # nonzero on a boolean mask is several times faster than on the
+        # float table; NaN is nonzero, so it is among the cells found
+        index = np.flatnonzero(mass != 0)
+        mass = mass[index]
+
+    def entry(k: int) -> str:
+        return f"entry {_bins(int(index[k]), shape)} is {float(mass[k])!r}"
+
     finite = np.isfinite(mass)
     if not finite.all():
-        k = int(np.argmin(finite))
-        cell = tuple(int(i) for i in np.unravel_index(int(index[k]), shape))
-        raise NotNormalized(f"entry {cell} is {float(mass[k])!r}")
+        raise NotNormalized(entry(int(np.argmin(finite))))
+    if mass.size and float(mass.min()) < 0.0:
+        raise NegativeMass(entry(int(np.argmin(mass))))
     nonzero = mass != 0
     if not nonzero.all():
         index, mass = index[nonzero], mass[nonzero]
+    return index, mass
+
+
+def _from_support(
+    axes: Sequence[Axis], index: np.ndarray, mass: np.ndarray
+) -> DensityGrid:
+    """The grid over ``axes`` holding ``mass`` at the ascending flat ``index``.
+
+    Every other cell holds 0, and the cells pass :func:`_checked`.  No
+    table is allocated: the given cells are the grid.
+    """
+    axes = _distinct(axes)
+    shape = tuple(ax.size for ax in axes)
     grid = object.__new__(DensityGrid)
     # fields and cached properties live in the instance dict, which frozen
     # does not guard
-    grid.__dict__.update(axes=axes, _support=(index, mass))
+    grid.__dict__.update(axes=axes, _support=_checked(shape, mass, index))
+    return grid
+
+
+def _merged(axes: Sequence[Axis], flat: np.ndarray, weights: np.ndarray) -> DensityGrid:
+    """The validated grid whose cells hold the ``weights`` at their ``flat`` index.
+
+    One sort merges the weights of a cell and ``bincount`` adds them in
+    their order, as an accumulation over the dense table would, so the
+    masses are bit-reproducible.
+    """
+    index, inverse = np.unique(flat, return_inverse=True)
+    mass = np.bincount(inverse, weights=weights, minlength=index.size)
+    grid = _from_support(axes, index, mass)
+    validate(grid)
     return grid
 
 
 def validate(grid: DensityGrid) -> None:
-    """Raise unless ``grid`` is a valid joint pmf.
-
-    Structural invariants (shape, axis names, monotone points) are enforced
-    at construction; this checks nonnegativity and normalization on the
-    support cells.  A grid the library builds holds them from the start; a
-    grid built from a dense table finds them by one scan of the table,
-    which its first query reuses.  A non-finite cell raises
-    ``NotNormalized``; the first most negative cell in row-major order
-    raises ``NegativeMass``.
-    """
-    index, mass = grid._support
-    if mass.size and float(mass.min()) < 0.0:
-        k = int(np.argmin(mass))
-        idx = np.unravel_index(int(index[k]), [ax.size for ax in grid.axes])
-        raise NegativeMass(f"entry {idx} is {mass[k]!r}")
-    total = float(mass.sum())
+    """Raise ``NotNormalized`` unless the masses of ``grid`` sum to 1
+    within ``NORM_TOL``; a grid's structure and its finite, non-negative
+    masses are checked when it is made."""
+    total = float(grid._support[1].sum())
     if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalized(f"entries sum to {total!r}, not 1")
 
@@ -286,8 +283,7 @@ def marginalize(grid: DensityGrid, keep: Iterable[str]) -> DensityGrid:
     Reads only the support cells: keyed by their kept bins, the cells
     that land on one key are summed in ascending order of their flat
     index, so masses can differ from a sum over the dense table in the
-    last bits.  A cell whose summands cancel to exactly 0 is off the
-    support.  Keeping every axis returns ``grid`` itself.
+    last bits.  Keeping every axis returns ``grid`` itself.
     """
     kept = _kept(grid, keep)
     if len(kept) == len(grid.axes):
@@ -444,11 +440,6 @@ def _ci_residuals(
     keys, mass, (_, n_x, n_a) = _keyed_support(grid, (c_pos, x_pos, a_pos))
     c_start, c_run = _runs(keys // (n_x * n_a))
     m_c = np.add.reduceat(mass, c_start)
-    if not (m_c > 0).all():  # a table with negative entries
-        keep = (m_c > 0)[c_run]
-        keys, mass = keys[keep], mass[keep]
-        c_start, c_run = _runs(keys // (n_x * n_a))
-        m_c = m_c[m_c > 0]
     if keys.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
     row_start, row_run = _runs(keys // n_a)
@@ -541,6 +532,14 @@ def save_grid(grid: DensityGrid, path: str) -> None:
         fh.write(grid_to_json(grid))
 
 
+def _numbers(values: object, field: str) -> list:
+    """``values`` if it is a list of JSON numbers; ``ShapeMismatch`` otherwise."""
+    # numpy and float() read "0.5" and true as numbers, and bool is an int
+    if not isinstance(values, list) or not {*map(type, values)} <= {int, float}:
+        raise ShapeMismatch(f"{field!r} entries must be numbers")
+    return values
+
+
 def _sparse(index: object, mass: object, cells: int) -> tuple[np.ndarray, ...]:
     """The checked ``index`` and ``mass`` lists of a sparse document."""
     if not isinstance(index, list) or not isinstance(mass, list):
@@ -562,10 +561,7 @@ def _sparse(index: object, mass: object, cells: int) -> tuple[np.ndarray, ...]:
         raise ShapeMismatch(
             f"'index' entries must be strictly increasing in [0, {cells})"
         )
-    masses = np.array(mass, dtype=float)
-    if masses.ndim != 1:
-        raise ShapeMismatch("'mass' entries must be numbers")
-    return flat, masses
+    return flat, np.array(_numbers(mass, "mass"), dtype=float)
 
 
 def grid_from_json(text: str) -> DensityGrid:
@@ -574,12 +570,16 @@ def grid_from_json(text: str) -> DensityGrid:
     Reads the sparse ``"index"`` / ``"mass"`` lists that ``grid_to_json``
     writes, the grid's support cells, or a dense ``"prob"`` list of every
     cell in row-major order; a document holds exactly one of the two.
-    Axes implying more than ``MAX_GRID_CELLS`` cells raise
-    ``BudgetExceeded`` before any table is allocated.
+    Numbers must be JSON numbers, not strings or booleans.  Axes implying
+    more than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded`` before
+    any table is allocated.
     """
     doc = json.loads(text)
     try:
-        axes = tuple(Axis(a["name"], tuple(a["points"])) for a in doc["axes"])
+        axes = tuple(
+            Axis(a["name"], tuple(_numbers(a["points"], "points")))
+            for a in doc["axes"]
+        )
         if ("prob" in doc) == ("index" in doc):
             raise ShapeMismatch("a grid holds exactly one of 'prob' and 'index'")
         cells = math.prod(ax.size for ax in axes)
@@ -588,24 +588,20 @@ def grid_from_json(text: str) -> DensityGrid:
                 f"grid of {cells} cells exceeds the limit {MAX_GRID_CELLS}"
             )
         if "prob" in doc:
-            table = np.asarray(doc["prob"], dtype=float)
+            table = np.array(_numbers(doc["prob"], "prob"), dtype=float)
         else:
             index, mass = _sparse(doc["index"], doc["mass"], cells)
     except CipropError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed grid document: {exc}") from exc
-    shape = [ax.size for ax in axes]
+    shape = tuple(ax.size for ax in _distinct(axes))
     order = sorted(range(len(axes)), key=lambda i: axes[i].name)
     alphabetical = tuple(axes[i] for i in order)
-    reorder = order != list(range(len(axes)))
     if "prob" in doc:
-        grid = DensityGrid(axes, table)
-        if reorder:
-            grid = DensityGrid(alphabetical, table.reshape(shape).transpose(order))
+        grid = DensityGrid(alphabetical, _shaped(table, shape).transpose(order))
     else:
-        _distinct(axes)  # duplicate names are refused first, as in the dense branch
-        if reorder:  # re-key the cells over the alphabetical axes
+        if order != list(range(len(axes))):  # re-key the cells alphabetically
             bins = np.unravel_index(index, shape)
             index = np.ravel_multi_index(
                 [bins[i] for i in order], [shape[i] for i in order]

@@ -8,8 +8,9 @@ It can fail when the joint density of (A, B) has gaps.  The decision
 criterion implemented here is purely topological: the implication holds
 for every variable X exactly when, in each conditioning cell c, all
 path-connected components of the (A, B) support merge into a single
-coordinate-wise-connected equivalence class.  The support is exact: a
-cell, or a conditioning cell, counts when its mass is positive.
+coordinate-wise-connected equivalence class.  The support is exact: it
+is the grid's support cells, every cell of positive mass, so a
+conditioning cell counts when it holds one of them.
 :func:`classes_per_c` keys the grid's support cells by (c, a, b), merging
 the cells that the summed-out axes put on one key, and finds the classes
 of every conditioning cell in one call to the kernel of
@@ -59,13 +60,12 @@ from .grids import (
     CiReport,
     DensityGrid,
     _ci_residuals,
-    _from_support,
     _groups,
     _keyed_support,
+    _merged,
     _roles,
     _runs,
     is_ci,
-    validate,
 )
 from .topology import UcAssignment, _class_assignments
 
@@ -124,8 +124,8 @@ def classes_per_c(
     """
     c_pos = _roles(grid, a, b, _cond_names(grid, (a, b), cond))[2]
     ia, ib = grid.axis_index(a), grid.axis_index(b)
-    keys, mass, _ = _keyed_support(grid, (c_pos, (ia,), (ib,)))
-    return _classes(grid, c_pos, (ia, ib), keys, mass)
+    keys = _keyed_support(grid, (c_pos, (ia,), (ib,)))[0]
+    return _classes(grid, c_pos, (ia, ib), keys)
 
 
 def _classes(
@@ -133,17 +133,9 @@ def _classes(
     c_pos: tuple[int, ...],
     ab_pos: tuple[int, int],
     keys: np.ndarray,
-    mass: np.ndarray,
 ) -> dict[tuple[int, ...], UcAssignment]:
-    """:func:`classes_per_c` given the ascending distinct (c, a, b) keys.
-
-    A cell counts when its mass is > 0 and a conditioning cell when its
-    summed mass is, as in the CI residuals.
-    """
+    """:func:`classes_per_c` given the ascending distinct (c, a, b) keys."""
     n_a, n_b = (grid.axes[p].size for p in ab_pos)
-    keep = _positive(keys, mass, n_a * n_b)
-    if not keep.all():  # a table with negative entries
-        keys = keys[keep]
     c_start, c_run = _runs(keys // (n_a * n_b))
     if keys.size == 0:
         raise ZeroMassCondition("no conditioning cell has positive mass")
@@ -155,13 +147,6 @@ def _classes(
         c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
     )
     return dict(zip(map(tuple, cells.T.tolist()), stack))
-
-
-def _positive(keys: np.ndarray, mass: np.ndarray, width: int) -> np.ndarray:
-    """Which keyed cells count: those of mass > 0 in a conditioning cell
-    (``key // width``) of summed mass > 0."""
-    c_start, c_run = _runs(keys // width)
-    return (mass > 0) & (np.add.reduceat(mass, c_start) > 0)[c_run]
 
 
 def _verdict(
@@ -259,8 +244,7 @@ def _weak_residuals(
     cell of the (c, a, b, x) marginal gets the class of its (c, a).  An
     on-class (a, b) cell without mass at x has residual
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
-    class has (a, b) cells adds ``mixture(x)``.  As in the classes, only
-    the (a, b) cells of mass > 0 in conditioning cells of mass > 0 count.
+    class has (a, b) cells adds ``mixture(x)``.
     """
     x_pos, _, c_pos = _roles(grid, x, (a, b), cond_names)
     ia, ib = grid.axis_index(a), grid.axis_index(b)
@@ -269,12 +253,7 @@ def _weak_residuals(
     )
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
-    keep = _positive(keys[cell_start] // n_x, m_cell, n_a * n_b)[cell_run]
-    if not keep.all():  # a table with negative entries: the cells of the classes
-        keys, mass = keys[keep], mass[keep]
-        cell_start, cell_run = _runs(keys // n_x)
-        m_cell = np.add.reduceat(mass, cell_start)
-    assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x, m_cell)
+    assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x)
     groups, group_of = _class_groups(assignments)
     # the c-cells of the classes are those of the keys, in the same order
     c_run = _runs(keys // (n_a * n_b * n_x))[1]
@@ -355,13 +334,12 @@ def _attach(
     coords, (index, masses) = base._coords, base._support
     groups, group_of = _class_groups(assignments)
     level = np.array([float(g(cell, cls)) for cell, cls in groups])
-    # each support cell's c-cell (all keys 0 without conditioning axes);
-    # cells off the classes (mass <= 0, or c-cell mass <= 0) get level 0.0
+    # each support cell's c-cell, a key of the classes (all keys 0 without
+    # conditioning axes)
     c_keys = np.atleast_1d(np.ravel_multi_index(np.array(list(assignments)).T, c_shape))
     c_flat = np.ravel_multi_index(tuple(coords[p] for p in c_pos), c_shape)
-    c_run = np.minimum(np.searchsorted(c_keys, c_flat), c_keys.size - 1)
-    on = (masses > 0) & (c_keys[c_run] == c_flat)
-    levels = np.where(on, level[group_of[c_run, coords[base.axis_index(a)]]], 0.0)
+    c_run = np.searchsorted(c_keys, c_flat)
+    levels = level[group_of[c_run, coords[base.axis_index(a)]]]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
@@ -372,11 +350,7 @@ def _attach(
     size = int(np.prod([ax.size for ax in base.axes]))
     flat = np.concatenate([x * size + index for x in x_bins])
     weights = np.concatenate([masses * p_k for p_k in probs])
-    cells, inverse = np.unique(flat, return_inverse=True)
-    mass = np.bincount(inverse, weights=weights, minlength=cells.size)
-    result = _from_support((x_axis, *base.axes), cells, mass)
-    validate(result)
-    return result
+    return _merged((x_axis, *base.axes), flat, weights)
 
 
 def construct_adversary(

@@ -46,11 +46,10 @@ from .grids import (
     MAX_GRID_CELLS,
     Axis,
     DensityGrid,
-    _from_support,
     _keyed_support,
     _kept,
+    _merged,
     _runs,
-    validate,
 )
 from .jsonio import render_json
 from .topology import _components
@@ -346,12 +345,7 @@ def propagate(sem: SemSpec) -> DensityGrid:
     over the dense table, so results are bit-reproducible.  The grid is
     these support cells; no table is built.
     """
-    axes, flat_index, weights = _configurations(sem)
-    index, inverse = np.unique(flat_index, return_inverse=True)
-    mass = np.bincount(inverse, weights=weights, minlength=index.size)
-    grid = _from_support(axes, index, mass)
-    validate(grid)
-    return grid
+    return _merged(*_configurations(sem))
 
 
 def _configurations(sem: SemSpec) -> tuple[tuple[Axis, ...], np.ndarray, np.ndarray]:
@@ -503,12 +497,12 @@ def joint_support_components(
     they are given.
     """
     if variables is None:
-        index, mass = grid._support
+        index = grid._support[0]
         shape = [ax.size for ax in grid.axes]
     else:
         kept = _kept(grid, tuple(variables))
-        index, mass, shape = _keyed_support(grid, [(p,) for p in kept])
-    return _components(index[mass > 0], shape)[1]
+        index, _, shape = _keyed_support(grid, [(p,) for p in kept])
+    return _components(index, shape)[1]
 
 
 @dataclass(frozen=True)
@@ -598,8 +592,7 @@ def _first_witness(
     kept = _kept(grid, (parent, *others, *cset))
     j = grid.axis_index(parent)
     roles = [p for p in kept if p != j] + [j]
-    keys, mass, sizes = _keyed_support(grid, [(p,) for p in roles])
-    keys = keys[mass > 0]
+    keys, _, sizes = _keyed_support(grid, [(p,) for p in roles])
     bins = dict(zip((grid.axes[p].name for p in roles), np.unravel_index(keys, sizes)))
     values = {n: sem.axes[n].values()[b] for n, b in bins.items()}
     out = sem.mechanisms[node].evaluate(values, bins, sem.dag.parents[node])

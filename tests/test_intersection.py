@@ -318,19 +318,6 @@ def test_weak_form_survives_on_mixture_grids():
         }
 
 
-def test_weak_form_skips_a_conditioning_cell_whose_entries_cancel():
-    # C=1 holds +0.1 and -0.1: nonzero cells but no mass, so, as in the
-    # premises and the classes, no conditioning cell (a table that validate
-    # refuses, built in code)
-    table = np.zeros((2, 2, 2, 2))
-    table[..., 0] = 1 / 8
-    table[0, 0, 0, 1], table[1, 1, 1, 1] = 0.1, -0.1
-    g = DensityGrid(tuple(index_axis(n, 2) for n in "XABC"), table)
-    report = verify_weak_intersection(g, "X", "A", "B")
-    assert report.holds
-    assert report.per_class == {((0,), 1): 0.0}
-
-
 def test_weak_form_requires_the_premises():
     table = np.zeros((2, 2, 2))
     for a in range(2):

@@ -468,13 +468,12 @@ def test_joint_support_component_counts():
 
 
 def test_joint_support_components_reads_only_the_support_cells():
-    # a 10^6-cell grid with four support cells: once its support is cached,
+    # a 10^6-cell grid with four support cells, found when it is made:
     # counting allocates no dense mask and no int64 label table (8 MB)
     table = np.zeros((100, 100, 100))
     table[0, 0, 0] = table[0, 0, 1] = table[50, 50, 50] = table[99, 0, 99] = 0.25
     axes = tuple(Axis(n, tuple(float(k) for k in range(100))) for n in "ABC")
     g = DensityGrid(axes, table)
-    g._support
     tracemalloc.start()
     try:
         counts = joint_support_components(g), joint_support_components(g, ("A", "C"))

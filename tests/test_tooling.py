@@ -55,16 +55,8 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
-# The functions that read a grid's dense table.  Every other function
-# works from the axes and the support cells; adding a reader is a
-# deliberate edit of this list.
-PROB_READERS = [
-    "grids.DensityGrid._support",
-    "grids._support_index",
-]
-
-
-def test_dense_table_readers():
+def scopes_where(matches):
+    """The dotted scopes (module, class, function) of the matching source nodes."""
     found = set()
 
     def visit(node, scope):
@@ -72,10 +64,33 @@ def test_dense_table_readers():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "prob":
+            if matches(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-    assert sorted(found) == PROB_READERS
+    return sorted(found)
+
+
+# The functions that read a grid's dense table.  Every other function
+# works from the axes and the support cells; adding a reader is a
+# deliberate edit of this list.
+PROB_READERS: list[str] = []
+
+
+def test_dense_table_readers():
+    found = scopes_where(lambda n: isinstance(n, ast.Attribute) and n.attr == "prob")
+    assert found == PROB_READERS
+
+
+def test_only_the_reader_builds_grids_from_tables():
+    # every grid the library makes is handed its support cells
+    # (grids._from_support); only a dense grid document is a table
+    def builds(node):
+        return isinstance(node, ast.Call) and "DensityGrid" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert scopes_where(builds) == ["grids.grid_from_json"]
