@@ -52,7 +52,6 @@ from .grids import (
     load_grid,
     marginalize,
     save_grid,
-    validate,
 )
 from .intersection import (
     IntersectionReport,

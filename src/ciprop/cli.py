@@ -83,9 +83,7 @@ def _parse_fixed(pairs: list[str] | None) -> dict[str, int]:
 
 
 def _runs(bins: tuple[int, ...]) -> str:
-    """Ascending bins as runs, (0, 1, 2, 5) as '0-2,5'; no bins as '-'."""
-    if not bins:
-        return "-"
+    """Ascending bins, at least one, as runs: (0, 1, 2, 5) as '0-2,5'."""
     cuts = [k for k in range(1, len(bins)) if bins[k] != bins[k - 1] + 1]
     spans = zip([0, *cuts], [*cuts, len(bins)])
     return ",".join(
@@ -106,12 +104,10 @@ def _ci_line(label: str, report: CiReport) -> str:
     )
 
 
-def _finish(args: argparse.Namespace, holds: bool | None) -> int:
+def _finish(args: argparse.Namespace, holds: bool) -> int:
     expect = getattr(args, "assert_", None)
     if expect is None:
         return 0
-    if holds is None:
-        raise _UsageError("--assert is not applicable to this invocation")
     return 0 if holds == (expect == "holds") else 1
 
 
@@ -207,15 +203,7 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     target = _parse_fixed(args.target) or None
-    adversary = construct_adversary(
-        grid,
-        target,
-        noise_halfwidth=args.halfwidth,
-        levels=(args.levels[0], args.levels[1]),
-        a=args.a,
-        b=args.b,
-        name=args.x,
-    )
+    adversary = construct_adversary(grid, target, args.a, args.b, args.x)
     save_grid(adversary, args.out)
     cond = _cond_names(grid, (args.a, args.b), None)
     report = verify_intersection(adversary, args.x, args.a, args.b, cond, args.tol)
@@ -374,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("-o", dest="out", required=True)
     p.add_argument("--target", action="append", help="target c-cell, axis=bin")
-    p.add_argument("--halfwidth", type=float, default=0.1)
-    p.add_argument("--levels", type=float, nargs=2, default=(0.0, 10.0))
     _add_topology_flags(p)
     _add_tol_flag(p)
     p.set_defaults(func=_cmd_adversary)

@@ -25,11 +25,11 @@ positive conditional mass ``p(a | c)``, the pointwise form is bounded by
 agreement at tolerance ``tol`` is guaranteed on grids whose deviations are
 either ~0 (exact constructions) or far above ``tol``.
 
-A grid is its support cells: finite, positive masses, checked when the
-grid is made.  Every grid the library builds (pushforwards, marginals,
-slices, adversaries, files) is handed them; ``DensityGrid(axes, prob)``
-finds them by one scan of the table it is given, and the dense table is
-built from them on first read.  A query keys each support cell by its
+A grid is its support cells: finite, positive masses that sum to 1,
+checked when the grid is made.  Every grid the library builds
+(pushforwards, marginals, slices, adversaries, files) is handed them;
+``DensityGrid(axes, prob)`` finds them by one scan of the table it is
+given, and the dense table is built from them on first read.  A query keys each support cell by its
 (c, x, a) bins, merging the cells that the summed-out axes put on one
 key, and sums per conditioning cell, row and column, so its cost grows
 with the number of support cells, not with the grid.  A cell off the
@@ -83,7 +83,7 @@ class Axis:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not (isinstance(self.name, str) and self.name):
             raise ShapeMismatch("axis name must be a nonempty string")
         pts = tuple(float(p) for p in self.points)
         if not pts:
@@ -176,7 +176,7 @@ class CiReport:
     deviation: float
     witness: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     tol: float
-    pointwise_deviation: float | None = None
+    pointwise_deviation: float
 
 
 def _distinct(axes: Iterable[Axis]) -> tuple[Axis, ...]:
@@ -210,7 +210,8 @@ def _checked(
     one, the row-major table, which is scanned.  Refuses, in this order,
     more than ``MAX_GRID_CELLS`` cells (``BudgetExceeded``), then, naming
     its cell, a mass that is not finite (``NotNormalized``) and the first
-    most negative mass (``NegativeMass``).  Masses of 0 are dropped.
+    most negative mass (``NegativeMass``), and last masses that do not sum
+    to 1 within ``NORM_TOL`` (``NotNormalized``).  Masses of 0 are dropped.
     """
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
@@ -234,6 +235,9 @@ def _checked(
     nonzero = mass != 0
     if not nonzero.all():
         index, mass = index[nonzero], mass[nonzero]
+    total = float(mass.sum())
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NotNormalized(f"entries sum to {total!r}, not 1")
     return index, mass
 
 
@@ -255,7 +259,7 @@ def _from_support(
 
 
 def _merged(axes: Sequence[Axis], flat: np.ndarray, weights: np.ndarray) -> DensityGrid:
-    """The validated grid whose cells hold the ``weights`` at their ``flat`` index.
+    """The grid whose cells hold the ``weights`` at their ``flat`` index.
 
     One sort merges the weights of a cell and ``bincount`` adds them in
     their order, as an accumulation over the dense table would, so the
@@ -263,18 +267,7 @@ def _merged(axes: Sequence[Axis], flat: np.ndarray, weights: np.ndarray) -> Dens
     """
     index, inverse = np.unique(flat, return_inverse=True)
     mass = np.bincount(inverse, weights=weights, minlength=index.size)
-    grid = _from_support(axes, index, mass)
-    validate(grid)
-    return grid
-
-
-def validate(grid: DensityGrid) -> None:
-    """Raise ``NotNormalized`` unless the masses of ``grid`` sum to 1
-    within ``NORM_TOL``; a grid's structure and its finite, non-negative
-    masses are checked when it is made."""
-    total = float(grid._support[1].sum())
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise NotNormalized(f"entries sum to {total!r}, not 1")
+    return _from_support(axes, index, mass)
 
 
 def marginalize(grid: DensityGrid, keep: Iterable[str]) -> DensityGrid:
@@ -440,8 +433,6 @@ def _ci_residuals(
     keys, mass, (_, n_x, n_a) = _keyed_support(grid, (c_pos, x_pos, a_pos))
     c_start, c_run = _runs(keys // (n_x * n_a))
     m_c = np.add.reduceat(mass, c_start)
-    if keys.size == 0:
-        raise ZeroMassCondition("no conditioning cell has positive mass")
     row_start, row_run = _runs(keys // n_a)
     row_c = c_run[row_start]
     px = np.add.reduceat(mass, row_start) / m_c[row_c]
@@ -565,14 +556,14 @@ def _sparse(index: object, mass: object, cells: int) -> tuple[np.ndarray, ...]:
 
 
 def grid_from_json(text: str) -> DensityGrid:
-    """Parse, canonicalize axis order alphabetically, and validate.
+    """Parse a grid document, with its axes in alphabetical order.
 
     Reads the sparse ``"index"`` / ``"mass"`` lists that ``grid_to_json``
     writes, the grid's support cells, or a dense ``"prob"`` list of every
     cell in row-major order; a document holds exactly one of the two.
-    Numbers must be JSON numbers, not strings or booleans.  Axes implying
-    more than ``MAX_GRID_CELLS`` cells raise ``BudgetExceeded`` before
-    any table is allocated.
+    Numbers must be JSON numbers that fit a float, not strings or
+    booleans.  Axes implying more than ``MAX_GRID_CELLS`` cells raise
+    ``BudgetExceeded`` before any table is allocated.
     """
     doc = json.loads(text)
     try:
@@ -593,24 +584,21 @@ def grid_from_json(text: str) -> DensityGrid:
             index, mass = _sparse(doc["index"], doc["mass"], cells)
     except CipropError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed grid document: {exc}") from exc
     shape = tuple(ax.size for ax in _distinct(axes))
     order = sorted(range(len(axes)), key=lambda i: axes[i].name)
     alphabetical = tuple(axes[i] for i in order)
     if "prob" in doc:
-        grid = DensityGrid(alphabetical, _shaped(table, shape).transpose(order))
-    else:
-        if order != list(range(len(axes))):  # re-key the cells alphabetically
-            bins = np.unravel_index(index, shape)
-            index = np.ravel_multi_index(
-                [bins[i] for i in order], [shape[i] for i in order]
-            )
-            by_index = np.argsort(index)
-            index, mass = index[by_index], mass[by_index]
-        grid = _from_support(alphabetical, index, mass)
-    validate(grid)
-    return grid
+        return DensityGrid(alphabetical, _shaped(table, shape).transpose(order))
+    if order != list(range(len(axes))):  # re-key the cells alphabetically
+        bins = np.unravel_index(index, shape)
+        index = np.ravel_multi_index(
+            [bins[i] for i in order], [shape[i] for i in order]
+        )
+        by_index = np.argsort(index)
+        index, mass = index[by_index], mass[by_index]
+    return _from_support(alphabetical, index, mass)
 
 
 def load_grid(path: str) -> DensityGrid:

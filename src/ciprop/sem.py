@@ -25,7 +25,7 @@ import heapq
 import json
 import math
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -44,11 +44,13 @@ from .errors import (
 )
 from .grids import (
     MAX_GRID_CELLS,
+    NORM_TOL,
     Axis,
     DensityGrid,
     _keyed_support,
     _kept,
     _merged,
+    _numbers,
     _runs,
 )
 from .jsonio import render_json
@@ -109,7 +111,7 @@ class NoiseSpec:
             raise NegativeMass(f"negative noise probability {min(probs)!r}")
         total = math.fsum(probs)
         # written so that a NaN probability, whose sum is NaN, fails it
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise NotNormalized(f"noise probabilities sum to {total!r}")
         mean = math.fsum(p * x for p, x in zip(probs, points))
         if abs(mean) > 1e-9:
@@ -487,22 +489,14 @@ def noise_support_path_connected(sem: SemSpec) -> dict[str, bool]:
     return out
 
 
-def joint_support_components(
-    grid: DensityGrid, variables: Iterable[str] | None = None
-) -> int:
-    """Component count of the (marginal) support lattice; see label_support_nd.
+def joint_support_components(grid: DensityGrid) -> int:
+    """Component count of the support lattice; see label_support_nd.
 
-    The support is exact: every cell of positive mass belongs to it.  It
-    is read from the grid's support cells, keyed over ``variables`` when
-    they are given.
+    The support is exact: every cell of positive mass belongs to it, and
+    it is read from the grid's support cells.  Count a marginal's
+    components on :func:`~ciprop.grids.marginalize` of the grid.
     """
-    if variables is None:
-        index = grid._support[0]
-        shape = [ax.size for ax in grid.axes]
-    else:
-        kept = _kept(grid, tuple(variables))
-        index, _, shape = _keyed_support(grid, [(p,) for p in kept])
-    return _components(index, shape)[1]
+    return _components(grid._support[0], [ax.size for ax in grid.axes])[1]
 
 
 @dataclass(frozen=True)
@@ -637,27 +631,40 @@ def _mechanism_doc(mech: Mechanism) -> dict:
     return {"kind": "table", "values": [float(v) for v in mech.values.ravel()]}
 
 
+def _number(value: object, field: str) -> float:
+    """``value`` as a float if it is a JSON number; ``ShapeMismatch`` otherwise."""
+    return float(_numbers([value], field)[0])
+
+
+def _names(value: object, field: str) -> tuple[str, ...]:
+    """``value`` if it is a list of strings; ``ShapeMismatch`` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise ShapeMismatch(f"{field!r} must be a list of node names")
+    return tuple(value)
+
+
 def _mechanism_from_doc(doc: Mapping, parents: tuple[str, ...], axes) -> Mechanism:
     kind = doc.get("kind")
     if kind == "affine":
-        return AffineMechanism(float(doc.get("intercept", 0.0)), dict(doc["coeffs"]))
+        coeffs = dict(doc["coeffs"])
+        values = map(float, _numbers(list(coeffs.values()), "coeffs"))
+        intercept = _number(doc.get("intercept", 0.0), "intercept")
+        return AffineMechanism(intercept, dict(zip(coeffs, values)))
     if kind == "piecewise":
         pieces = []
         for p in doc["pieces"]:
-            lo = -math.inf if p.get("lo") is None else float(p["lo"])
-            hi = math.inf if p.get("hi") is None else float(p["hi"])
+            lo = -math.inf if p.get("lo") is None else _number(p["lo"], "lo")
+            hi = math.inf if p.get("hi") is None else _number(p["hi"], "hi")
             if p.get("kind") == "const":
-                pieces.append(PiecewisePiece(lo, hi, intercept=float(p["level"])))
+                pieces.append(PiecewisePiece(lo, hi, _number(p["level"], "level")))
             else:
-                pieces.append(
-                    PiecewisePiece(
-                        lo, hi, intercept=float(p["intercept"]), slope=float(p["slope"])
-                    )
-                )
+                level, slope = (_number(p[k], k) for k in ("intercept", "slope"))
+                pieces.append(PiecewisePiece(lo, hi, level, slope))
         return PiecewiseMechanism(doc["parent"], tuple(pieces))
     if kind == "table":
         shape = tuple(axes[p].size for p in parents)
-        return TableMechanism(np.asarray(doc["values"], dtype=float).reshape(shape))
+        values = np.array(_numbers(doc["values"], "values"), dtype=float)
+        return TableMechanism(values.reshape(shape))
     raise ShapeMismatch(f"unknown mechanism kind {kind!r}")
 
 
@@ -667,8 +674,8 @@ def _axis_doc(axis: Axis) -> dict:
 
 def _axis_from_doc(name: str, doc: Mapping) -> Axis:
     if "points" in doc:
-        return Axis(name, tuple(float(p) for p in doc["points"]))
-    lo, hi, step = float(doc["min"]), float(doc["max"]), float(doc["step"])
+        return Axis(name, tuple(_numbers(doc["points"], "points")))
+    lo, hi, step = (_number(doc[k], k) for k in ("min", "max", "step"))
     return Axis(name, _lattice(lo, hi, step))
 
 
@@ -695,13 +702,15 @@ def sem_to_json(sem: SemSpec) -> str:
 
 
 def sem_from_json(text: str) -> SemSpec:
+    """Parse a model document: numbers must be JSON numbers, names strings."""
     doc = json.loads(text)
     try:
-        nodes = tuple(doc["nodes"])
-        dag = Dag(nodes, {n: tuple(ps) for n, ps in doc["parents"].items()})
+        nodes = _names(doc["nodes"], "nodes")
+        parents = {n: _names(ps, "parents") for n, ps in doc["parents"].items()}
+        dag = Dag(nodes, parents)
         axes = {n: _axis_from_doc(n, d) for n, d in doc["output_axis"].items()}
         noises = {
-            n: NoiseSpec(tuple(d["points"]), tuple(d["probs"]))
+            n: NoiseSpec(*(tuple(_numbers(d[k], k)) for k in ("points", "probs")))
             for n, d in doc["noise"].items()
         }
         mechanisms = {
@@ -710,7 +719,7 @@ def sem_from_json(text: str) -> SemSpec:
         }
     except CipropError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed model document: {exc}") from exc
     return SemSpec(dag=dag, noises=noises, mechanisms=mechanisms, axes=axes)
 

@@ -1,4 +1,4 @@
-"""Support decomposition for pairs of grid variables.
+"""Support decomposition for pairs of grid axes.
 
 The support of an (A, B) slice is the set of its cells of positive mass.
 This module labels the path-connected components of a support (cells

@@ -30,7 +30,6 @@ from ciprop import (
     ShapeMismatch,
     ZeroMassCondition,
     non_descendants,
-    validate,
 )
 from ciprop.sem import _configurations
 from ciprop.topology import _class_assignments
@@ -287,9 +286,7 @@ def propagate_reference(sem):
     axes, flat_index, weights = _configurations(sem)
     cells = int(np.prod([ax.size for ax in axes]))
     table = np.bincount(flat_index, weights=weights, minlength=cells)
-    grid = DensityGrid(axes, table)
-    validate(grid)
-    return grid
+    return DensityGrid(axes, table)
 
 
 def marginalize_reference(grid, keep):
@@ -380,9 +377,7 @@ def attach_reference(base, assignments, g, noise_points, noise_probs, a, b, name
     for offset, p_k in zip(pts, probs):
         x_idx = np.searchsorted(values, np.round(levels + offset, 9))
         out[(x_idx, *cells.T)] += masses * p_k
-    result = DensityGrid((Axis(name, tuple(float(v) for v in values)), *base.axes), out)
-    validate(result)
-    return result
+    return DensityGrid((Axis(name, tuple(float(v) for v in values)), *base.axes), out)
 
 
 def ci_reference(grid, x, a, cond=()):

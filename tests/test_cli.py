@@ -17,6 +17,7 @@ from ciprop import (
     DensityGrid,
     NoiseSpec,
     SemSpec,
+    example1,
     grid_to_json,
     is_ci,
     label_support_nd,
@@ -24,6 +25,7 @@ from ciprop import (
     render_labels,
     save_grid,
     save_sem,
+    sem_to_json,
 )
 from ciprop import cli
 from ciprop import intersection as intersection_module
@@ -186,6 +188,64 @@ def test_malformed_number_in_model_file_exits_3(tmp_path, capsys):
     )
     assert run(["sem", "check-prop3", str(path)]) == 3
     assert "error[ShapeMismatch]" in capsys.readouterr().err
+
+
+BIG = 10**400  # a JSON integer too large for a float
+
+
+def grid_doc(points=(0, 1), name="A", **fields):
+    """A one-axis grid document as JSON text."""
+    return json.dumps({"axes": [{"name": name, "points": list(points)}], **fields})
+
+
+def model_doc(*path_value):
+    """The example1 model as JSON text, with the last argument set at the
+    path of keys and list positions given before it."""
+    *path, value = path_value
+    doc = json.loads(sem_to_json(example1()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+NOT_NUMBERS_OR_NAMES = {
+    "grid-points-huge": ("grid", grid_doc(points=[0, BIG], prob=[0.5, 0.5])),
+    "prob-huge": ("grid", grid_doc(prob=[BIG, 0])),
+    "mass-huge": ("grid", grid_doc(index=[0], mass=[BIG])),
+    "axis-name-list": ("grid", grid_doc(name=["A"], prob=[0.5, 0.5])),
+    "noise-point-huge": ("model", model_doc("noise", "A", "points", 0, BIG)),
+    "noise-point-string": ("model", model_doc("noise", "A", "points", 0, "-2")),
+    "coeff-string": ("model", model_doc("mechanism", "B", "coeffs", {"A": "x"})),
+    "level-boolean": ("model", model_doc("mechanism", "X", "pieces", 0, "level", True)),
+    "table-strings": (
+        "model", model_doc("mechanism", "B", {"kind": "table", "values": ["0"] * 22})
+    ),
+    "step-string": (
+        "model", model_doc("output_axis", "B", {"min": -2.3, "max": 2.3, "step": "0.1"})
+    ),
+    "nodes-string": ("model", model_doc("nodes", "ABX")),
+    "parents-string": ("model", model_doc("parents", "B", "A")),
+    "axes-not-a-mapping": ("model", model_doc("output_axis", [])),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text", NOT_NUMBERS_OR_NAMES.values(), ids=NOT_NUMBERS_OR_NAMES.keys()
+)
+def test_readers_take_only_json_numbers_and_name_lists(kind, text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    runs = [["report", str(path)]] if kind == "grid" else [
+        ["sem", "check-prop3", str(path)],
+        ["sem", "propagate", str(path), "-o", str(tmp_path / "grid.json")],
+    ]
+    for argv in runs:
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error[ShapeMismatch]: ")
+        assert err.count("\n") == 1
 
 
 def test_assert_flag_controls_exit(blocks_path):

@@ -38,7 +38,6 @@ from ciprop import (
     propagate,
     save_grid,
     save_sem,
-    validate,
     verify_intersection,
     verify_weak_intersection,
 )
@@ -73,8 +72,9 @@ def test_axis_rejects_bad_points():
         Axis("A", (0.0, 0.0))
     with pytest.raises(ShapeMismatch):
         Axis("A", (1.0, 0.5))
-    with pytest.raises(ShapeMismatch):
-        Axis("", (0.0, 1.0))
+    for name in ("", 1, ("A",)):
+        with pytest.raises(ShapeMismatch):
+            Axis(name, (0.0, 1.0))
     # NaN compares false both ways, so an ordering check alone passes it
     for points in ((0.0, float("nan"), 2.0), (float("nan"),), (0.0, float("inf"))):
         with pytest.raises(ShapeMismatch):
@@ -136,13 +136,15 @@ def test_grid_shape_checks():
 
 
 def test_validate_flags_negative_and_unnormalized():
-    # a negative entry is refused when the grid is made
+    # a negative entry and a table off 1 by more than 1e-9 are refused
+    # when the grid is made
     with pytest.raises(NegativeMass, match=r"^entry \(1, 0\) is -0.1$"):
         make_grid([("A", 2), ("B", 2)], [[0.6, 0.5], [-0.1, 0.0]])
-    g = make_grid([("A", 2)], [0.6, 0.6])
+    with pytest.raises(NotNormalized, match=r"^entries sum to 1.2, not 1$"):
+        make_grid([("A", 2)], [0.6, 0.6])
     with pytest.raises(NotNormalized):
-        validate(g)
-    validate(make_grid([("A", 2)], [0.5, 0.5]))
+        make_grid([("A", 2)], [0.5, 0.5 + 2e-9])
+    make_grid([("A", 2)], [0.5, 0.5 + 5e-10])
 
 
 def test_axis_lookup():
@@ -282,9 +284,10 @@ def test_role_validation():
 
 
 def test_zero_mass_conditioning_rejected():
-    g = make_grid([("X", 2), ("A", 2), ("C", 2)], np.zeros((2, 2, 2)))
-    with pytest.raises(ZeroMassCondition):
-        is_ci(g, "X", "A", ("C",))
+    # a grid without mass, whose conditioning cells are all empty, is
+    # refused when it is made, before any query
+    with pytest.raises(NotNormalized, match=r"^entries sum to 0.0, not 1$"):
+        make_grid([("X", 2), ("A", 2), ("C", 2)], np.zeros((2, 2, 2)))
 
 
 def test_is_ci_counts_a_tiny_conditioning_cell():
@@ -793,7 +796,7 @@ def test_queries_on_built_grids_never_build_their_table(monkeypatch, tmp_path):
         is_ci(grid, x, a, cond)
     verify_weak_intersection(grid, "X", "A", "B")
     joint_support_components(grid)
-    joint_support_components(grid, ("A", "B"))
+    joint_support_components(marginalize(grid, ("A", "B")))
     non_constancy_check(sem, "X", "B", grid)
     adversary = construct_adversary(marginalize(grid, ("A", "B")))
     verify_intersection(adversary, "X", "A", "B", ())

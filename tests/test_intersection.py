@@ -499,12 +499,6 @@ def test_adversary_requires_two_classes():
         construct_adversary(mask_grid(np.ones((3, 3), dtype=bool)))
 
 
-def test_adversary_rejects_overlapping_bands():
-    base = mask_grid(layouts.two_block_mask())
-    with pytest.raises(ShapeMismatch):
-        construct_adversary(base, noise_halfwidth=0.1, levels=(0.0, 0.15))
-
-
 def test_adversary_rejects_zero_mass_target():
     blocks = layouts.two_block_mask(4).astype(float)
     table = np.stack([blocks, np.zeros((4, 4))], axis=-1)

@@ -388,7 +388,7 @@ def test_example1_axes_and_support(ex1):
     assert {n: ax.size for n, ax in sem.axes.items()} == {"A": 22, "B": 47, "X": 107}
     assert grid.axis_names == ("A", "B", "X")
     assert grid.prob.sum() == pytest.approx(1.0, abs=1e-12)
-    assert joint_support_components(grid, ("A", "B")) == 2
+    assert joint_support_components(marginalize(grid, ("A", "B"))) == 2
     assert joint_support_components(grid) == 2
 
 
@@ -404,7 +404,7 @@ def test_example1_step_validation():
 def test_example1_finer_step():
     grid = propagate(example1(0.05))
     assert grid.prob.sum() == pytest.approx(1.0, abs=1e-12)
-    assert joint_support_components(grid, ("A", "B")) == 2
+    assert joint_support_components(marginalize(grid, ("A", "B"))) == 2
 
 
 def test_alternative_model_matches_exactly(ex1):
@@ -451,7 +451,7 @@ def test_joint_support_component_counts():
     table[0, 0] = table[1, 1] = 0.5
     g = DensityGrid((Axis("A", (0.0, 1.0)), Axis("B", (0.0, 1.0))), table)
     assert joint_support_components(g) == 2
-    assert joint_support_components(g, ("A",)) == 1
+    assert joint_support_components(marginalize(g, ("A",))) == 1
     # the support cells against the dense labeller of the (marginal) mask
     rng = np.random.default_rng(71)
     counts = set()
@@ -462,8 +462,8 @@ def test_joint_support_component_counts():
         counts.add(count)
         names = g.axis_names
         for keep in (names[:1], names[1:], names[::2], names[::-1]):
-            dense = marginalize(g, keep).prob > 0
-            assert joint_support_components(g, keep) == label_support_nd(dense)[1]
+            m = marginalize(g, keep)
+            assert joint_support_components(m) == label_support_nd(m.prob > 0)[1]
     assert len(counts) >= 3
 
 
@@ -476,7 +476,10 @@ def test_joint_support_components_reads_only_the_support_cells():
     g = DensityGrid(axes, table)
     tracemalloc.start()
     try:
-        counts = joint_support_components(g), joint_support_components(g, ("A", "C"))
+        counts = (
+            joint_support_components(g),
+            joint_support_components(marginalize(g, ("A", "C"))),
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -697,6 +700,33 @@ def test_reader_accepts_uniform_axis_shorthand():
     assert np.allclose(
         marginalize(grid, ("A",)).prob, [0.25, 0.0, 0.5, 0.0, 0.25], atol=1e-15
     )
+
+
+def edgeless_sem():
+    """A and B without edges; B's noise is a single point."""
+    return SemSpec(
+        Dag(("A", "B"), {}),
+        {"A": coin(-1.0, 0.0, 1.0), "B": NoiseSpec((0.0,), (1.0,))},
+        {},
+        {"A": Axis("A", (-1.0, 0.0, 1.0)), "B": Axis("B", (0.0,))},
+    )
+
+
+def test_a_model_without_edges_roundtrips_and_propagates():
+    text = sem_to_json(edgeless_sem())
+    assert '"mechanism": {}' in text
+    back = sem_from_json(text)
+    assert back.mechanisms == {}
+    assert sem_to_json(back) == text
+    grid = propagate(back)
+    assert grid.axis_names == ("A", "B")
+    assert np.array_equal(grid.prob, np.full((3, 1), 1.0 / 3.0))
+
+
+def test_a_one_point_noise_counts_as_connected():
+    sem = edgeless_sem()
+    assert noise_support_path_connected(sem) == {"A": True, "B": True}
+    assert joint_support_components(propagate(sem)) == 1
 
 
 def test_reader_rejects_malformed_documents():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import types
 from pathlib import Path
@@ -38,7 +39,7 @@ PUBLIC_NAMES = [
     "joint_support_components", "label_support_nd", "load_grid", "load_sem",
     "marginalize", "noise_support_path_connected", "non_constancy_check",
     "non_descendants", "propagate", "render_labels", "save_grid", "save_sem",
-    "sem_from_json", "sem_to_json", "topological_order", "validate",
+    "sem_from_json", "sem_to_json", "topological_order",
     "verify_intersection", "verify_weak_intersection",
 ]
 
@@ -51,8 +52,45 @@ def test_public_names():
         for name, value in vars(ciprop).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 59
     assert names == PUBLIC_NAMES
+
+
+# Every subcommand's options: adding a flag is a deliberate edit of this map.
+CLI_OPTIONS = {
+    "adversary": ["--a", "--b", "--target", "--tol", "--x", "-o"],
+    "check-ci": ["--a", "--assert", "--cond", "--tol", "--x"],
+    "classes": ["--a", "--assert", "--b", "--c", "--x"],
+    "components": ["--a", "--b", "--c", "--x"],
+    "intersection": ["--a", "--assert", "--b", "--x", "-o"],
+    "report": ["--a", "--assert", "--b", "--deterministic", "--tol", "--x"],
+    "sem check-prop3": ["--assert"],
+    "sem check-prop4": ["--assert", "--node", "--parent"],
+    "sem example1": ["--step", "-o"],
+    "sem example1-alt": ["--step", "-o"],
+    "sem propagate": ["-o"],
+    "weak-intersection": ["--a", "--assert", "--b", "--tol", "--x"],
+}
+
+
+def test_cli_options():
+    from ciprop.cli import build_parser
+
+    found = {}
+
+    def visit(parser, command):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subs:
+            for name, sub in action.choices.items():
+                visit(sub, f"{command} {name}".strip())
+        if not subs:
+            found[command] = sorted(
+                s for a in parser._actions for s in a.option_strings
+                if s not in ("-h", "--help")
+            )
+
+    visit(build_parser(), "")
+    assert found == CLI_OPTIONS
 
 
 def scopes_where(matches):
