@@ -3,7 +3,10 @@
 A :class:`DensityGrid` is a joint probability mass function over named,
 strictly increasing real axes.  All operations are pure: grids are
 frozen, share no memory with their callers' arrays, and their tables are
-read-only, so values can be shared freely across threads.
+read-only, so values can be shared freely across threads.  A grid
+answers each (x, a, cond) question once, and later calls reuse the
+answer; two threads that ask a new question at once both compute it and
+store equal answers, so the memo needs no lock.
 
 Conditional independence of ``X`` and ``A`` given ``C`` is measured per
 conditioning cell ``c`` with ``p(c) > 0`` as the total-variation
@@ -139,6 +142,11 @@ class DensityGrid:
         shape = [ax.size for ax in self.axes]
         bins = np.unravel_index(self._support[0], shape)
         return tuple(b.astype(np.min_scalar_type(n - 1)) for b, n in zip(bins, shape))
+
+    @cached_property
+    def _ci_answers(self) -> dict[tuple[tuple[int, ...], ...], tuple]:
+        """The answer of every CI question asked of the grid so far, by roles."""
+        return {}
 
     # -- axis lookup ----------------------------------------------------
 
@@ -304,12 +312,7 @@ def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
     at = np.ones(index.size, dtype=bool)
     for name, bin_idx in fixed.items():
         i = grid.axis_index(name)
-        if not 0 <= int(bin_idx) < grid.axes[i].size:
-            raise IndexOutOfRange(
-                f"bin {bin_idx} out of range for axis {name!r} "
-                f"(size {grid.axes[i].size})"
-            )
-        at &= grid._coords[i] == int(bin_idx)
+        at &= grid._coords[i] == _bin(grid.axes[i], bin_idx)
     kept = [i for i, ax in enumerate(grid.axes) if ax.name not in fixed]
     if not kept:
         raise ShapeMismatch("conditioning on every axis leaves an empty grid")
@@ -320,6 +323,18 @@ def condition(grid: DensityGrid, fixed: Mapping[str, int]) -> DensityGrid:
     bins = [grid._coords[i][at] for i in kept]
     index = np.ravel_multi_index(bins, [ax.size for ax in axes])
     return _from_support(axes, index, mass[at] / total)
+
+
+def _bin(axis: Axis, value: object) -> int:
+    """``value`` as a bin of ``axis``: an integer, not a bool, in [0, size)."""
+    # int() would also take 1.5, True and "1"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeMismatch(f"bin {value!r} of axis {axis.name!r} is not an integer")
+    if not 0 <= value < axis.size:
+        raise IndexOutOfRange(
+            f"bin {value} out of range for axis {axis.name!r} (size {axis.size})"
+        )
+    return int(value)
 
 
 def _as_names(spec: str | Iterable[str]) -> tuple[str, ...]:
@@ -418,6 +433,26 @@ def _ci_residuals(
 ) -> tuple[float, float, _Witness]:
     """The deviation, pointwise residual and witness of ``x`` vs ``a`` given ``cond``.
 
+    The roles are resolved, and checked, on every call; the answer is
+    computed by :func:`_ci_pass` on the first call that asks the question
+    and kept in the grid's ``_ci_answers``, keyed by the sorted axis
+    positions of the roles, which fully determine it.
+    """
+    roles = _roles(grid, x, a, cond)
+    answers = grid._ci_answers
+    if roles not in answers:
+        answers[roles] = _ci_pass(grid, *roles)
+    return answers[roles]
+
+
+def _ci_pass(
+    grid: DensityGrid,
+    x_pos: tuple[int, ...],
+    a_pos: tuple[int, ...],
+    c_pos: tuple[int, ...],
+) -> tuple[float, float, _Witness]:
+    """:func:`_ci_residuals` given the axis positions of the roles.
+
     Reads only the support cells.  With j = p(x, a | c) and
     q = p(x | c) p(a | c), a cell off the support of a (c, x) row whose
     a-bin holds mass in c has residual q, so the row's off-support cells
@@ -429,7 +464,6 @@ def _ci_residuals(
     over the cells of a conditioning cell, a row or a column, are
     pairwise, as numpy's dense sums are.
     """
-    x_pos, a_pos, c_pos = _roles(grid, x, a, cond)
     keys, mass, (_, n_x, n_a) = _keyed_support(grid, (c_pos, x_pos, a_pos))
     c_start, c_run = _runs(keys // (n_x * n_a))
     m_c = np.add.reduceat(mass, c_start)
@@ -481,7 +515,11 @@ def is_ci(
     cond: Iterable[str] = (),
     tol: float = DEFAULT_TOL,
 ) -> CiReport:
-    """Test ``x`` independent of ``a`` given ``cond`` at tolerance ``tol``."""
+    """Test ``x`` independent of ``a`` given ``cond`` at tolerance ``tol``.
+
+    A grid answers each (x, a, cond) question once, and later calls, with
+    any ``tol`` or order of names within a role, reuse the answer.
+    """
     # written so that a NaN tolerance fails it
     if not tol > 0:
         raise ShapeMismatch(f"tol must be positive, got {tol!r}")

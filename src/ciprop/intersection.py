@@ -59,6 +59,7 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
+    _bin,
     _ci_residuals,
     _groups,
     _keyed_support,
@@ -390,7 +391,7 @@ def construct_adversary(
                 f"target cell must fix exactly the conditioning axes {cond_names}; "
                 f"got {sorted(target_c)}"
             )
-        target = tuple(int(target_c[n]) for n in cond_names)
+        target = tuple(_bin(base.axis(n), target_c[n]) for n in cond_names)
         if target not in assignments:
             raise SingleClass(f"target cell {dict(target_c)} has no positive mass")
         if assignments[target].class_count < 2:

@@ -531,6 +531,8 @@ def non_constancy_check(
     outputs.  The overall verdict requires a witness for every C; a single
     failing C (reported) sinks it, which is exactly what happens when the
     mechanism has plateaus and the off-plateau region carries no mass.
+    A ``grid`` whose axis of the parent, another parent or a candidate is
+    not the model's raises :class:`ShapeMismatch`.
     """
     if node not in sem.dag.nodes:
         raise UnknownNode(f"no node named {node!r}")
@@ -545,6 +547,14 @@ def non_constancy_check(
     if grid is None:
         grid = propagate(sem)
     others = tuple(p for p in sem.dag.parents[node] if p != parent)
+    # the mechanism is evaluated at the model's points of the grid's bins;
+    # an axis the grid lacks raises UnknownAxis when a search reaches it
+    for n in (parent, *others, *candidates):
+        if n in grid.axis_names and grid.axis(n) != sem.axes[n]:
+            raise ShapeMismatch(
+                f"grid axis {n!r} ({grid.axis(n).size} points) is not the model's "
+                f"({sem.axes[n].size} points)"
+            )
 
     witnesses: dict[tuple[str, ...], tuple] = {}
     failing: tuple[str, ...] | None = None

@@ -15,8 +15,12 @@ from ciprop import (
     Axis,
     Dag,
     DensityGrid,
+    IndexOutOfRange,
     NoiseSpec,
     SemSpec,
+    ShapeMismatch,
+    condition,
+    construct_adversary,
     example1,
     grid_to_json,
     is_ci,
@@ -271,6 +275,48 @@ def test_zero_mass_slice_exits_3(workdir, capsys):
 def test_fixed_slice_off_its_axis_exits_3(abx_path, capsys):
     assert run(["components", str(abx_path), "--c", "X=9"]) == 3
     assert "error[IndexOutOfRange]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bin_idx, error",
+    [
+        (1.5, ShapeMismatch),
+        (0.7, ShapeMismatch),
+        (True, ShapeMismatch),
+        (np.bool_(True), ShapeMismatch),
+        ("1", ShapeMismatch),
+        (2, IndexOutOfRange),
+        (9, IndexOutOfRange),
+        (-1, IndexOutOfRange),
+        (np.int64(1), None),
+    ],
+)
+def test_a_named_cell_is_an_integer_bin_in_range(
+    bin_idx, error, abx_path, tmp_path, capsys
+):
+    # int() would take 1.5, True and "1" as bin 1, and a target off its
+    # axis is not a cell without mass
+    grid = load_grid(str(abx_path))
+    out = tmp_path / "adv.json"
+    argv = ["adversary", str(abx_path), "--x", "Y", "-o", str(out), "--target"]
+    if error is None:
+        sliced = condition(grid, {"X": bin_idx})
+        assert grid_to_json(sliced) == grid_to_json(condition(grid, {"X": 1}))
+        adversary = construct_adversary(grid, {"X": bin_idx}, name="Y")
+        assert run(argv + [f"X={bin_idx}"]) == 0
+        assert grid_to_json(adversary) == out.read_text(encoding="utf-8")
+        capsys.readouterr()
+        return
+    with pytest.raises(error):
+        condition(grid, {"X": bin_idx})
+    with pytest.raises(error):
+        construct_adversary(grid, {"X": bin_idx}, name="Y")
+    if error is IndexOutOfRange:
+        assert run(argv + [f"X={bin_idx}"]) == 3
+        assert f"error[IndexOutOfRange]: bin {bin_idx} out of range" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 def test_flags_are_taken_only_where_read(workdir, tmp_path, capsys):

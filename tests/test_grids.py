@@ -687,6 +687,51 @@ def test_a_missing_corner_adds_its_off_support_residuals():
         assert report.deviation == pytest.approx(ref, abs=1e-15)
 
 
+# -- one answer per question -----------------------------------------------------
+
+
+# each question with its role names reordered; sorted, the roles are the same
+REORDERED_QUERIES = [
+    (("X", ("A", "B"), ("C1", "C2")), ("X", ("B", "A"), ("C2", "C1"))),
+    (("X", "A", ("B", "C1", "C2")), ("X", "A", ("C2", "B", "C1"))),
+    ((("X", "C1"), "B", ("C2",)), (("C1", "X"), "B", ("C2",))),
+]
+
+
+def answer(report):
+    return report.deviation, report.pointwise_deviation, report.witness
+
+
+def test_a_grid_answers_each_question_once():
+    adv = construct_adversary(layouts.sliced_grid(np.random.default_rng(3)))
+    fresh = grids_module._from_support(adv.axes, *adv._support)
+    for query, reordered in REORDERED_QUERIES:
+        first = answer(check_kernel(adv, *query, 1e-12)[0])
+        asked = len(adv._ci_answers)
+        assert answer(is_ci(adv, *query)) == first
+        assert answer(is_ci(adv, *reordered)) == first
+        assert len(adv._ci_answers) == asked
+        assert answer(is_ci(fresh, *query)) == first
+
+
+def test_a_kept_answer_is_judged_at_each_tolerance():
+    g = layouts.corner_grid()
+    strict = is_ci(g, "X", "A", ("C",))
+    loose = is_ci(g, "X", "A", ("C",), tol=0.2)
+    assert not strict.holds and loose.holds and loose.tol == 0.2
+    assert answer(loose) == answer(strict) and strict.deviation == pytest.approx(1 / 8)
+    assert not is_ci(g, "X", "A", ("C",), tol=0.1).holds
+    assert len(g._ci_answers) == 1
+    # the roles and the tolerance are still checked on every call
+    with pytest.raises(UnknownAxis):
+        is_ci(g, "X", "Z", ("C",))
+    with pytest.raises(OverlappingRoles):
+        is_ci(g, "X", ("A", "X"), ("C",))
+    with pytest.raises(ShapeMismatch):
+        is_ci(g, "X", "A", ("C",), tol=float("nan"))
+    assert len(g._ci_answers) == 1
+
+
 # -- grids built from their support cells -------------------------------------
 
 

@@ -568,6 +568,22 @@ def test_adversary_satisfies_the_weak_form():
         assert weak.holds and weak.residual <= 1e-12
 
 
+def test_adversary_verify_and_weak_form_ask_four_questions(monkeypatch):
+    # the adversary checks both premises, the margin and the conclusion;
+    # verifying it and its weak form ask three of them again, and get the
+    # kept answers
+    passes = []
+    kernel = grids_module._ci_pass
+    monkeypatch.setattr(
+        grids_module, "_ci_pass", lambda *args: passes.append(args[1:]) or kernel(*args)
+    )
+    adv = construct_adversary(layouts.sliced_grid(np.random.default_rng(3)))
+    report = verify_intersection(adv, cond=("C1", "C2"))
+    weak = verify_weak_intersection(adv)
+    assert report.premises_hold and not report.implication_holds and weak.holds
+    assert len(passes) == len(set(passes)) == 4
+
+
 # -- verdict vs. adversary: the two sides of the criterion -----------------------
 
 

@@ -543,6 +543,21 @@ def test_non_constancy_argument_validation(ex1, monkeypatch):
         non_constancy_check(sem, "X", "B", grid)
 
 
+def test_non_constancy_refuses_a_grid_coarser_than_the_model(ex1):
+    # the model's points at the grid's bins are not the grid's values: on
+    # its own grid this model FAILS at {A}, at the coarse bins it holds
+    _, grid = ex1
+    with pytest.raises(ShapeMismatch, match="grid axis 'B' \\(47 points\\)"):
+        non_constancy_check(example1(0.05), "X", "B", grid)
+
+
+def test_non_constancy_refuses_a_grid_finer_than_the_model(ex1):
+    # the fine grid's bins run past the end of the model's points
+    sem, _ = ex1
+    with pytest.raises(ShapeMismatch, match="grid axis 'B' \\(93 points\\)"):
+        non_constancy_check(sem, "X", "B", propagate(example1(0.05)))
+
+
 def lattice_axis(name, m):
     return Axis(name, tuple(float(v) for v in range(-m, m + 1)))
 

@@ -132,3 +132,18 @@ def test_only_the_reader_builds_grids_from_tables():
         )
 
     assert scopes_where(builds) == ["grids.grid_from_json"]
+
+
+# The functions that run a CI residual pass.  Every other function asks
+# grids._ci_residuals, which keeps each grid's answers; adding a caller
+# of the pass is a deliberate edit of this list.
+CI_PASS_CALLERS = ["grids._ci_residuals"]
+
+
+def test_ci_residual_pass_callers():
+    def names_pass(node):
+        return (isinstance(node, ast.Name) and node.id == "_ci_pass") or (
+            isinstance(node, ast.Attribute) and node.attr == "_ci_pass"
+        )
+
+    assert scopes_where(names_pass) == CI_PASS_CALLERS
