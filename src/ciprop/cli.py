@@ -57,7 +57,7 @@ from .sem import (
     propagate,
     save_sem,
 )
-from .topology import UcAssignment, _components, label_support_nd, render_labels
+from .topology import UcAssignment, _components, render_labels
 
 
 class _UsageError(Exception):
@@ -154,7 +154,10 @@ def _component_counts(assignments: dict[tuple[int, ...], UcAssignment]) -> list[
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     for cell, assignment in _classes_by_cell(args, grid).items():
-        labels, count = label_support_nd(assignment._uc() > 0)
+        labels = np.zeros(assignment._shape, dtype=np.int64)
+        labels.flat[assignment._cells], count = _components(
+            assignment._cells, assignment._shape
+        )
         print(f"c-cell {_cell_name(cell)}: components={count}")
         print(render_labels(labels))
     return 0

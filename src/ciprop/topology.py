@@ -11,12 +11,13 @@ from :func:`ciprop.intersection.classes_per_c`, which reads them from
 the grid's support cells, keyed by (c, a, b).
 
 Both questions are connected components of a graph, answered by one
-kernel.  Labeling takes the support cells, as ascending flat indices, as
-nodes and face neighbors as edges.  Classes take the A bins and the B
-bins as nodes and the support cells as edges: neighboring cells share a
-row or a column, so two cells share a class exactly when this bipartite
-graph joins them (Fink 2011, *The binomial ideal of the intersection
-axiom for conditional probabilities*).
+kernel.  Labeling takes the maximal runs of support cells along the last
+axis as nodes, and joins two runs of neighboring rows whose bins overlap.
+Classes take the A bins and the B bins as nodes and the support cells as
+edges: neighboring cells share a row or a column, so two cells share a
+class exactly when this bipartite graph joins them (Fink 2011, *The
+binomial ideal of the intersection axiom for conditional
+probabilities*).
 
 The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
@@ -94,24 +95,32 @@ def _components(cells: np.ndarray, shape: Sequence[int]) -> tuple[np.ndarray, in
     """Face-neighbor components of the ascending row-major ``cells`` of a lattice.
 
     Returns each cell's component, 1..count, numbered by the first cell of
-    each component in row-major order, and the count.
+    each component in row-major order, and the count.  The nodes are the
+    maximal runs of cells along the last axis, and two runs in neighboring
+    rows are joined when their bins overlap: run-based labeling (He, Chao
+    and Suzuki 2008, *A run-based two-scan labeling algorithm*) with one
+    union.  Runs are numbered in row-major order, so a component's smallest
+    run holds its first cell.
     """
+    n_last = shape[-1] if len(shape) else 1
+    # a run begins where the flat indices jump or a row begins
+    begin = np.flatnonzero((np.diff(cells, prepend=-2) != 1) | (cells % n_last == 0))
+    starts, lengths = cells[begin], np.diff(begin, append=cells.size)
+    ends = starts + lengths - 1
     u, v = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    stride = 1
-    for size in reversed(shape):
-        # the neighbor one step ahead along this axis, if on support and
-        # not wrapped around from the axis' last bin
-        ahead = cells + stride
-        pos = np.searchsorted(cells, ahead)
-        hit = cells.take(pos, mode="clip") == ahead
-        hit &= (cells // stride) % size != size - 1
-        u.append(np.flatnonzero(hit))
-        v.append(pos[hit])
+    stride = n_last
+    for size in reversed(shape[:-1]):
+        # the runs lo..hi-1 of the row one step ahead along this axis
+        # overlap this run's bins, unless that row wrapped around
+        lo = np.searchsorted(ends, starts + stride)
+        hi = np.searchsorted(starts, ends + stride, side="right")
+        count = np.where((starts // stride) % size == size - 1, 0, hi - lo)
+        u.append(np.repeat(np.arange(starts.size), count))
+        v.append(np.arange(count.sum()) - np.repeat(count.cumsum() - count - lo, count))
         stride *= size
-    # node k is the k-th support cell
-    roots = _roots(cells.size, np.concatenate(u), np.concatenate(v))
-    is_root = roots == np.arange(cells.size)
-    return np.cumsum(is_root)[roots], int(is_root.sum())
+    roots = _roots(starts.size, np.concatenate(u), np.concatenate(v))
+    is_root = roots == np.arange(starts.size)
+    return np.repeat(np.cumsum(is_root)[roots], lengths), int(is_root.sum())
 
 
 def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:

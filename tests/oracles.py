@@ -167,6 +167,40 @@ def flood_recursive(cells, adjacency=4):
     return count
 
 
+def components_csgraph(cells, shape):
+    """Face-neighbor components of the ascending flat ``cells`` of a lattice.
+
+    The edges come from each cell's coordinates: the neighbor one step
+    ahead on each axis, kept when ``np.isin`` finds it among the cells.
+    scipy's graph traversal labels them, so no code is shared with the
+    package's run kernel.  Returns the labels, 1..count numbered by each
+    component's first cell in row-major order, and the count.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    coords = np.unravel_index(cells, shape)
+    u, v = [], []
+    for axis, size in enumerate(shape):
+        ahead = list(coords)
+        ahead[axis] = coords[axis] + 1
+        inside = np.flatnonzero(ahead[axis] < size)
+        flat = np.ravel_multi_index([c[inside] for c in ahead], shape)
+        hit = np.isin(flat, cells, assume_unique=True)
+        u.append(inside[hit])
+        v.append(flat[hit])
+    # node k is the k-th cell; a neighbor's node is its rank among the cells
+    nodes, rank = np.unique(np.concatenate([cells, *v]), return_inverse=True)
+    assert np.array_equal(nodes, cells)
+    u, v, n = np.concatenate(u), rank[cells.size :], cells.size
+    graph = coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    count, found = connected_components(graph, directed=False)
+    first = np.unique(found, return_index=True)[1]
+    number = np.empty(count, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(1, count + 1)
+    return number[found], count
+
+
 def classes_bipartite(labels, count):
     """Class count via BFS on the component graph with projection-overlap edges."""
     rows = {k: set() for k in range(1, count + 1)}

@@ -140,10 +140,22 @@ def test_only_the_reader_builds_grids_from_tables():
 CI_PASS_CALLERS = ["grids._ci_residuals"]
 
 
-def test_ci_residual_pass_callers():
-    def names_pass(node):
-        return (isinstance(node, ast.Name) and node.id == "_ci_pass") or (
-            isinstance(node, ast.Attribute) and node.attr == "_ci_pass"
-        )
+def names(ident):
+    """Matches a source node that names ``ident``, bare or as an attribute."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == ident) or (
+        isinstance(node, ast.Attribute) and node.attr == ident
+    )
 
-    assert scopes_where(names_pass) == CI_PASS_CALLERS
+
+def test_ci_residual_pass_callers():
+    assert scopes_where(names("_ci_pass")) == CI_PASS_CALLERS
+
+
+# The functions that run the hooking kernel.  Support components and
+# classes are both graphs handed to topology._roots; adding a caller is a
+# deliberate edit of this list.
+ROOTS_CALLERS = ["topology._class_assignments", "topology._components"]
+
+
+def test_hooking_kernel_callers():
+    assert scopes_where(names("_roots")) == ROOTS_CALLERS

@@ -11,9 +11,13 @@ from ciprop import (
     DensityGrid,
     OverlappingRoles,
     classes_per_c,
+    example1,
+    example1_alternative,
     label_support_nd,
+    propagate,
     render_labels,
 )
+from ciprop.topology import _components
 
 import layouts
 import oracles
@@ -405,12 +409,74 @@ def test_nd_labeling_on_separated_blobs():
 
 def test_nd_labeling_against_scipy():
     rng = np.random.default_rng(61)
-    for ndim in (2, 3, 4):
-        structure = scipy.ndimage.generate_binary_structure(ndim, 1)
+    cases = [((4,) * ndim, 0.5) for ndim in (2, 3, 4)]
+    # non-cubic lattices with long runs along the last axis
+    cases += [(shape, density) for shape in ((3, 41), (2, 5, 23), (4, 3, 2, 19))
+              for density in (0.9, 0.97)]
+    for shape, density in cases:
+        structure = scipy.ndimage.generate_binary_structure(len(shape), 1)
         for _ in range(15):
-            support = rng.random((4,) * ndim) < 0.5
-            _, ref = scipy.ndimage.label(support, structure=structure)
-            assert label_support_nd(support)[1] == ref
+            support = rng.random(shape) < density
+            ref, count = scipy.ndimage.label(support, structure=structure)
+            labels, got = label_support_nd(support)
+            assert got == count, shape
+            assert np.array_equal(labels, ref), shape
+
+
+def run_edge_masks():
+    """Supports at the edges of the run kernel, by name."""
+    def mask(rows):
+        return np.array(rows, dtype=bool)
+
+    wrap = np.zeros((2, 3, 4), dtype=bool)
+    wrap[0, 2] = wrap[1, 0] = True  # rows (0, 2) and (1, 0) are flat neighbors
+    deep = np.zeros((2, 2, 3, 2), dtype=bool)
+    deep[0, 1, 2] = deep[1, 0, 0] = True  # wraps on axes 1 and 2 at once
+    deep[0, 0, 2, 1] = True
+    return {
+        "row end, next row start": mask([[0, 0, 1, 1], [1, 0, 0, 0]]),
+        "row end, next row start, 3-D": mask([[[0, 1], [0, 1]], [[1, 0], [1, 1]]]),
+        "last axis of size 1": mask([[1], [1], [0], [1]]),
+        "last axis of size 1, 3-D": mask([[[1], [0]], [[1], [1]], [[0], [1]]]),
+        "1-D": mask([1, 1, 0, 1, 1, 1, 0, 0, 1]),
+        "1-D full": mask([1, 1, 1]),
+        "0-d on": mask(True),
+        "0-d off": mask(False),
+        "one run over many": mask([[1, 1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 1]]),
+        "many runs over one": mask([[1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1, 1]]),
+        "many over one over many": mask(
+            [[1, 0, 1, 0, 1], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]]
+        ),
+        "touch at one end bin": mask([[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]),
+        "touch at the other end bin": mask([[0, 0, 1, 1, 1], [1, 1, 1, 0, 0]]),
+        "ends meet diagonally": mask([[1, 1, 0, 0], [0, 0, 1, 1]]),
+        "leading axis wraps": wrap,
+        "two leading axes wrap": deep,
+    }
+
+
+@pytest.mark.parametrize("name", run_edge_masks())
+def test_run_kernel_edges_against_scipy(name):
+    support = run_edge_masks()[name]
+    structure = scipy.ndimage.generate_binary_structure(support.ndim, 1)
+    ref, count = scipy.ndimage.label(support, structure=structure)
+    labels, got = label_support_nd(support)
+    assert got == count
+    assert labels.shape == support.shape and np.array_equal(labels, ref)
+
+
+@pytest.mark.parametrize(
+    "model, step", [(example1, 0.01), (example1_alternative, 0.02)],
+    ids=["chain-0.01", "fork-0.02"],
+)
+def test_joint_components_against_csgraph(model, step):
+    # the support graph at scale, built from coordinates and labelled by scipy
+    grid = propagate(model(step))
+    cells, shape = grid._support[0], [ax.size for ax in grid.axes]
+    ref, count = oracles.components_csgraph(cells, shape)
+    labels, got = _components(cells, shape)
+    assert count == got == 2
+    assert np.array_equal(labels, ref)
 
 
 # -- rendering ----------------------------------------------------------------
