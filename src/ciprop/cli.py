@@ -8,11 +8,11 @@ suppressed under ``--deterministic``.
 The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
 the cells of positive mass and find the classes of all conditioning cells
-in one pass over the grid's support cells, through ``classes_per_c``;
-``--c`` finds those of its slice alone, by ``condition``.  Each command
-computes the classes once: ``intersection -o`` builds its adversary from
-the classes behind its verdict, and ``report`` takes its three CI rows
-from one ``verify_intersection``.
+in one pass over the grid's support cells, as one class table, and label
+the components of all slices at once; ``--c`` finds those of its slice
+alone, by ``condition``.  Each command computes the classes once, and
+``report`` takes its three CI rows from one ``verify_intersection``.  A
+given ``--x`` must name an axis; the default ``X`` may be absent.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .grids import (
 )
 from .intersection import (
     _adversary,
+    _class_table,
     _cond_names,
     _verdict,
     classes_per_c,
@@ -125,48 +126,60 @@ def _cmd_check_ci(args: argparse.Namespace) -> int:
     return _finish(args, report.holds)
 
 
+def _x_cond(args: argparse.Namespace, grid: DensityGrid) -> tuple[str, tuple[str, ...]]:
+    """``--x``, X by default, and the conditioning axes; a given ``--x`` must exist."""
+    x = "X" if args.x is None else grid.axis(args.x).name
+    return x, _cond_names(grid, (args.a, args.b, x), None)
+
+
 def _classes_by_cell(
     args: argparse.Namespace, grid: DensityGrid
 ) -> dict[tuple[int, ...], UcAssignment]:
     """Classes of every positive conditioning cell, or of the ``--c`` slice alone."""
     fixed = _parse_fixed(args.c)
+    cond = _x_cond(args, grid)[1]
     if not fixed:
-        cond = _cond_names(grid, (args.a, args.b, args.x), None)
         return classes_per_c(grid, args.a, args.b, cond)
     _roles(grid, args.a, args.b, tuple(fixed))
     cell = tuple(fixed[n] for n in grid.axis_names if n in fixed)
     return {cell: classes_per_c(condition(grid, fixed), args.a, args.b, ())[()]}
 
 
-def _component_counts(assignments: dict[tuple[int, ...], UcAssignment]) -> list[int]:
-    """Each slice's count of support components, by one labelling of the
-    slices stacked along A with an empty row after each, so that no face
-    joins two; the largest label up to a slice's last cell counts so far."""
+def _component_labels(
+    assignments: dict[tuple[int, ...], UcAssignment],
+) -> tuple[list[np.ndarray], list[int]]:
+    """Each slice's component labels of its support cells and its count of
+    components, by one labelling of the slices stacked along A with an empty
+    row after each, so that no face joins two; numbered by first cell, a
+    slice's labels run on from the largest label before it."""
     slices = list(assignments.values())
     n_a, n_b = slices[0]._shape
     stride = (n_a + 1) * n_b
     cells = np.concatenate([asg._cells + k * stride for k, asg in enumerate(slices)])
     labels = _components(cells, (len(slices) * (n_a + 1), n_b))[0]
-    last = np.cumsum([asg._cells.size for asg in slices]) - 1
-    return np.diff(np.maximum.accumulate(labels)[last], prepend=0).tolist()
+    ends = np.cumsum([asg._cells.size for asg in slices])
+    top = np.maximum.accumulate(labels)[ends - 1]
+    before = np.append(0, top[:-1])
+    parts = zip(np.split(labels, ends[:-1]), before)
+    return [p - b for p, b in parts], (top - before).tolist()
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
-    for cell, assignment in _classes_by_cell(args, grid).items():
-        labels = np.zeros(assignment._shape, dtype=np.int64)
-        labels.flat[assignment._cells], count = _components(
-            assignment._cells, assignment._shape
-        )
+    assignments = _classes_by_cell(args, grid)
+    labels, counts = _component_labels(assignments)
+    for (cell, asg), cell_labels, count in zip(assignments.items(), labels, counts):
+        table = np.zeros(asg._shape, dtype=np.int64)
+        table.flat[asg._cells] = cell_labels
         print(f"c-cell {_cell_name(cell)}: components={count}")
-        print(render_labels(labels))
+        print(render_labels(table))
     return 0
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     assignments = _classes_by_cell(args, grid)
-    counts = _component_counts(assignments)
+    counts = _component_labels(assignments)[1]
     single_class = True
     for (cell, assignment), count in zip(assignments.items(), counts):
         single_class = single_class and assignment.class_count <= 1
@@ -185,9 +198,9 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
-    cond = _cond_names(grid, (args.a, args.b, args.x), None)
-    assignments = classes_per_c(grid, args.a, args.b, cond)
-    verdict = _verdict(assignments)
+    x, cond = _x_cond(args, grid)
+    found = _class_table(grid, args.a, args.b, cond)
+    verdict = _verdict(found)
     for cell in sorted(verdict.per_c_class_counts):
         print(f"c-cell {_cell_name(cell)}: classes={verdict.per_c_class_counts[cell]}")
     print(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
@@ -196,7 +209,7 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
         if args.out:
             base = marginalize(grid, (args.a, args.b, *cond))
             adversary = _adversary(
-                base, assignments, verdict.failing_c, a=args.a, b=args.b, name=args.x
+                base, found, verdict.failing_c, a=args.a, b=args.b, name=x
             )
             save_grid(adversary, args.out)
             print(f"adversary grid written to {args.out}")
@@ -279,9 +292,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.grid, "rb") as fh:
         data = fh.read()
     grid = grid_from_json(data.decode("utf-8"))
-    cond = _cond_names(grid, (args.a, args.b, args.x), None)
+    x, cond = _x_cond(args, grid)
     assignments = classes_per_c(grid, args.a, args.b, cond)
-    counts = _component_counts(assignments)
+    counts = _component_labels(assignments)[1]
     lines = [
         f"input sha256: {hashlib.sha256(data).hexdigest()[:16]}",
         f"axes: {', '.join(f'{ax.name}({ax.size})' for ax in grid.axes)}",
@@ -290,30 +303,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for (cell, asg), n in zip(assignments.items(), counts)
         ),
     ]
-    if args.x in grid.axis_names:
-        checks = verify_intersection(grid, args.x, args.a, args.b, cond, args.tol)
+    if x in grid.axis_names:
+        checks = verify_intersection(grid, x, args.a, args.b, cond, args.tol)
         lines += [
-            _ci_line(f"{args.x} _||_ {args.a} | {args.b}", checks.premise_xa),
-            _ci_line(f"{args.x} _||_ {args.b} | {args.a}", checks.premise_xb),
-            _ci_line(f"{args.x} _||_ ({args.a},{args.b})", checks.conclusion),
+            _ci_line(f"{x} _||_ {args.a} | {args.b}", checks.premise_xa),
+            _ci_line(f"{x} _||_ {args.b} | {args.a}", checks.premise_xb),
+            _ci_line(f"{x} _||_ ({args.a},{args.b})", checks.conclusion),
         ]
-    verdict = _verdict(assignments)
-    lines.append(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
+    holds = all(asg.class_count <= 1 for asg in assignments.values())
+    lines.append(f"intersection: {'HOLDS' if holds else 'FAILS'}")
     if not args.deterministic:
         lines.append(f"wall clock: {time.perf_counter() - started:.3f}s")
     print("\n".join(lines))
-    return _finish(args, verdict.holds)
+    return _finish(args, holds)
 
 
 # -- parser wiring ---------------------------------------------------------
 
 
-def _add_topology_flags(p: argparse.ArgumentParser) -> None:
+def _add_topology_flags(p: argparse.ArgumentParser, x: str | None = None) -> None:
     p.add_argument("--a", default="A", help="first support axis (default A)")
     p.add_argument("--b", default="B", help="second support axis (default B)")
     p.add_argument(
-        "--x", default="X",
-        help="dependent-variable axis, kept out of the conditioning set",
+        "--x", default=x,
+        help="dependent-variable axis, kept out of the conditioning set (default X)",
     )
 
 
@@ -365,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("-o", dest="out", required=True)
     p.add_argument("--target", action="append", help="target c-cell, axis=bin")
-    _add_topology_flags(p)
+    _add_topology_flags(p, "X")
     _add_tol_flag(p)
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("weak-intersection", help="check the class-conditional form")
     p.add_argument("grid")
-    _add_topology_flags(p)
+    _add_topology_flags(p, "X")
     _add_tol_flag(p)
     _add_assert_flag(p)
     p.set_defaults(func=_cmd_weak_intersection)

@@ -11,13 +11,14 @@ path-connected components of the (A, B) support merge into a single
 coordinate-wise-connected equivalence class.  The support is exact: it
 is the grid's support cells, every cell of positive mass, so a
 conditioning cell counts when it holds one of them.
-:func:`classes_per_c` keys the grid's support cells by (c, a, b), merging
-the cells that the summed-out axes put on one key, and finds the classes
-of every conditioning cell in one call to the kernel of
-:mod:`ciprop.topology`, which keeps the class of each a-bin per c-cell.
-:func:`verify_weak_intersection` reads the same support cells keyed by
-(c, a, b, x), and it and the adversary give each support cell its class
-by one gather through its (c-cell, a-bin).
+Every query keys the grid's support cells by (c, a, b), merging the
+cells that the summed-out axes put on one key, and finds the classes of
+every conditioning cell in one call to the kernel of
+:mod:`ciprop.topology`: one table of the class of each a-bin, then of
+each b-bin, per c-cell.  :func:`verify_weak_intersection` reads the same
+support cells keyed by (c, a, b, x), and it and the adversary give each
+support cell its class by one gather through its (c-cell, a-bin); only
+:func:`classes_per_c` wraps the rows in ``UcAssignment`` views.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +112,27 @@ def _cond_names(
     return tuple(cond)
 
 
+class _Classes(NamedTuple):
+    """The positive c-cells in row-major order, as bin tuples and flat keys,
+    their class counts and class table, and the (c, a, b) keys of the support."""
+
+    cells: list[tuple[int, ...]]
+    keys: np.ndarray
+    counts: np.ndarray
+    classes: np.ndarray
+    support: np.ndarray
+    shape: tuple[int, int]
+
+    def groups(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every (c-cell, class) in order; group g is the g-th."""
+        return [(c, k + 1) for c, n in zip(self.cells, self.counts) for k in range(n)]
+
+    def group(self, c_run: np.ndarray, a_bins: np.ndarray) -> np.ndarray:
+        """The group of each support cell, given its c-cell number and a-bin."""
+        first = np.cumsum(self.counts) - self.counts
+        return first[c_run] + self.classes[c_run, a_bins] - 1
+
+
 def classes_per_c(
     grid: DensityGrid,
     a: str,
@@ -121,37 +144,44 @@ def classes_per_c(
     Keys are positive-mass conditioning cells, as bin tuples over the
     conditioning axes in grid order, in row-major order.  The support
     cells are read keyed by (c, a, b); the axes outside ``a``, ``b`` and
-    ``cond`` are summed out.
+    ``cond`` are summed out.  Each assignment views a row of one class table.
     """
-    c_pos = _roles(grid, a, b, _cond_names(grid, (a, b), cond))[2]
-    ia, ib = grid.axis_index(a), grid.axis_index(b)
-    keys = _keyed_support(grid, (c_pos, (ia,), (ib,)))[0]
-    return _classes(grid, c_pos, (ia, ib), keys)
+    found = _class_table(grid, a, b, cond)
+    size = found.shape[0] * found.shape[1]
+    cuts = np.searchsorted(found.support, found.keys[1:] * size)
+    rows = zip(found.cells, found.counts.tolist(), np.split(found.support % size, cuts))
+    return {
+        c: UcAssignment(n, found.shape, ab, row)
+        for (c, n, ab), row in zip(rows, found.classes)
+    }
 
 
-def _classes(
+def _class_table(
     grid: DensityGrid,
-    c_pos: tuple[int, ...],
-    ab_pos: tuple[int, int],
-    keys: np.ndarray,
-) -> dict[tuple[int, ...], UcAssignment]:
-    """:func:`classes_per_c` given the ascending distinct (c, a, b) keys."""
-    n_a, n_b = (grid.axes[p].size for p in ab_pos)
+    a: str,
+    b: str,
+    cond: Iterable[str] | None,
+    keys: np.ndarray | None = None,
+) -> _Classes:
+    """The classes of :func:`classes_per_c` as one table, given the ascending
+    distinct (c, a, b) ``keys``, which are read from the support by default."""
+    (ia,), (ib,), c_pos = _roles(grid, a, b, _cond_names(grid, (a, b), cond))
+    if keys is None:
+        keys = _keyed_support(grid, (c_pos, (ia,), (ib,)))[0]
+    n_a, n_b = grid.axes[ia].size, grid.axes[ib].size
     c_start, c_run = _runs(keys // (n_a * n_b))
     c_keys = keys[c_start] // (n_a * n_b)
     c_shape = [grid.axes[p].size for p in c_pos]
     c_bins = np.unravel_index(c_keys, c_shape) if c_pos else ()
-    cells = np.reshape(np.array(c_bins, dtype=np.intp), (len(c_pos), c_keys.size))
-    stack = _class_assignments(
+    cells = np.reshape(c_bins, (len(c_pos), c_keys.size)).T.tolist()
+    counts, classes = _class_assignments(
         c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
     )
-    return dict(zip(map(tuple, cells.T.tolist()), stack))
+    return _Classes(list(map(tuple, cells)), c_keys, counts, classes, keys, (n_a, n_b))
 
 
-def _verdict(
-    assignments: Mapping[tuple[int, ...], UcAssignment],
-) -> IntersectionVerdict:
-    counts = {cell: asg.class_count for cell, asg in assignments.items()}
+def _verdict(found: _Classes) -> IntersectionVerdict:
+    counts = dict(zip(found.cells, found.counts.tolist()))
     failing = next((cell for cell, n in counts.items() if n > 1), None)
     return IntersectionVerdict(counts, failing is None, failing)
 
@@ -169,7 +199,7 @@ def intersection_condition(
     one support class; the first cell with two or more classes (row-major)
     is reported as ``failing_c``.
     """
-    return _verdict(classes_per_c(grid, a, b, cond))
+    return _verdict(_class_table(grid, a, b, cond))
 
 
 def verify_intersection(
@@ -245,40 +275,27 @@ def _weak_residuals(
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
     class has (a, b) cells adds ``mixture(x)``.
     """
-    x_pos, _, c_pos = _roles(grid, x, (a, b), cond_names)
-    ia, ib = grid.axis_index(a), grid.axis_index(b)
+    (ia,), (ib,), c_pos = _roles(grid, a, b, cond_names)
     keys, mass, (_, n_a, n_b, n_x) = _keyed_support(
-        grid, (c_pos, (ia,), (ib,), x_pos)
+        grid, (c_pos, (ia,), (ib,), (grid.axis_index(x),))
     )
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
-    assignments = _classes(grid, c_pos, (ia, ib), keys[cell_start] // n_x)
-    groups, group_of = _class_groups(assignments)
+    found = _class_table(grid, a, b, cond_names, keys[cell_start] // n_x)
     # the c-cells of the classes are those of the keys, in the same order
     c_run = _runs(keys // (n_a * n_b * n_x))[1]
-    group = group_of[c_run, keys // (n_b * n_x) % n_a]
+    group = found.group(c_run, keys // (n_b * n_x) % n_a)
     rows, row_run, m_row = _groups(group * n_x + keys % n_x, mass)
     row_group = rows // n_x
     g_start = _runs(row_group)[0]
     mixture = m_row / np.add.reduceat(m_row, g_start)[row_group]
     laws = mass / m_cell[cell_run]
-    worst = np.zeros(len(groups))
+    worst = np.zeros(int(found.counts.sum()))
     np.maximum.at(worst, group, np.abs(laws - mixture[row_run]))
     on_class = np.bincount(group[cell_start], minlength=worst.size)
     short = np.bincount(row_run) < on_class[row_group]
     np.maximum.at(worst, row_group[short], mixture[short])
-    return dict(zip(groups, worst.tolist()))
-
-
-def _class_groups(
-    assignments: Mapping[tuple[int, ...], UcAssignment],
-) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray]:
-    """Every (c-cell, class) group in order, and the group of each (c-cell
-    number, a-bin) on the support, as its index in that order."""
-    counts = [asg.class_count for asg in assignments.values()]
-    groups = [(cell, c + 1) for cell, n in zip(assignments, counts) for c in range(n)]
-    class_of_a = np.stack([asg._class_of_a for asg in assignments.values()])
-    return groups, np.cumsum([-1, *counts[:-1]])[:, None] + class_of_a
+    return dict(zip(found.groups(), worst.tolist()))
 
 
 def attach_class_variable(
@@ -299,8 +316,8 @@ def attach_class_variable(
     level-plus-noise values.
     """
     _require_new_axis(base, name)
-    assignments = classes_per_c(base, a, b)
-    return _attach(base, assignments, g, noise_points, noise_probs, a, b, name)
+    found = _class_table(base, a, b, None)
+    return _attach(base, found, g, noise_points, noise_probs, a, b, name)
 
 
 def _require_new_axis(base: DensityGrid, name: str) -> None:
@@ -310,7 +327,7 @@ def _require_new_axis(base: DensityGrid, name: str) -> None:
 
 def _attach(
     base: DensityGrid,
-    assignments: Mapping[tuple[int, ...], UcAssignment],
+    found: _Classes,
     g: Callable[[tuple[int, ...], int], float],
     noise_points: Sequence[float],
     noise_probs: Sequence[float] | None,
@@ -331,14 +348,12 @@ def _attach(
     c_pos = [base.axis_index(n) for n in _cond_names(base, (a, b), None)]
     c_shape = [base.axes[p].size for p in c_pos]
     coords, (index, masses) = base._coords, base._support
-    groups, group_of = _class_groups(assignments)
-    level = np.array([float(g(cell, cls)) for cell, cls in groups])
+    level = np.array([float(g(cell, cls)) for cell, cls in found.groups()])
     # each support cell's c-cell, a key of the classes (all keys 0 without
     # conditioning axes)
-    c_keys = np.atleast_1d(np.ravel_multi_index(np.array(list(assignments)).T, c_shape))
     c_flat = np.ravel_multi_index(tuple(coords[p] for p in c_pos), c_shape)
-    c_run = np.searchsorted(c_keys, c_flat)
-    levels = level[group_of[c_run, coords[base.axis_index(a)]]]
+    c_run = np.searchsorted(found.keys, c_flat)
+    levels = level[found.group(c_run, coords[base.axis_index(a)])]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
@@ -375,39 +390,34 @@ def construct_adversary(
     """
     _require_new_axis(base, name)
     cond_names = _cond_names(base, (a, b), None)
-    assignments = classes_per_c(base, a, b, cond_names)
+    found = _class_table(base, a, b, cond_names)
+    verdict = _verdict(found)
     if target_c is None:
-        target = next(
-            (cell for cell, asg in assignments.items() if asg.class_count >= 2),
-            None,
-        )
-        if target is None:
+        if verdict.holds:
             raise SingleClass("no conditioning cell has two or more classes")
+        target = verdict.failing_c
     else:
-        extra = set(target_c) - set(cond_names)
-        missing = set(cond_names) - set(target_c)
-        if extra or missing:
+        if set(target_c) != set(cond_names):
             raise ShapeMismatch(
                 f"target cell must fix exactly the conditioning axes {cond_names}; "
                 f"got {sorted(target_c)}"
             )
         target = tuple(_bin(base.axis(n), target_c[n]) for n in cond_names)
-        if target not in assignments:
+        count = verdict.per_c_class_counts.get(target)
+        if count is None:
             raise SingleClass(f"target cell {dict(target_c)} has no positive mass")
-        if assignments[target].class_count < 2:
-            raise SingleClass(
-                f"target cell has {assignments[target].class_count} class(es); need >= 2"
-            )
-    return _adversary(base, assignments, target, a, b, name)
+        if count < 2:
+            raise SingleClass(f"target cell has {count} class(es); need >= 2")
+    return _adversary(base, found, target, a, b, name)
 
 
 def _adversary(
     base: DensityGrid,
-    assignments: Mapping[tuple[int, ...], UcAssignment],
+    found: _Classes,
     target: tuple[int, ...],
-    a: str = "A",
-    b: str = "B",
-    name: str = "X",
+    a: str,
+    b: str,
+    name: str,
 ) -> DensityGrid:
     """:func:`construct_adversary` given the classes of ``base`` and its target."""
 
@@ -416,7 +426,7 @@ def _adversary(
 
     cond_names = _cond_names(base, (a, b), None)
     noise = np.linspace(-0.1, 0.1, 5)
-    result = _attach(base, assignments, g, noise, None, a, b, name)
+    result = _attach(base, found, g, noise, None, a, b, name)
     dev_xa = _ci_residuals(result, name, a, (b, *cond_names))[0]
     dev_xb = _ci_residuals(result, name, b, (a, *cond_names))[0]
     margin = _ci_residuals(result, name, b, cond_names)[1]

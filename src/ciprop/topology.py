@@ -23,8 +23,10 @@ The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
 off-support cells.  Projections of distinct classes are disjoint on both
 axes, so on-support ``uc`` is simultaneously a function of the A bin alone
-and of the B bin alone.  So a slice keeps the class of each A bin, which
-callers gather, and derives the dense ``uc`` table on demand.
+and of the B bin alone.  So the kernel returns one table of the class of
+each A bin, then of each B bin, per slice, which callers gather from;
+:class:`UcAssignment` views one row and builds its projections and ``uc``
+on demand.
 """
 
 from __future__ import annotations
@@ -42,27 +44,33 @@ _CHARSET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 @dataclass(frozen=True)
 class UcAssignment:
-    """Equivalence classes of components and the derived cell variable.
+    """The classes of one slice's support, a view of its row of the class table.
 
-    Classes are numbered by their first cell in row-major order.
-    ``proj_a`` / ``proj_b`` give each class's occupied bins per axis; the
-    sets are pairwise disjoint across classes on both axes.  The slice's
-    support cells are ``_cells``, as flat indices ``a * nB + b``, and
-    ``_class_of_a`` is the class of each A bin, 0 off support.  ``uc``,
-    built on first read, holds class i on cells of class i, 0 off support.
+    Classes are numbered by their first cell in row-major order.  The
+    slice's support cells are ``_cells``, as flat indices ``a * nB + b``,
+    and ``_classes`` holds the class of each A bin, then of each B bin, 0
+    off support.  Built on first read: ``proj_a`` / ``proj_b``, each
+    class's bins per axis (disjoint across classes), and ``uc``, class i
+    on cells of class i and 0 off support.
     """
 
     class_count: int
-    proj_a: Mapping[int, tuple[int, ...]]
-    proj_b: Mapping[int, tuple[int, ...]]
     _shape: tuple[int, int]
     _cells: np.ndarray
-    _class_of_a: np.ndarray
+    _classes: np.ndarray
+
+    @cached_property
+    def proj_a(self) -> Mapping[int, tuple[int, ...]]:
+        return _projection(self._classes[: self._shape[0]])
+
+    @cached_property
+    def proj_b(self) -> Mapping[int, tuple[int, ...]]:
+        return _projection(self._classes[self._shape[0] :])
 
     def _uc(self) -> np.ndarray:
         """A new ``uc`` table, for a caller that drops it after use."""
         uc = np.zeros(self._shape, dtype=np.int64)
-        uc.flat[self._cells] = self._class_of_a[self._cells // self._shape[1]]
+        uc.flat[self._cells] = self._classes[self._cells // self._shape[1]]
         return uc
 
     @cached_property
@@ -70,6 +78,14 @@ class UcAssignment:
         uc = self._uc()
         uc.flags.writeable = False
         return uc
+
+
+def _projection(classes: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Each class's bins, ascending, from the class of each bin of one axis."""
+    bins = np.flatnonzero(classes)
+    bins = bins[np.argsort(classes[bins], kind="stable")]
+    cuts = np.flatnonzero(np.diff(classes[bins])) + 1
+    return {k: tuple(p.tolist()) for k, p in enumerate(np.split(bins, cuts), 1)}
 
 
 def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -142,7 +158,7 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _class_assignments(
     k: np.ndarray, i: np.ndarray, j: np.ndarray, n_c: int, shape: tuple[int, int]
-) -> list[UcAssignment]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-wise classes of the (A, B) supports of ``n_c`` slices.
 
     Support cell m of slice ``k[m]`` sits at A bin ``i[m]`` and B bin
@@ -152,42 +168,19 @@ def _class_assignments(
     for its A bins and ``k * (nA + nB) + nA + j`` for its B bins, and its
     support cells are the edges.  A class's root is its smallest A bin,
     which holds the class's first row-major cell, so ranking the roots of
-    a slice numbers its classes by first cell.
+    a slice numbers its classes by first cell.  Returns the class counts
+    and the class of each A bin, then of each B bin, per slice.
     """
     n_a, n_b = shape
     width = n_a + n_b
     roots = _roots(n_c * width, k * width + i, k * width + n_a + j)
     root = roots[k * width + i] - k * width  # each cell's class root, an A bin
-    # the class of each A bin, then of each B bin, of every slice
     classes = np.zeros((n_c, width), dtype=np.int64)
     classes[k, root] = 1  # number the roots of a slice by their A bin
     rank = np.cumsum(classes, axis=1)
     classes[k, i] = rank[k, root]
     classes[k, n_a + j] = classes[k, i]
-    counts = rank[:, -1]
-    first = np.cumsum(counts) - counts
-    # projections: one sort of the occupied bins by (class, A bin or nA + B bin)
-    s, col = np.nonzero(classes)
-    keys = np.sort((first[s] + classes[s, col]) * width + col)
-    bins = keys % width - n_a * (keys % width >= n_a)
-    starts = np.arange(1, counts.sum() + 2)[:, None] * width + [0, n_a]
-    cuts, bins = np.searchsorted(keys, starts.ravel()).tolist(), bins.tolist()
-    proj = [tuple(bins[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    proj_a, proj_b = proj[0::2], proj[1::2]
-    cells = np.split(i * n_b + j, np.searchsorted(k, np.arange(1, n_c)))
-    return [
-        UcAssignment(
-            count,
-            dict(enumerate(proj_a[lo : lo + count], 1)),
-            dict(enumerate(proj_b[lo : lo + count], 1)),
-            shape,
-            slice_cells,
-            slice_classes[:n_a],
-        )
-        for lo, count, slice_cells, slice_classes in zip(
-            first.tolist(), counts.tolist(), cells, classes
-        )
-    ]
+    return rank[:, -1], classes
 
 
 def render_labels(labels: np.ndarray) -> str:

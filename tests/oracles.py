@@ -32,7 +32,7 @@ from ciprop import (
     non_descendants,
 )
 from ciprop.sem import _configurations
-from ciprop.topology import _class_assignments
+from ciprop.topology import UcAssignment, _class_assignments
 
 
 def dict_grid(names, table):
@@ -199,6 +199,48 @@ def components_csgraph(cells, shape):
     number = np.empty(count, dtype=np.int64)
     number[np.argsort(first)] = np.arange(1, count + 1)
     return number[found], count
+
+
+def classes_csgraph(grid, a, b, cond):
+    """Classes of every positive conditioning cell, labelled by scipy.
+
+    Each support cell's bins come from ``np.unravel_index`` of its flat
+    index, and ``np.unique`` keeps the distinct (c, a, b) rows.  In each
+    c-cell the A bins are the nodes 0..nA-1 and the B bins nA..nA+nB-1,
+    each (a, b) cell is an edge, and scipy's graph traversal labels them,
+    so no code is shared with the package's hooking kernel.  Classes are
+    renumbered by their first cell in row-major order.  Returns, per
+    c-cell in row-major order, the class count and the class of each A
+    bin, then of each B bin, 0 off support.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    shape = [ax.size for ax in grid.axes]
+    coords = np.unravel_index(grid._support[0], shape)
+    c_pos = [p for p, name in enumerate(grid.axis_names) if name in cond]
+    ia, ib = grid.axis_index(a), grid.axis_index(b)
+    n_a, n_b = shape[ia], shape[ib]
+    dims = [shape[p] for p in (*c_pos, ia, ib)]
+    flat = np.ravel_multi_index([coords[p] for p in (*c_pos, ia, ib)], dims)
+    rows = np.stack(np.unravel_index(np.unique(flat), dims), axis=1)
+    cut = np.flatnonzero(np.any(rows[1:, :-2] != rows[:-1, :-2], axis=1)) + 1
+    found = {}
+    for block in np.split(rows, cut):
+        i, j = block[:, -2], block[:, -1]
+        graph = coo_matrix(
+            (np.ones(i.size), (i, n_a + j)), shape=(n_a + n_b, n_a + n_b)
+        )
+        label = connected_components(graph, directed=False)[1]
+        # the rows are in row-major (a, b) order, so a component's first
+        # row is its first cell
+        seen, first = np.unique(label[i], return_index=True)
+        number = np.zeros(n_a + n_b, dtype=np.int64)
+        number[seen[np.argsort(first)]] = np.arange(1, seen.size + 1)
+        classes = np.zeros(n_a + n_b, dtype=np.int64)
+        classes[i], classes[n_a + j] = number[label[i]], number[label[n_a + j]]
+        found[tuple(block[0, :-2].tolist())] = (seen.size, classes)
+    return found
 
 
 def classes_bipartite(labels, count):
@@ -514,7 +556,8 @@ def classes_reference(grid, a, b, cond):
 
 def _slice_classes(mask):
     """Classes of one (a, b) support mask through the class kernel."""
-    return _class_assignments(*np.nonzero(mask[None]), 1, mask.shape)[0]
+    counts, classes = _class_assignments(*np.nonzero(mask[None]), 1, mask.shape)
+    return UcAssignment(int(counts[0]), mask.shape, np.flatnonzero(mask), classes[0])
 
 
 def weak_reference(grid, x, a, b, cond):

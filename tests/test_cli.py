@@ -438,10 +438,16 @@ def test_intersection_reports_failure_and_writes_adversary(workdir, capsys):
     assert premise <= 1e-9
 
 
-def test_intersection_names_the_adversary_after_x(abx_path, tmp_path, capsys):
+def test_intersection_names_the_adversary_after_x(tmp_path, capsys):
     # with --x Y the grid's own X axis is a conditioning axis
-    out_path = tmp_path / "adv.json"
-    assert run(["intersection", str(abx_path), "--x", "Y", "-o", str(out_path)]) == 0
+    path, out_path = tmp_path / "abxy.json", tmp_path / "adv.json"
+    table = np.repeat(layouts.two_block_mask(4)[:, :, None, None], 2, axis=2) / 16.0
+    axes = tuple(
+        Axis(n, tuple(float(k) for k in range(size)))
+        for n, size in zip("ABXY", table.shape)
+    )
+    save_grid(DensityGrid(axes, table), str(path))
+    assert run(["intersection", str(path), "--x", "Y", "-o", str(out_path)]) == 0
     assert "failing c-cell: (0)" in capsys.readouterr().out
     adv = load_grid(str(out_path))
     assert adv.axis_names == ("A", "B", "X", "Y")
@@ -454,6 +460,29 @@ def test_intersection_writes_the_adversary_of_a_tiny_cell(tmp_path, capsys):
     assert run(["intersection", str(path), "-o", str(out_path)]) == 0
     assert "failing c-cell: (1)" in capsys.readouterr().out
     assert load_grid(str(out_path)).axis_names == ("A", "B", "C", "X")
+
+
+def test_an_explicit_x_must_name_an_axis(workdir, tmp_path, capsys):
+    # an --x that names no axis would leave X in the conditioning set:
+    # given X the example holds, with X left out it fails
+    _, _, grid = workdir
+    assert run(["intersection", str(grid)]) == 0
+    assert "intersection: FAILS" in capsys.readouterr().out
+    for argv in (
+        ["components"], ["components", "--c", "X=3"], ["classes"],
+        ["classes", "--c", "X=3"], ["intersection"], ["intersection", "-o", "o.json"],
+        ["report", "--deterministic"],
+    ):
+        assert run([*argv, str(grid), "--x", "Q"]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[UnknownAxis]" in captured.err
+        assert "no axis named 'Q'" in captured.err
+    # the default X need not be an axis: on an (A, B, C) grid C conditions
+    path = tmp_path / "tiny.json"
+    save_grid(layouts.tiny_cell_grid(), str(path))
+    for argv in (["components"], ["classes"], ["intersection"], ["report"]):
+        assert run([*argv, str(path)]) == 0
+        assert "c-cell (1)" in capsys.readouterr().out
 
 
 def test_intersection_holds_on_full_support(tmp_path, capsys):

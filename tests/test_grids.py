@@ -794,7 +794,7 @@ def test_from_support_refuses_non_finite_masses_and_huge_grids(monkeypatch):
 
 
 def test_queries_on_built_grids_never_build_the_class_table(monkeypatch, tmp_path):
-    builds = []
+    builds, projections = [], []
     build = UcAssignment.uc.func
 
     def counted(assignment):
@@ -802,22 +802,33 @@ def test_queries_on_built_grids_never_build_the_class_table(monkeypatch, tmp_pat
         return build(assignment)
 
     monkeypatch.setattr(UcAssignment, "uc", property(counted))
+    for name in ("proj_a", "proj_b"):
+        view = getattr(UcAssignment, name).func
+
+        def read(assignment, view=view):
+            projections.append(assignment)
+            return view(assignment)
+
+        monkeypatch.setattr(UcAssignment, name, property(read))
     grid = propagate(example1(0.1))
     base = marginalize(grid, ("A", "B"))
     intersection_condition(grid, "A", "B", ("X",))
     intersection_condition(grid, "A", "B", ())
     construct_adversary(base)
-    attach_class_variable(base, lambda c_cell, uc: float(uc), (-0.1, 0.1))
+    attached = attach_class_variable(
+        base, lambda c_cell, uc: float(uc), (-0.1, 0.1), name="C"
+    )
     verify_weak_intersection(grid, "X", "A", "B")
-    path = str(tmp_path / "grid.json")
+    path, attached_path = str(tmp_path / "grid.json"), str(tmp_path / "attached.json")
     save_grid(grid, path)
-    for argv in (
-        ["report", path, "--deterministic"],
-        ["classes", path],
-        ["classes", path, "--x", "Y"],
-    ):
+    save_grid(attached, attached_path)
+    assert cli.run(["report", path, "--deterministic"]) == 0
+    assert projections == []
+    # the classes command prints the projections, and draws each slice
+    # from a table it drops
+    for argv in (["classes", path], ["classes", attached_path]):
         assert cli.run(argv) == 0
-    assert builds == []
+    assert projections and builds == []
     assignment = classes_per_c(grid, "A", "B", ())[()]
     assert assignment.uc.shape == grid.prob.shape[:2]
     assert builds == [assignment]

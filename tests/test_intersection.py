@@ -425,7 +425,7 @@ def test_existing_axis_is_refused_before_classes(monkeypatch):
     def no_classes(*args, **kwargs):
         raise AssertionError("classes computed before the name check")
 
-    monkeypatch.setattr(intersection_module, "classes_per_c", no_classes)
+    monkeypatch.setattr(intersection_module, "_class_assignments", no_classes)
     with pytest.raises(ShapeMismatch, match="axis 'X' already exists"):
         construct_adversary(base)
     with pytest.raises(ShapeMismatch, match="axis 'X' already exists"):

@@ -159,3 +159,18 @@ ROOTS_CALLERS = ["topology._class_assignments", "topology._components"]
 
 def test_hooking_kernel_callers():
     assert scopes_where(names("_roots")) == ROOTS_CALLERS
+
+
+# The functions that build the per-slice class objects.  Every query reads
+# the one class table of topology._class_assignments; classes_per_c, the
+# public view, is the only function that turns its rows into
+# UcAssignment objects, and adding a builder is a deliberate edit of this
+# list.
+UC_BUILDERS = ["intersection.classes_per_c"]
+
+
+def test_class_object_builders():
+    def builds(node):
+        return isinstance(node, ast.Call) and names("UcAssignment")(node.func)
+
+    assert scopes_where(builds) == UC_BUILDERS

@@ -479,6 +479,33 @@ def test_joint_components_against_csgraph(model, step):
     assert np.array_equal(labels, ref)
 
 
+@pytest.mark.parametrize(
+    "seed", [None, 1, 2, 3, 4], ids=["chain-0.01", *(f"sliced-{k}" for k in range(1, 5))]
+)
+def test_classes_against_csgraph(seed):
+    # every c-cell's bipartite (A bin, B bin) graph, labelled by scipy
+    if seed is None:
+        grid, cond = propagate(example1(0.01)), ("X",)
+    else:
+        grid, cond = layouts.sliced_grid(np.random.default_rng(seed)), ("C1", "C2")
+    classes = classes_per_c(grid, "A", "B", cond)
+    ref = oracles.classes_csgraph(grid, "A", "B", cond)
+    assert list(classes) == list(ref)
+    n_a = grid.axis("A").size
+    for cell, asg in classes.items():
+        count, bins = ref[cell]
+        assert asg.class_count == count
+        assert np.array_equal(asg._classes, bins)
+        for proj, cls in ((asg.proj_a, bins[:n_a]), (asg.proj_b, bins[n_a:])):
+            assert proj == {
+                k: tuple(np.flatnonzero(cls == k).tolist()) for k in range(1, count + 1)
+            }
+    # given X each c-cell of the example holds one class; the bands of the
+    # sliced grids make several
+    most = max(asg.class_count for asg in classes.values())
+    assert most == 1 if seed is None else most >= 2
+
+
 # -- rendering ----------------------------------------------------------------
 
 
