@@ -11,6 +11,10 @@ from __future__ import annotations
 class CipropError(Exception):
     """Base class for all package errors."""
 
+    # the message as given, also for the kinds that are KeyErrors, whose
+    # str() would be its repr
+    __str__ = Exception.__str__
+
     @property
     def code(self) -> str:
         return type(self).__name__

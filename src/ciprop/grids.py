@@ -44,6 +44,15 @@ deviations can differ from it in the last bits, and where residuals tie
 in exact arithmetic the witness can name another of the tied cells.
 Marginals and slices are summed over the support cells too, with the
 same caveat.
+
+One kernel, :func:`_sort`, orders the support cells for every keying:
+queries, marginals, pushforwards, adversaries and files re-keyed on
+reading.  It returns exactly the stable ``argsort`` of the keys, so each
+group's masses are summed in the same order whichever way it sorts, and
+results are identical.  It picks the way from the keys: keys already in
+order are not sorted, few keys and keys with few descents go to
+``argsort``, and all others are packed above their positions and sorted
+by value.
 """
 
 from __future__ import annotations
@@ -269,13 +278,14 @@ def _from_support(
 def _merged(axes: Sequence[Axis], flat: np.ndarray, weights: np.ndarray) -> DensityGrid:
     """The grid whose cells hold the ``weights`` at their ``flat`` index.
 
-    One sort merges the weights of a cell and ``bincount`` adds them in
-    their order, as an accumulation over the dense table would, so the
-    masses are bit-reproducible.
+    One stable sort by :func:`_sort` merges the weights of a cell, and
+    ``bincount`` adds them in their given order, as an accumulation over
+    the dense table would, so the masses are bit-reproducible.
     """
-    index, inverse = np.unique(flat, return_inverse=True)
-    mass = np.bincount(inverse, weights=weights, minlength=index.size)
-    return _from_support(axes, index, mass)
+    order, ordered = _sort(flat)
+    start, run = _runs(ordered)
+    mass = np.bincount(run, weights=weights[order])
+    return _from_support(axes, ordered[start], mass)
 
 
 def marginalize(grid: DensityGrid, keep: Iterable[str]) -> DensityGrid:
@@ -359,23 +369,70 @@ def _roles(
     roles = (*x_names, *a_names, *c_names)
     if len(set(roles)) != len(roles):
         raise OverlappingRoles(f"roles overlap: x={x_names} a={a_names} cond={c_names}")
-    missing = set(roles) - set(grid.axis_names)
+    position = {ax.name: i for i, ax in enumerate(grid.axes)}
+    missing = set(roles) - position.keys()
     if missing:
         raise UnknownAxis(f"unknown axes {sorted(missing)} (have {grid.axis_names})")
     return tuple(
-        tuple(sorted(grid.axis_index(n) for n in names))
+        tuple(sorted(position[n] for n in names))
         for names in (x_names, a_names, c_names)
     )
 
 
+# Fewer keys than this are sorted by argsort: packing them costs more than
+# sorting them by value saves.
+_SMALL_SORT = 512
+# Keys with at most one descent per this many keys are nearly sorted: they
+# are few runs, which TimSort merges in about linear time.
+_RUN_LENGTH = 256
+
+
+def _sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of nonnegative integer ``keys``, and
+    the sorted keys.
+
+    The permutation is ``np.argsort(keys, kind="stable")``, so cells that
+    share a key keep their order.  Keys already in order are not sorted.
+    Fewer than ``_SMALL_SORT`` keys, and keys with at most one descent per
+    ``_RUN_LENGTH`` keys, are sorted by ``argsort``, whose TimSort costs
+    O(n + n log r) for r runs.  Every other key is packed above its
+    position, ``key << bits | position``, and the packed values are sorted
+    by ``np.sort``, several times faster than ``argsort`` on scrambled keys;
+    the positions are distinct and ascending within a key, so the order is
+    the same.  Raises ``BudgetExceeded`` if keys to pack need more than 63
+    bits with their positions.
+    """
+    n = keys.size
+    if n >= _SMALL_SORT:
+        descents = np.count_nonzero(keys[1:] < keys[:-1])
+        if not descents:
+            return np.arange(n), keys
+        if descents * _RUN_LENGTH > n:
+            shift = (n - 1).bit_length()
+            width = int(keys.max()).bit_length()
+            if width + shift > 63:
+                raise BudgetExceeded(
+                    f"keys of {width} bits above {shift} position bits "
+                    "exceed 63 bits"
+                )
+            packed = keys.astype(np.int64) << shift
+            packed |= np.arange(n)
+            packed.sort()
+            order = packed & ((1 << shift) - 1)
+            packed >>= shift
+            return order, packed.astype(keys.dtype, copy=False)
+    order = keys.argsort(kind="stable")
+    return order, keys[order]
+
+
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start of each run of equal sorted ``keys``, and each key's run number."""
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    run = first.cumsum()
-    run -= 1
-    return first.nonzero()[0], run
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    start = bounds[:-1]
+    return start, np.arange(start.size).repeat(bounds[1:] - start)
 
 
 def _groups(
@@ -385,8 +442,7 @@ def _groups(
 
     The sort is stable, so a group's masses are summed in their order.
     """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    order, ordered = _sort(keys)
     start, run = _runs(ordered)
     group = np.empty_like(run)
     group[order] = run
@@ -412,8 +468,8 @@ def _keyed_support(
     if len(axes) < len(shape):
         keys, _, mass = _groups(keys, grid._support[1])
         return keys, mass, sizes
-    order = np.argsort(keys)
-    return keys[order], grid._support[1][order], sizes
+    order, keys = _sort(keys)
+    return keys, grid._support[1][order], sizes
 
 
 def _bins(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
@@ -490,12 +546,12 @@ def _ci_pass(
         float(px[~full].max(initial=0.0)),
     )
     # the worst slice over its occupied bins, where an off-support cell has q
-    k = int(np.argmax(tv))
+    k = int(tv.argmax())
     at = slice(c_start[k], c_start[k + 1] if k + 1 < c_start.size else keys.size)
     r_lo, a_lo = row_run[at.start], int(c_cols[:k].sum())
     box = np.multiply.outer(px[row_c == k], pa[a_lo : a_lo + c_cols[k]])
     box[row_run[at] - r_lo, col_run[at] - a_lo] = resid[at]
-    i, j = divmod(int(np.argmax(box)), box.shape[1])
+    i, j = divmod(int(box.argmax()), box.shape[1])
     shape = [ax.size for ax in grid.axes]
     if box[i, j] > 0:
         x_key = int(keys[row_start[r_lo + i]]) // n_a % n_x
@@ -634,8 +690,8 @@ def grid_from_json(text: str) -> DensityGrid:
         index = np.ravel_multi_index(
             [bins[i] for i in order], [shape[i] for i in order]
         )
-        by_index = np.argsort(index)
-        index, mass = index[by_index], mass[by_index]
+        by_index, index = _sort(index)
+        mass = mass[by_index]
     return _from_support(alphabetical, index, mass)
 
 

@@ -485,6 +485,21 @@ def test_an_explicit_x_must_name_an_axis(workdir, tmp_path, capsys):
         assert "c-cell (1)" in capsys.readouterr().out
 
 
+def test_unknown_names_print_their_message_bare(workdir, capsys):
+    # both kinds are KeyErrors, whose str() would quote the message
+    _, model, grid = workdir
+    for argv, line in (
+        (["intersection", str(grid), "--x", "Q"],
+         "error[UnknownAxis]: no axis named 'Q' (have ('A', 'B', 'X'))"),
+        (["classes", str(grid), "--a", "Q"],
+         "error[UnknownAxis]: unknown axes ['Q'] (have ('A', 'B', 'X'))"),
+        (["sem", "check-prop4", str(model), "--node", "Q", "--parent", "A"],
+         "error[UnknownNode]: no node named 'Q'"),
+    ):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().err == line + "\n"
+
+
 def test_intersection_holds_on_full_support(tmp_path, capsys):
     path = tmp_path / "full.json"
     save_grid(layouts.mask_grid_uniform(np.ones((4, 4), dtype=bool)), str(path))

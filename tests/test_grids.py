@@ -878,3 +878,61 @@ def test_queries_on_built_grids_never_build_their_table(monkeypatch, tmp_path):
     assert reads == []
     assert grid.prob.shape == (22, 47, 107)
     assert reads == [grid]
+
+
+def widest_keys(rng, n):
+    """``n`` scrambled keys of which the largest, at 5, just packs with
+    the positions: key bits plus position bits make 63."""
+    top = 2 ** (63 - (n - 1).bit_length())
+    keys = rng.integers(0, top, n)
+    keys[5] = top - 1
+    return keys
+
+
+def sort_cases():
+    """Keys in each regime of ``grids._sort``, with the regime's name."""
+    rng = np.random.default_rng(61)
+    small = grids_module._SMALL_SORT
+    n = 8 * small
+    runs = [np.sort(rng.integers(0, 1000, n // 4)) for _ in range(4)]
+    return [
+        ("empty", np.zeros(0, dtype=np.int64)),
+        ("single", np.array([5])),
+        ("small", rng.integers(0, 40, small - 1)),
+        ("sorted", np.sort(rng.integers(0, 1000, n))),
+        ("all equal", np.full(n, 7)),
+        ("few descents", np.concatenate(runs)),
+        ("scrambled", rng.integers(0, 10**9, n)),
+        ("many ties", rng.integers(0, 3, n)),
+        ("at the packing limit", widest_keys(rng, n)),
+    ]
+
+
+@pytest.mark.parametrize("name,keys", sort_cases())
+def test_sort_kernel_is_the_stable_argsort(name, keys):
+    n = keys.size
+    descents = int(np.count_nonzero(keys[1:] < keys[:-1]))
+    packs = n >= grids_module._SMALL_SORT and descents * grids_module._RUN_LENGTH > n
+    assert packs == (name in ("scrambled", "many ties", "at the packing limit"))
+    order, ordered = grids_module._sort(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.dtype == expected.dtype and np.array_equal(order, expected)
+    assert ordered.dtype == keys.dtype and np.array_equal(ordered, keys[expected])
+
+
+def test_sort_kernel_refuses_keys_too_wide_to_pack():
+    # a packed value would wrap, not raise
+    keys = widest_keys(np.random.default_rng(67), 2 * grids_module._SMALL_SORT)
+    keys[5] += 1
+    with pytest.raises(BudgetExceeded, match="exceed 63 bits"):
+        grids_module._sort(keys)
+
+
+def test_runs_match_unique():
+    rng = np.random.default_rng(71)
+    for keys in (np.zeros(0, dtype=np.int64), np.array([3]), np.full(9, 2),
+                 np.sort(rng.integers(0, 5, 40)), np.arange(30)):
+        start, run = grids_module._runs(keys)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        assert np.array_equal(start, first) and np.array_equal(run, inverse)
+        assert run.dtype == np.intp

@@ -174,3 +174,17 @@ def test_class_object_builders():
         return isinstance(node, ast.Call) and names("UcAssignment")(node.func)
 
     assert scopes_where(builds) == UC_BUILDERS
+
+
+# The functions that sort.  Every ordering of support cells goes through
+# the one kernel, grids._sort; topology._projection sorts the bins of one
+# slice and intersection._attach the levels of the new axis.  Adding a
+# caller is a deliberate edit of this list.
+SORT_CALLERS = ["grids._sort", "intersection._attach", "topology._projection"]
+
+
+def test_sort_callers():
+    def sorts(node):
+        return any(names(f)(node) for f in ("argsort", "sort", "unique", "lexsort"))
+
+    assert scopes_where(sorts) == SORT_CALLERS
