@@ -10,9 +10,11 @@ The topology subcommands (``components``, ``classes``, ``intersection``,
 the cells of positive mass and find the classes of all conditioning cells
 in one pass over the grid's support cells, as one class table, and label
 the components of all slices at once; ``--c`` finds those of its slice
-alone, by ``condition``.  Each command computes the classes once, and
-``report`` takes its three CI rows from one ``verify_intersection``.  A
-given ``--x`` must name an axis; the default ``X`` may be absent.
+alone, by ``condition``.  A grid keeps its class tables, so a command
+computes its grid's classes once (``intersection -o`` once more, for its
+marginal), and ``report`` takes its three CI rows from one
+``verify_intersection``.  A given ``--x`` must name an axis; the default
+``X`` may be absent.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ from .grids import (
     save_grid,
 )
 from .intersection import (
-    _adversary,
-    _class_table,
-    _cond_names,
-    _verdict,
     classes_per_c,
     construct_adversary,
+    intersection_condition,
     verify_intersection,
     verify_weak_intersection,
 )
@@ -76,6 +75,8 @@ def _parse_fixed(pairs: list[str] | None) -> dict[str, int]:
         name, eq, idx = pair.partition("=")
         if not eq or not name:
             raise _UsageError(f"expected axis=bin, got {pair!r}")
+        if name in fixed:
+            raise _UsageError(f"axis {name!r} given twice")
         try:
             fixed[name] = int(idx)
         except ValueError:
@@ -129,7 +130,7 @@ def _cmd_check_ci(args: argparse.Namespace) -> int:
 def _x_cond(args: argparse.Namespace, grid: DensityGrid) -> tuple[str, tuple[str, ...]]:
     """``--x``, X by default, and the conditioning axes; a given ``--x`` must exist."""
     x = "X" if args.x is None else grid.axis(args.x).name
-    return x, _cond_names(grid, (args.a, args.b, x), None)
+    return x, tuple(n for n in grid.axis_names if n not in (args.a, args.b, x))
 
 
 def _classes_by_cell(
@@ -199,8 +200,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 def _cmd_intersection(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     x, cond = _x_cond(args, grid)
-    found = _class_table(grid, args.a, args.b, cond)
-    verdict = _verdict(found)
+    verdict = intersection_condition(grid, args.a, args.b, cond)
     for cell in sorted(verdict.per_c_class_counts):
         print(f"c-cell {_cell_name(cell)}: classes={verdict.per_c_class_counts[cell]}")
     print(f"intersection: {'HOLDS' if verdict.holds else 'FAILS'}")
@@ -208,9 +208,7 @@ def _cmd_intersection(args: argparse.Namespace) -> int:
         print(f"failing c-cell: {_cell_name(verdict.failing_c)}")
         if args.out:
             base = marginalize(grid, (args.a, args.b, *cond))
-            adversary = _adversary(
-                base, found, verdict.failing_c, a=args.a, b=args.b, name=x
-            )
+            adversary = construct_adversary(base, None, args.a, args.b, x)
             save_grid(adversary, args.out)
             print(f"adversary grid written to {args.out}")
     return _finish(args, verdict.holds)
@@ -220,9 +218,9 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     target = _parse_fixed(args.target) or None
     adversary = construct_adversary(grid, target, args.a, args.b, args.x)
-    save_grid(adversary, args.out)
-    cond = _cond_names(grid, (args.a, args.b), None)
+    cond = tuple(n for n in grid.axis_names if n not in (args.a, args.b))
     report = verify_intersection(adversary, args.x, args.a, args.b, cond, args.tol)
+    save_grid(adversary, args.out)
     print(f"adversary grid written to {args.out}")
     print(_ci_line(f"{args.x} _||_ {args.a} | {args.b}", report.premise_xa))
     print(_ci_line(f"{args.x} _||_ {args.b} | {args.a}", report.premise_xb))

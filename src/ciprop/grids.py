@@ -4,9 +4,9 @@ A :class:`DensityGrid` is a joint probability mass function over named,
 strictly increasing real axes.  All operations are pure: grids are
 frozen, share no memory with their callers' arrays, and their tables are
 read-only, so values can be shared freely across threads.  A grid
-answers each (x, a, cond) question once, and later calls reuse the
-answer; two threads that ask a new question at once both compute it and
-store equal answers, so the memo needs no lock.
+answers each (x, a, cond) CI question and (a, b, cond) class question
+once, and later calls reuse the answer; two threads that ask a new
+question at once both compute it and store equal answers: no lock.
 
 Conditional independence of ``X`` and ``A`` given ``C`` is measured per
 conditioning cell ``c`` with ``p(c) > 0`` as the total-variation
@@ -59,9 +59,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -153,8 +154,8 @@ class DensityGrid:
         return tuple(b.astype(np.min_scalar_type(n - 1)) for b, n in zip(bins, shape))
 
     @cached_property
-    def _ci_answers(self) -> dict[tuple[tuple[int, ...], ...], tuple]:
-        """The answer of every CI question asked of the grid so far, by roles."""
+    def _answers(self) -> dict[tuple[Callable, tuple], object]:
+        """Every answer computed so far, by its pass and its roles' positions."""
         return {}
 
     # -- axis lookup ----------------------------------------------------
@@ -490,15 +491,18 @@ def _ci_residuals(
     """The deviation, pointwise residual and witness of ``x`` vs ``a`` given ``cond``.
 
     The roles are resolved, and checked, on every call; the answer is
-    computed by :func:`_ci_pass` on the first call that asks the question
-    and kept in the grid's ``_ci_answers``, keyed by the sorted axis
-    positions of the roles, which fully determine it.
+    computed by :func:`_ci_pass` once per grid (:func:`_answer`).
     """
-    roles = _roles(grid, x, a, cond)
-    answers = grid._ci_answers
-    if roles not in answers:
-        answers[roles] = _ci_pass(grid, *roles)
-    return answers[roles]
+    return _answer(grid, _ci_pass, _roles(grid, x, a, cond))
+
+
+def _answer(grid: DensityGrid, run: Callable, roles: tuple) -> Any:
+    """``run(grid, *roles)``, computed once per grid and kept in its
+    ``_answers`` by ``run`` and the sorted axis positions of the roles."""
+    answers = grid._answers
+    if (run, roles) not in answers:
+        answers[run, roles] = run(grid, *roles)
+    return answers[run, roles]
 
 
 def _ci_pass(

@@ -18,7 +18,10 @@ every conditioning cell in one call to the kernel of
 each b-bin, per c-cell.  :func:`verify_weak_intersection` reads the same
 support cells keyed by (c, a, b, x), and it and the adversary give each
 support cell its class by one gather through its (c-cell, a-bin); only
-:func:`classes_per_c` wraps the rows in ``UcAssignment`` views.
+:func:`classes_per_c` wraps the rows in ``UcAssignment`` views.  A grid
+computes each (a, b, cond) table once and keeps it with its CI answers
+(two threads that both miss store equal tables: no lock), and
+:func:`attach_class_variable` hands the grid it makes its base's table.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -61,6 +64,7 @@ from .grids import (
     Axis,
     CiReport,
     DensityGrid,
+    _answer,
     _bin,
     _ci_residuals,
     _groups,
@@ -157,17 +161,23 @@ def classes_per_c(
 
 
 def _class_table(
-    grid: DensityGrid,
-    a: str,
-    b: str,
-    cond: Iterable[str] | None,
-    keys: np.ndarray | None = None,
+    grid: DensityGrid, a: str, b: str, cond: Iterable[str] | None
 ) -> _Classes:
-    """The classes of :func:`classes_per_c` as one table, given the ascending
-    distinct (c, a, b) ``keys``, which are read from the support by default."""
-    (ia,), (ib,), c_pos = _roles(grid, a, b, _cond_names(grid, (a, b), cond))
-    if keys is None:
-        keys = _keyed_support(grid, (c_pos, (ia,), (ib,)))[0]
+    """The classes of :func:`classes_per_c` as one table.  The roles are
+    checked on every call; :func:`_class_pass` runs once per grid."""
+    roles = _roles(grid, a, b, _cond_names(grid, (a, b), cond))
+    return _answer(grid, _class_pass, roles)
+
+
+def _class_pass(
+    grid: DensityGrid,
+    a_pos: tuple[int, ...],
+    b_pos: tuple[int, ...],
+    c_pos: tuple[int, ...],
+) -> _Classes:
+    """:func:`_class_table` given the roles' positions; the arrays are read-only."""
+    (ia,), (ib,) = a_pos, b_pos
+    keys = _keyed_support(grid, (c_pos, a_pos, b_pos))[0]
     n_a, n_b = grid.axes[ia].size, grid.axes[ib].size
     c_start, c_run = _runs(keys // (n_a * n_b))
     c_keys = keys[c_start] // (n_a * n_b)
@@ -177,13 +187,9 @@ def _class_table(
     counts, classes = _class_assignments(
         c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
     )
+    for array in (c_keys, counts, classes, keys):
+        array.flags.writeable = False
     return _Classes(list(map(tuple, cells)), c_keys, counts, classes, keys, (n_a, n_b))
-
-
-def _verdict(found: _Classes) -> IntersectionVerdict:
-    counts = dict(zip(found.cells, found.counts.tolist()))
-    failing = next((cell for cell, n in counts.items() if n > 1), None)
-    return IntersectionVerdict(counts, failing is None, failing)
 
 
 def intersection_condition(
@@ -199,7 +205,10 @@ def intersection_condition(
     one support class; the first cell with two or more classes (row-major)
     is reported as ``failing_c``.
     """
-    return _verdict(_class_table(grid, a, b, cond))
+    found = _class_table(grid, a, b, cond)
+    counts = dict(zip(found.cells, found.counts.tolist()))
+    failing = next((cell for cell, n in counts.items() if n > 1), None)
+    return IntersectionVerdict(counts, failing is None, failing)
 
 
 def verify_intersection(
@@ -275,13 +284,13 @@ def _weak_residuals(
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
     class has (a, b) cells adds ``mixture(x)``.
     """
-    (ia,), (ib,), c_pos = _roles(grid, a, b, cond_names)
+    found = _class_table(grid, a, b, cond_names)
+    a_pos, b_pos, c_pos = _roles(grid, a, b, cond_names)
     keys, mass, (_, n_a, n_b, n_x) = _keyed_support(
-        grid, (c_pos, (ia,), (ib,), (grid.axis_index(x),))
+        grid, (c_pos, a_pos, b_pos, (grid.axis_index(x),))
     )
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
-    found = _class_table(grid, a, b, cond_names, keys[cell_start] // n_x)
     # the c-cells of the classes are those of the keys, in the same order
     c_run = _runs(keys // (n_a * n_b * n_x))[1]
     group = found.group(c_run, keys // (n_b * n_x) % n_a)
@@ -316,26 +325,8 @@ def attach_class_variable(
     level-plus-noise values.
     """
     _require_new_axis(base, name)
-    found = _class_table(base, a, b, None)
-    return _attach(base, found, g, noise_points, noise_probs, a, b, name)
-
-
-def _require_new_axis(base: DensityGrid, name: str) -> None:
-    if name in base.axis_names:
-        raise ShapeMismatch(f"axis {name!r} already exists")
-
-
-def _attach(
-    base: DensityGrid,
-    found: _Classes,
-    g: Callable[[tuple[int, ...], int], float],
-    noise_points: Sequence[float],
-    noise_probs: Sequence[float] | None,
-    a: str,
-    b: str,
-    name: str,
-) -> DensityGrid:
-    """:func:`attach_class_variable` given the classes of ``base``."""
+    roles = _roles(base, a, b, _cond_names(base, (a, b), None))
+    found = _answer(base, _class_pass, roles)
     pts = np.asarray(noise_points, dtype=float)
     if pts.size == 0:
         raise ShapeMismatch("noise points must be nonempty")
@@ -345,7 +336,7 @@ def _attach(
         probs = np.asarray(noise_probs, dtype=float)
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
-    c_pos = [base.axis_index(n) for n in _cond_names(base, (a, b), None)]
+    c_pos = roles[2]
     c_shape = [base.axes[p].size for p in c_pos]
     coords, (index, masses) = base._coords, base._support
     level = np.array([float(g(cell, cls)) for cell, cls in found.groups()])
@@ -353,7 +344,7 @@ def _attach(
     # conditioning axes)
     c_flat = np.ravel_multi_index(tuple(coords[p] for p in c_pos), c_shape)
     c_run = np.searchsorted(found.keys, c_flat)
-    levels = level[found.group(c_run, coords[base.axis_index(a)])]
+    levels = level[found.group(c_run, coords[roles[0][0]])]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))
@@ -364,7 +355,18 @@ def _attach(
     size = int(np.prod([ax.size for ax in base.axes]))
     flat = np.concatenate([x * size + index for x in x_bins])
     weights = np.concatenate([masses * p_k for p_k in probs])
-    return _merged((x_axis, *base.axes), flat, weights)
+    result = _merged((x_axis, *base.axes), flat, weights)
+    # every weight positive: the result has the (c, a, b) support, and so
+    # the classes, of base, at positions one past base's
+    if masses.min() * probs.min() > 0:
+        shifted = tuple(tuple(p + 1 for p in role) for role in roles)
+        result._answers[_class_pass, shifted] = found
+    return result
+
+
+def _require_new_axis(base: DensityGrid, name: str) -> None:
+    if name in base.axis_names:
+        raise ShapeMismatch(f"axis {name!r} already exists")
 
 
 def construct_adversary(
@@ -390,8 +392,7 @@ def construct_adversary(
     """
     _require_new_axis(base, name)
     cond_names = _cond_names(base, (a, b), None)
-    found = _class_table(base, a, b, cond_names)
-    verdict = _verdict(found)
+    verdict = intersection_condition(base, a, b, cond_names)
     if target_c is None:
         if verdict.holds:
             raise SingleClass("no conditioning cell has two or more classes")
@@ -408,25 +409,12 @@ def construct_adversary(
             raise SingleClass(f"target cell {dict(target_c)} has no positive mass")
         if count < 2:
             raise SingleClass(f"target cell has {count} class(es); need >= 2")
-    return _adversary(base, found, target, a, b, name)
-
-
-def _adversary(
-    base: DensityGrid,
-    found: _Classes,
-    target: tuple[int, ...],
-    a: str,
-    b: str,
-    name: str,
-) -> DensityGrid:
-    """:func:`construct_adversary` given the classes of ``base`` and its target."""
 
     def g(c_cell: tuple[int, ...], uc: int) -> float:
         return 10.0 if (c_cell == target and uc == 1) else 0.0
 
-    cond_names = _cond_names(base, (a, b), None)
     noise = np.linspace(-0.1, 0.1, 5)
-    result = _attach(base, found, g, noise, None, a, b, name)
+    result = attach_class_variable(base, g, noise, None, a, b, name)
     dev_xa = _ci_residuals(result, name, a, (b, *cond_names))[0]
     dev_xb = _ci_residuals(result, name, b, (a, *cond_names))[0]
     margin = _ci_residuals(result, name, b, cond_names)[1]

@@ -323,12 +323,12 @@ def _snap(axis: Axis, values: np.ndarray, node: str) -> np.ndarray:
             gaps[np.clip(idx, 0, gaps.size - 1)],
         )
         allowance = gap_at + 1e-9
-    bad = error > allowance
+    bad = ~(error <= allowance)  # NaN is bad
     if bad.any():
         worst = int(np.argmax(error * bad))
         raise BinOverflow(
-            f"node {node!r}: value {flat[worst]!r} misses the output axis "
-            f"(nearest point {pts[idx[worst]]!r})"
+            f"node {node!r}: value {float(flat[worst])!r} misses the output axis "
+            f"(nearest point {float(pts[idx[worst]])!r})"
         )
     return idx.reshape(np.shape(values))
 

@@ -26,6 +26,7 @@ from ciprop import (
     is_ci,
     label_support_nd,
     load_grid,
+    marginalize,
     render_labels,
     save_grid,
     save_sem,
@@ -263,6 +264,24 @@ def test_bad_fixed_cell_syntax_exits_2(blocks_path, capsys):
     assert run(["components", str(blocks_path), "--c", "A:0"]) == 2
     assert run(["components", str(blocks_path), "--c", "A=x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--c", "X=1", "--c", "X=2"],
+        ["components", "--c", "X=1", "--c", "X=2"],
+        ["adversary", "--x", "Y", "-o", "adv.json", "--target", "X=1", "--target", "X=0"],
+    ],
+)
+def test_a_repeated_fixed_axis_exits_2(argv, abx_path, tmp_path, monkeypatch, capsys):
+    # the last bin would silently win
+    monkeypatch.chdir(tmp_path)
+    assert run([argv[0], str(abx_path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: axis 'X' given twice\n"
+    assert captured.out == ""
+    assert not (tmp_path / "adv.json").exists()
 
 
 def test_zero_mass_slice_exits_3(workdir, capsys):
@@ -532,6 +551,19 @@ def test_adversary_refuses_an_existing_axis(workdir, tmp_path, capsys):
     assert "error[ShapeMismatch]: axis 'X' already exists" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_adversary_refuses_its_tolerance_before_writing(tol, workdir, tmp_path, capsys):
+    _, _, grid = workdir
+    ab = tmp_path / "ab.json"
+    save_grid(marginalize(load_grid(str(grid)), ("A", "B")), str(ab))
+    out = tmp_path / "adv.json"
+    assert run(["adversary", str(ab), "-o", str(out), "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[ShapeMismatch]: tol must be positive")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_weak_intersection_on_adversary(blocks_path, tmp_path, capsys):
     out_path = tmp_path / "adv.json"
     assert run(["adversary", str(blocks_path), "-o", str(out_path)]) == 0
@@ -648,6 +680,17 @@ def test_sem_propagate_counts_the_cells_it_writes(workdir, tmp_path, capsys):
     assert run(["sem", "propagate", str(model), "-o", str(grid_out)]) == 0
     written = json.loads(grid_out.read_text())["index"]
     assert f"support cells: {len(written)}\n" in capsys.readouterr().out
+
+
+def test_sem_propagate_refuses_a_nan_value(tmp_path, capsys):
+    doc = json.loads(sem_to_json(example1(0.1)))
+    doc["mechanism"]["B"]["intercept"] = float("nan")
+    model, out = tmp_path / "nan.json", tmp_path / "grid.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["sem", "propagate", str(model), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[BinOverflow]: node 'B': value nan misses")
+    assert not out.exists()
 
 
 # -- report -----------------------------------------------------------------------

@@ -707,10 +707,10 @@ def test_a_grid_answers_each_question_once():
     fresh = grids_module._from_support(adv.axes, *adv._support)
     for query, reordered in REORDERED_QUERIES:
         first = answer(check_kernel(adv, *query, 1e-12)[0])
-        asked = len(adv._ci_answers)
+        asked = len(adv._answers)
         assert answer(is_ci(adv, *query)) == first
         assert answer(is_ci(adv, *reordered)) == first
-        assert len(adv._ci_answers) == asked
+        assert len(adv._answers) == asked
         assert answer(is_ci(fresh, *query)) == first
 
 
@@ -721,7 +721,7 @@ def test_a_kept_answer_is_judged_at_each_tolerance():
     assert not strict.holds and loose.holds and loose.tol == 0.2
     assert answer(loose) == answer(strict) and strict.deviation == pytest.approx(1 / 8)
     assert not is_ci(g, "X", "A", ("C",), tol=0.1).holds
-    assert len(g._ci_answers) == 1
+    assert len(g._answers) == 1
     # the roles and the tolerance are still checked on every call
     with pytest.raises(UnknownAxis):
         is_ci(g, "X", "Z", ("C",))
@@ -729,7 +729,7 @@ def test_a_kept_answer_is_judged_at_each_tolerance():
         is_ci(g, "X", ("A", "X"), ("C",))
     with pytest.raises(ShapeMismatch):
         is_ci(g, "X", "A", ("C",), tol=float("nan"))
-    assert len(g._ci_answers) == 1
+    assert len(g._answers) == 1
 
 
 # -- grids built from their support cells -------------------------------------

@@ -604,3 +604,98 @@ def test_verdict_decides_adversary_existence_on_small_masks():
             assert oracles.o_ci_tv(names, shape, mass, "X", "A", ("B",)) <= 1e-12
             assert oracles.o_ci_tv(names, shape, mass, "X", "B", ("A",)) <= 1e-12
             assert oracles.o_ci_tv(names, shape, mass, "X", ("A", "B"), ()) > 1e-6
+
+
+# -- one class table per question ------------------------------------------------
+
+
+def counted_class_kernel(monkeypatch):
+    """The slice count of each class-kernel call from now on, as a growing list."""
+    calls = []
+    kernel = intersection_module._class_assignments
+
+    def counted(k, i, j, n_c, shape):
+        calls.append(n_c)
+        return kernel(k, i, j, n_c, shape)
+
+    monkeypatch.setattr(intersection_module, "_class_assignments", counted)
+    return calls
+
+
+def class_table(grid, cond):
+    found = intersection_module._class_table(grid, "A", "B", cond)
+    return found.cells, *(a.tolist() for a in found[1:5]), found.shape
+
+
+def test_a_grid_computes_its_classes_once(monkeypatch):
+    grid = layouts.sliced_grid(np.random.default_rng(3))
+    calls = counted_class_kernel(monkeypatch)
+    verdict = intersection_condition(grid)
+    construct_adversary(grid)
+    per_c = classes_per_c(grid, "A", "B")
+    assert len(calls) == 1
+    assert {c: asg.class_count for c, asg in per_c.items()} == dict(
+        verdict.per_c_class_counts
+    )
+
+
+def test_the_order_of_the_names_adds_no_class_table():
+    grid = layouts.sliced_grid(np.random.default_rng(5))
+    first = class_table(grid, ("C1", "C2"))
+    assert len(grid._answers) == 1
+    assert class_table(grid, ("C2", "C1")) == first
+    assert class_table(grid, None) == first
+    intersection_condition(grid, "A", "B", ("C2", "C1"))
+    assert len(grid._answers) == 1
+    # the CI question with the same roles is another question
+    is_ci(grid, "A", "B", ("C1", "C2"))
+    assert len(grid._answers) == 2
+    assert class_table(grid, None) == first
+    # the kept table is read-only
+    with pytest.raises(ValueError):
+        next(iter(classes_per_c(grid, "A", "B").values()))._classes[0] = 7
+
+
+def test_the_weak_form_of_an_adversary_reads_its_classes(monkeypatch):
+    adv = construct_adversary(layouts.sliced_grid(np.random.default_rng(11)))
+    fresh = grids_module._from_support(adv.axes, *adv._support)
+    assert "_answers" not in vars(fresh)
+    calls = counted_class_kernel(monkeypatch)
+    kept = verify_weak_intersection(adv)
+    assert calls == []
+    rebuilt = verify_weak_intersection(fresh)
+    assert len(calls) == 1
+
+    def hexes(report):
+        return {key: value.hex() for key, value in report.per_class.items()}
+
+    assert hexes(kept) == hexes(rebuilt)
+
+
+@pytest.mark.parametrize("probs, kernel_calls", [(None, 0), ((0.25, 0.0, 0.75), 1)])
+def test_an_attached_variable_has_the_classes_of_its_base(
+    probs, kernel_calls, monkeypatch
+):
+    # with a zero weight a base cell could lose its mass, so the result
+    # computes its own classes
+    base = layouts.sliced_grid(np.random.default_rng(0))
+    result = attach_class_variable(
+        base, lambda c, k: float(k + sum(c)), (0.0, 0.5, 3.0), probs
+    )
+    fresh = grids_module._from_support(result.axes, *result._support)
+    calls = counted_class_kernel(monkeypatch)
+    assert class_table(result, ("C1", "C2")) == class_table(base, None)
+    assert len(calls) == kernel_calls
+    assert class_table(fresh, ("C1", "C2")) == class_table(base, None)
+
+
+def test_an_attached_variable_that_loses_a_cell_has_its_own_classes():
+    # 5e-324 * 0.2 rounds to 0, so the tiny cell drops out of the result,
+    # and with it the class it alone makes
+    table = np.zeros((3, 3))
+    table[0, 0], table[2, 2] = 5e-324, 1.0
+    base = DensityGrid((index_axis("A", 3), index_axis("B", 3)), table)
+    assert intersection_condition(base).per_c_class_counts == {(): 2}
+    result = attach_class_variable(base, lambda c, k: 0.0, np.linspace(-0.1, 0.1, 5))
+    assert result._support[0].size == 5
+    assert intersection_condition(result, "A", "B", ()).per_c_class_counts == {(): 1}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -308,6 +309,38 @@ def test_values_off_the_axis_overflow():
         },
     )
     with pytest.raises(BinOverflow):
+        propagate(sem)
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        {"kind": "affine", "intercept": math.nan, "coeffs": {"A": 1}},
+        {"kind": "piecewise", "parent": "A", "pieces": [
+            {"lo": None, "hi": None, "kind": "affine", "intercept": math.nan, "slope": 0},
+        ]},
+        {"kind": "table", "values": [0.0] * 21 + [math.nan]},
+    ],
+)
+def test_a_nan_value_overflows(mechanism):
+    # NaN compares false with every allowance
+    doc = json.loads(sem_to_json(example1(0.1)))
+    doc["mechanism"]["B"] = mechanism
+    sem = sem_from_json(json.dumps(doc))
+    with pytest.raises(BinOverflow, match="node 'B': value nan misses the output axis"):
+        propagate(sem)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_inf_times_zero_overflows():
+    # inf * 0 is NaN
+    sem = SemSpec(
+        Dag(("A", "B"), {"B": ("A",)}),
+        {"A": coin(0.0), "B": coin(0.0)},
+        {"B": AffineMechanism(0.0, {"A": math.inf})},
+        {"A": Axis("A", (0.0,)), "B": Axis("B", (0.0, 1.0))},
+    )
+    with pytest.raises(BinOverflow, match="node 'B': value nan misses the output axis"):
         propagate(sem)
 
 

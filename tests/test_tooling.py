@@ -151,6 +151,31 @@ def test_ci_residual_pass_callers():
     assert scopes_where(names("_ci_pass")) == CI_PASS_CALLERS
 
 
+# The functions that name the class pass.  Every other function asks
+# intersection._class_table, which keeps each grid's class tables;
+# attach_class_variable runs the pass through the same memo and hands its
+# result the base's table.  Adding a caller is a deliberate edit of this list.
+CLASS_PASS_CALLERS = ["intersection._class_table", "intersection.attach_class_variable"]
+
+
+def test_class_pass_callers():
+    assert scopes_where(names("_class_pass")) == CLASS_PASS_CALLERS
+    assert scopes_where(names("_class_assignments")) == ["intersection._class_pass"]
+
+
+def test_the_cli_imports_public_intersection_names_only():
+    # the CLI asks the library's questions; the memo hands tables around
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "intersection"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 # The functions that run the hooking kernel.  Support components and
 # classes are both graphs handed to topology._roots; adding a caller is a
 # deliberate edit of this list.
@@ -178,9 +203,11 @@ def test_class_object_builders():
 
 # The functions that sort.  Every ordering of support cells goes through
 # the one kernel, grids._sort; topology._projection sorts the bins of one
-# slice and intersection._attach the levels of the new axis.  Adding a
-# caller is a deliberate edit of this list.
-SORT_CALLERS = ["grids._sort", "intersection._attach", "topology._projection"]
+# slice and intersection.attach_class_variable the levels of the new axis.
+# Adding a caller is a deliberate edit of this list.
+SORT_CALLERS = [
+    "grids._sort", "intersection.attach_class_variable", "topology._projection"
+]
 
 
 def test_sort_callers():
