@@ -259,6 +259,19 @@ def _checked(
     return index, mass
 
 
+def _distribution(probs: Iterable[float]) -> tuple[float, ...]:
+    """Nonempty ``probs`` as floats, refused unless none is negative
+    (``NegativeMass``) and they sum to 1 within ``NORM_TOL`` (``NotNormalized``)."""
+    probs = tuple(map(float, probs))
+    if min(probs) < 0.0:
+        raise NegativeMass(f"negative noise probability {min(probs)!r}")
+    total = math.fsum(probs)
+    # written so that a NaN or infinite probability fails it
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NotNormalized(f"noise probabilities sum to {total!r}")
+    return probs
+
+
 def _from_support(
     axes: Sequence[Axis], index: np.ndarray, mass: np.ndarray
 ) -> DensityGrid:
@@ -361,10 +374,14 @@ def _roles(
     grid: DensityGrid,
     x: str | Sequence[str],
     a: str | Sequence[str],
-    cond: Iterable[str],
+    cond: Iterable[str] | None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Positions of the x, a and conditioning axes, each in grid order."""
-    x_names, a_names, c_names = _as_names(x), _as_names(a), _as_names(cond)
+    """Positions of the x, a and conditioning axes, each in grid order; every
+    query resolves its roles here.  ``cond=None`` is every other axis."""
+    x_names, a_names = _as_names(x), _as_names(a)
+    if cond is None:
+        cond = [n for n in grid.axis_names if n not in {*x_names, *a_names}]
+    c_names = _as_names(cond)
     if not x_names or not a_names:
         raise ShapeMismatch("x and a must each name at least one axis")
     roles = (*x_names, *a_names, *c_names)
@@ -384,7 +401,10 @@ def _roles(
 # sorting them by value saves.
 _SMALL_SORT = 512
 # Keys with at most one descent per this many keys are nearly sorted: they
-# are few runs, which TimSort merges in about linear time.
+# are few runs, which TimSort merges in about linear time.  Packed instead,
+# they made the example1_fine benchmark's op_ms_p50 worse in 8 of 8 pairs
+# of runs (median 7.0 -> 7.9 ms, 2-vCPU Xeon guest), though the descent
+# count does not measure how much the runs interleave.
 _RUN_LENGTH = 256
 
 
@@ -482,20 +502,6 @@ def _bins(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(bins))
 
 
-def _ci_residuals(
-    grid: DensityGrid,
-    x: str | Sequence[str],
-    a: str | Sequence[str],
-    cond: Iterable[str],
-) -> tuple[float, float, _Witness]:
-    """The deviation, pointwise residual and witness of ``x`` vs ``a`` given ``cond``.
-
-    The roles are resolved, and checked, on every call; the answer is
-    computed by :func:`_ci_pass` once per grid (:func:`_answer`).
-    """
-    return _answer(grid, _ci_pass, _roles(grid, x, a, cond))
-
-
 def _answer(grid: DensityGrid, run: Callable, roles: tuple) -> Any:
     """``run(grid, *roles)``, computed once per grid and kept in its
     ``_answers`` by ``run`` and the sorted axis positions of the roles."""
@@ -511,7 +517,8 @@ def _ci_pass(
     a_pos: tuple[int, ...],
     c_pos: tuple[int, ...],
 ) -> tuple[float, float, _Witness]:
-    """:func:`_ci_residuals` given the axis positions of the roles.
+    """:func:`is_ci`'s deviation, pointwise residual and witness, given the
+    axis positions of the roles.
 
     Reads only the support cells.  With j = p(x, a | c) and
     q = p(x | c) p(a | c), a cell off the support of a (c, x) row whose
@@ -577,13 +584,14 @@ def is_ci(
 ) -> CiReport:
     """Test ``x`` independent of ``a`` given ``cond`` at tolerance ``tol``.
 
-    A grid answers each (x, a, cond) question once, and later calls, with
-    any ``tol`` or order of names within a role, reuse the answer.
+    The one way to a CI answer: the roles are checked on every call, and a
+    grid answers each (x, a, cond) question once; later calls, with any
+    ``tol`` or order of names within a role, reuse the answer.
     """
     # written so that a NaN tolerance fails it
     if not tol > 0:
         raise ShapeMismatch(f"tol must be positive, got {tol!r}")
-    dev, pointwise, witness = _ci_residuals(grid, x, a, cond)
+    dev, pointwise, witness = _answer(grid, _ci_pass, _roles(grid, x, a, cond))
     return CiReport(
         holds=dev <= tol,
         deviation=dev,

@@ -65,8 +65,9 @@ from .grids import (
     CiReport,
     DensityGrid,
     _answer,
+    _as_names,
     _bin,
-    _ci_residuals,
+    _distribution,
     _groups,
     _keyed_support,
     _merged,
@@ -106,14 +107,6 @@ class WeakIntersectionReport:
     residual: float
     per_class: Mapping[tuple[tuple[int, ...], int], float]
     tol: float
-
-
-def _cond_names(
-    grid: DensityGrid, exclude: tuple[str, ...], cond: Iterable[str] | None
-) -> tuple[str, ...]:
-    if cond is None:
-        return tuple(n for n in grid.axis_names if n not in exclude)
-    return tuple(cond)
 
 
 class _Classes(NamedTuple):
@@ -165,8 +158,7 @@ def _class_table(
 ) -> _Classes:
     """The classes of :func:`classes_per_c` as one table.  The roles are
     checked on every call; :func:`_class_pass` runs once per grid."""
-    roles = _roles(grid, a, b, _cond_names(grid, (a, b), cond))
-    return _answer(grid, _class_pass, roles)
+    return _answer(grid, _class_pass, _roles(grid, a, b, cond))
 
 
 def _class_pass(
@@ -176,6 +168,8 @@ def _class_pass(
     c_pos: tuple[int, ...],
 ) -> _Classes:
     """:func:`_class_table` given the roles' positions; the arrays are read-only."""
+    if len(a_pos) != 1 or len(b_pos) != 1:
+        raise ShapeMismatch("a and b must each name one axis")
     (ia,), (ib,) = a_pos, b_pos
     keys = _keyed_support(grid, (c_pos, a_pos, b_pos))[0]
     n_a, n_b = grid.axes[ia].size, grid.axes[ib].size
@@ -224,10 +218,10 @@ def verify_intersection(
     ``vacuous`` distinguishes an implication that only holds because a
     premise fails from one whose premises and conclusion all hold.
     """
-    cond = tuple(cond)
-    premise_xa = is_ci(grid, x, a, (b, *cond), tol)
-    premise_xb = is_ci(grid, x, b, (a, *cond), tol)
-    conclusion = is_ci(grid, x, (a, b), cond, tol)
+    a, b, cond = _as_names(a), _as_names(b), tuple(cond)
+    premise_xa = is_ci(grid, x, a, (*b, *cond), tol)
+    premise_xb = is_ci(grid, x, b, (*a, *cond), tol)
+    conclusion = is_ci(grid, x, (*a, *b), cond, tol)
     premises_hold = premise_xa.holds and premise_xb.holds
     implication = conclusion.holds or not premises_hold
     return IntersectionReport(
@@ -256,17 +250,20 @@ def verify_weak_intersection(
     law of x must be constant across on-class (a, b) cells and equal to
     the class mixture obtained by summing ``p(x, a | c)`` over the class's
     a-projection and normalizing.  The report carries the worst residual
-    per (c-cell, class).
+    per (c-cell, class).  The roles are the conclusion's: ``cond``
+    defaults to every axis besides ``x``, ``a`` and ``b``.
     """
-    cond_names = _cond_names(grid, (x, a, b), cond)
-    premise_xa = is_ci(grid, x, a, (b, *cond_names), tol)
-    premise_xb = is_ci(grid, x, b, (a, *cond_names), tol)
+    a, b = _as_names(a), _as_names(b)
+    x_pos, _, c_pos = _roles(grid, x, (*a, *b), cond)
+    cond_names = tuple(grid.axis_names[p] for p in c_pos)
+    premise_xa = is_ci(grid, x, a, (*b, *cond_names), tol)
+    premise_xb = is_ci(grid, x, b, (*a, *cond_names), tol)
     if not (premise_xa.holds and premise_xb.holds):
         raise PremiseViolated(
             "premise deviations "
             f"{premise_xa.deviation!r} / {premise_xb.deviation!r} exceed {tol!r}"
         )
-    per_class = _weak_residuals(grid, x, a, b, cond_names)
+    per_class = _weak_residuals(grid, x_pos, a, b, cond_names)
     worst = max(per_class.values(), default=0.0)
     return WeakIntersectionReport(
         holds=worst <= tol, residual=worst, per_class=per_class, tol=tol
@@ -274,7 +271,7 @@ def verify_weak_intersection(
 
 
 def _weak_residuals(
-    grid: DensityGrid, x: str, a: str, b: str, cond_names: tuple[str, ...]
+    grid: DensityGrid, x_pos: tuple[int, ...], a: tuple, b: tuple, cond: tuple
 ) -> dict[tuple[tuple[int, ...], int], float]:
     """Weak-form residual per (c-cell, class), read from the support cells.
 
@@ -284,11 +281,9 @@ def _weak_residuals(
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
     class has (a, b) cells adds ``mixture(x)``.
     """
-    found = _class_table(grid, a, b, cond_names)
-    a_pos, b_pos, c_pos = _roles(grid, a, b, cond_names)
-    keys, mass, (_, n_a, n_b, n_x) = _keyed_support(
-        grid, (c_pos, a_pos, b_pos, (grid.axis_index(x),))
-    )
+    found = _class_table(grid, a, b, cond)
+    a_pos, b_pos, c_pos = _roles(grid, a, b, cond)
+    keys, mass, (_, n_a, n_b, n_x) = _keyed_support(grid, (c_pos, a_pos, b_pos, x_pos))
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
     # the c-cells of the classes are those of the keys, in the same order
@@ -325,7 +320,7 @@ def attach_class_variable(
     level-plus-noise values.
     """
     _require_new_axis(base, name)
-    roles = _roles(base, a, b, _cond_names(base, (a, b), None))
+    roles = _roles(base, a, b, None)
     found = _answer(base, _class_pass, roles)
     pts = np.asarray(noise_points, dtype=float)
     if pts.size == 0:
@@ -336,6 +331,7 @@ def attach_class_variable(
         probs = np.asarray(noise_probs, dtype=float)
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
+    _distribution(probs)
     c_pos = roles[2]
     c_shape = [base.axes[p].size for p in c_pos]
     coords, (index, masses) = base._coords, base._support
@@ -391,7 +387,7 @@ def construct_adversary(
     :class:`AdversaryCheckFailed` carries the measured values otherwise.
     """
     _require_new_axis(base, name)
-    cond_names = _cond_names(base, (a, b), None)
+    cond_names = tuple(base.axis_names[p] for p in _roles(base, a, b, None)[2])
     verdict = intersection_condition(base, a, b, cond_names)
     if target_c is None:
         if verdict.holds:
@@ -415,14 +411,10 @@ def construct_adversary(
 
     noise = np.linspace(-0.1, 0.1, 5)
     result = attach_class_variable(base, g, noise, None, a, b, name)
-    dev_xa = _ci_residuals(result, name, a, (b, *cond_names))[0]
-    dev_xb = _ci_residuals(result, name, b, (a, *cond_names))[0]
-    margin = _ci_residuals(result, name, b, cond_names)[1]
-    if not (
-        dev_xa <= 1e-9
-        and dev_xb <= 1e-9
-        and margin >= 0.1 * (1.0 - 1e-9)
-        and not is_ci(result, name, (a, b), cond_names).holds
-    ):
-        raise AdversaryCheckFailed(dev_xa, dev_xb, margin)
+    report = verify_intersection(result, name, a, b, cond_names, 1e-9)
+    margin = is_ci(result, name, b, cond_names).pointwise_deviation
+    broken = report.premises_hold and not report.conclusion.holds
+    if not (broken and margin >= 0.1 * (1.0 - 1e-9)):
+        xa, xb = report.premise_xa, report.premise_xb
+        raise AdversaryCheckFailed(xa.deviation, xb.deviation, margin)
     return result

@@ -15,8 +15,8 @@ not identifiable from the joint distribution when noise supports have
 gaps.  Identifiability diagnostics live here too: per-node noise-support
 connectivity and joint-support component counts (path-connectedness
 certificate), and the non-constancy witness search for mechanism/parent
-pairs.  That search keys the support cells once per conditioning set
-and evaluates the mechanism once on the cells that hold mass.
+pairs.  That search keys one marginal of the grid once per conditioning
+set and evaluates the mechanism once on the cells that hold mass.
 """
 
 from __future__ import annotations
@@ -36,22 +36,21 @@ from .errors import (
     BudgetExceeded,
     CipropError,
     CycleDetected,
-    NegativeMass,
     NotAParent,
-    NotNormalized,
     ShapeMismatch,
     UnknownNode,
 )
 from .grids import (
     MAX_GRID_CELLS,
-    NORM_TOL,
     Axis,
     DensityGrid,
+    _distribution,
     _keyed_support,
     _kept,
     _merged,
     _numbers,
     _runs,
+    marginalize,
 )
 from .jsonio import render_json
 from .topology import _components
@@ -107,12 +106,7 @@ class NoiseSpec:
             raise ShapeMismatch("noise points must be finite")
         if any(not a < b for a, b in zip(points, points[1:])):
             raise ShapeMismatch("noise points must be strictly increasing")
-        if min(probs) < 0.0:
-            raise NegativeMass(f"negative noise probability {min(probs)!r}")
-        total = math.fsum(probs)
-        # written so that a NaN probability, whose sum is NaN, fails it
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise NotNormalized(f"noise probabilities sum to {total!r}")
+        _distribution(probs)
         mean = math.fsum(p * x for p, x in zip(probs, points))
         if abs(mean) > 1e-9:
             warnings.warn(
@@ -531,8 +525,9 @@ def non_constancy_check(
     outputs.  The overall verdict requires a witness for every C; a single
     failing C (reported) sinks it, which is exactly what happens when the
     mechanism has plateaus and the off-plateau region carries no mass.
-    A ``grid`` whose axis of the parent, another parent or a candidate is
-    not the model's raises :class:`ShapeMismatch`.
+    Every set is searched on one marginal of ``grid``; a ``grid`` that lacks
+    the parent or a candidate raises :class:`UnknownAxis`, and one whose axis
+    is not the model's :class:`ShapeMismatch`, before any search.
     """
     if node not in sem.dag.nodes:
         raise UnknownNode(f"no node named {node!r}")
@@ -548,13 +543,15 @@ def non_constancy_check(
         grid = propagate(sem)
     others = tuple(p for p in sem.dag.parents[node] if p != parent)
     # the mechanism is evaluated at the model's points of the grid's bins;
-    # an axis the grid lacks raises UnknownAxis when a search reaches it
-    for n in (parent, *others, *candidates):
-        if n in grid.axis_names and grid.axis(n) != sem.axes[n]:
+    # the other parents are candidates
+    for n in (parent, *candidates):
+        if grid.axis(n) != sem.axes[n]:
             raise ShapeMismatch(
                 f"grid axis {n!r} ({grid.axis(n).size} points) is not the model's "
                 f"({sem.axes[n].size} points)"
             )
+    # the marginal keeps the grid's axis order: the searches key it alike
+    grid = marginalize(grid, (parent, *candidates))
 
     witnesses: dict[tuple[str, ...], tuple] = {}
     failing: tuple[str, ...] | None = None

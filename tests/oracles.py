@@ -16,6 +16,7 @@ these dense sums are kept as references for those paths.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations, product
@@ -504,6 +505,56 @@ def ci_reference(grid, x, a, cond=()):
         c: r.reshape(x_shape + a_shape) for c, r in zip(c_cells, resid)
     }
     return float(tv[k]), (x_idx, a_idx, c_cells[k]), point, residuals
+
+
+def ci_by_slice(grid, x, a, cond, cells_per_batch=1 << 21):
+    """CI residuals one conditioning cell at a time, from the support cells.
+
+    The support cells are grouped by their conditioning bins (``np.unique``
+    of their ``np.unravel_index`` bins); each positive c-cell's dense
+    |x| x |a| block is summed by ``bincount``, a batch of blocks at a time,
+    and scored by :func:`tv_residual` and :func:`pointwise_residual`, so no
+    table of the whole grid is built.  Returns ``(deviation, pointwise,
+    c_cell, residuals)``: the worst total-variation residual, the pointwise
+    residual, the bins of the worst c-cell (the first, on ties) and its
+    residual table over (x axes..., a axes...).
+    """
+    names = grid.axis_names
+    shape = [ax.size for ax in grid.axes]
+    bins = np.unravel_index(grid._support[0], shape)
+
+    def flat(role):
+        role = [names.index(n) for n in sorted(role, key=names.index)]
+        sizes = [shape[i] for i in role]
+        key = np.ravel_multi_index([bins[i] for i in role], sizes) if role else 0
+        return np.broadcast_to(key, grid._support[0].shape), sizes
+
+    (x_key, x_shape), (a_key, a_shape) = flat([x]), flat([a])
+    c_key, c_shape = flat(cond)
+    c_keys, slice_of = np.unique(c_key, return_inverse=True)
+    n_x, n_a = math.prod(x_shape), math.prod(a_shape)
+    block = n_x * n_a
+    by_slice = np.argsort(slice_of, kind="stable")
+    cell = ((slice_of * n_x + x_key) * n_a + a_key)[by_slice]
+    mass = grid._support[1][by_slice]
+    step = max(1, cells_per_batch // block)
+    cuts = np.searchsorted(slice_of[by_slice], np.arange(0, c_keys.size + step, step))
+    best, point, worst = -1.0, 0.0, None
+    for lo, start, end in zip(range(0, c_keys.size, step), cuts, cuts[1:]):
+        hi = min(lo + step, c_keys.size)
+        sub = np.bincount(
+            cell[start:end] - lo * block, weights=mass[start:end],
+            minlength=(hi - lo) * block,
+        ).reshape(hi - lo, n_x, n_a)
+        masses = sub.sum(axis=(1, 2))
+        tv, resid = tv_residual(sub, masses)
+        point = max(point, pointwise_residual(sub, masses))
+        k = int(np.argmax(tv))
+        if tv[k] > best:
+            best, worst = float(tv[k]), (lo + k, resid[k])
+    c_cell = np.unravel_index(int(c_keys[worst[0]]), c_shape) if c_shape else ()
+    residuals = worst[1].reshape(x_shape + a_shape)
+    return best, point, tuple(int(v) for v in c_cell), residuals
 
 
 def tv_residual(sub, masses):

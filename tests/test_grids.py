@@ -662,6 +662,21 @@ def test_example1_and_its_adversary_match_the_full_grid_residuals():
         check_kernel(adv, *query, 1e-12)
 
 
+def test_example1_at_step_001_matches_the_per_slice_residuals():
+    # no full table: each c-cell's dense block is scored on its own
+    g = propagate(example1(0.01))
+    queries = [("X", "A", ("B",)), ("X", "B", ("A",)), ("X", "A", ()), ("X", "B", ())]
+    for query in queries:
+        report = is_ci(g, *query)
+        dev, pointwise, c_cell, residuals = oracles.ci_by_slice(g, *query)
+        assert abs(report.deviation - dev) <= 1e-12
+        assert abs(report.pointwise_deviation - pointwise) <= 1e-12
+        if not query[2]:  # one failing slice: the witness is its largest residual
+            assert not report.holds and report.witness[2] == c_cell == ()
+            at = residuals[report.witness[0] + report.witness[1]]
+            assert abs(at - residuals.max()) <= 1e-12
+
+
 @pytest.mark.parametrize("mass", [1e-13, 1e-300])
 def test_tiny_cells_match_the_full_grid_residuals(mass):
     g = layouts.tiny_cell_grid(mass)

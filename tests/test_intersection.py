@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,8 @@ from ciprop import (
     Axis,
     BudgetExceeded,
     DensityGrid,
+    NegativeMass,
+    NotNormalized,
     PremiseViolated,
     ShapeMismatch,
     SingleClass,
@@ -414,6 +417,15 @@ def test_attach_rejects_name_collisions_and_bad_noise():
         attach_class_variable(base, lambda c, uc: 0.0, ())
     with pytest.raises(ShapeMismatch):
         attach_class_variable(base, lambda c, uc: 0.0, (0.0, 0.1), (1.0,))
+    # the probabilities are a distribution, as a NoiseSpec's are; the points
+    # need not increase or be centred
+    for probs, error in [
+        ((1.5, -0.5), NegativeMass),
+        ((float("nan"), 1.0), NotNormalized),
+        ((0.5, 0.6), NotNormalized),
+    ]:
+        with pytest.raises(error, match="noise probabilit"):
+            attach_class_variable(base, lambda c, uc: float(uc), (0.0, 0.0), probs)
 
 
 def test_existing_axis_is_refused_before_classes(monkeypatch):
@@ -546,11 +558,11 @@ def test_adversary_is_deterministic():
 def test_adversary_postconditions_raise(monkeypatch):
     # a margin below the guaranteed 0.1 is reported with the measured values,
     # also under python -O
-    residuals = intersection_module._ci_residuals
+    ask = intersection_module.is_ci
     monkeypatch.setattr(
         intersection_module,
-        "_ci_residuals",
-        lambda *args: (residuals(*args)[0], 0.0, residuals(*args)[2]),
+        "is_ci",
+        lambda *args: dataclasses.replace(ask(*args), pointwise_deviation=0.0),
     )
     with pytest.raises(AdversaryCheckFailed) as info:
         construct_adversary(mask_grid(layouts.two_block_mask()))
@@ -699,3 +711,41 @@ def test_an_attached_variable_that_loses_a_cell_has_its_own_classes():
     result = attach_class_variable(base, lambda c, k: 0.0, np.linspace(-0.1, 0.1, 5))
     assert result._support[0].size == 5
     assert intersection_condition(result, "A", "B", ()).per_c_class_counts == {(): 1}
+
+
+# -- one way to name a role ----------------------------------------------------
+
+
+def answers(grid, a, b):
+    """Every answer the class and intersection entries give for roles a, b."""
+    adv = construct_adversary(grid, None, a, b)
+    attached = attach_class_variable(grid, lambda c, uc: float(uc), (0.0,), None, a, b)
+    per_c = classes_per_c(grid, a, b)
+    return (
+        intersection_condition(grid, a, b),
+        {c: (asg.class_count, asg.proj_a, asg.proj_b) for c, asg in per_c.items()},
+        [arr.tolist() for arr in (*adv._support, *attached._support)],
+        verify_intersection(adv, "X", a, b, ("C1", "C2")),
+        verify_weak_intersection(adv, "X", a, b),
+    )
+
+
+def test_a_role_of_one_name_is_the_name():
+    grid = layouts.sliced_grid(np.random.default_rng(3))
+    assert answers(grid, ("A",), ["B"]) == answers(grid, "A", "B")
+    assert answers(grid, ["B"], ("A",)) == answers(grid, "B", "A")
+
+
+def test_a_class_role_names_one_axis():
+    adv = construct_adversary(layouts.sliced_grid(np.random.default_rng(3)))
+    asks = [
+        lambda: intersection_condition(adv, ("A", "X"), "B"),
+        lambda: classes_per_c(adv, "B", ("A", "X")),
+        lambda: attach_class_variable(
+            adv, lambda c, uc: 0.0, (0.0,), None, ("A", "X"), "B", "Y"
+        ),
+        lambda: construct_adversary(adv, None, ("A", "X"), "B", "Y"),
+    ]
+    for ask in asks:
+        with pytest.raises(ShapeMismatch, match="must each name one axis"):
+            ask()

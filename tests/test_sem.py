@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ciprop.grids as grids_module
 import ciprop.sem as sem_module
 from ciprop import (
     AffineMechanism,
@@ -29,6 +30,7 @@ from ciprop import (
     SemSpec,
     ShapeMismatch,
     TableMechanism,
+    UnknownAxis,
     UnknownNode,
     example1,
     example1_alternative,
@@ -571,6 +573,13 @@ def test_non_constancy_argument_validation(ex1, monkeypatch):
         non_constancy_check(sem, "Z", "B", grid)
     with pytest.raises(NotAParent):
         non_constancy_check(sem, "X", "A", grid)
+    # X constant in B: the set () has no witness, and the grid still lacks A
+    flat = dataclasses.replace(
+        sem, mechanisms={**sem.mechanisms, "X": AffineMechanism(0.0, {"B": 0.0})}
+    )
+    assert non_constancy_check(flat, "X", "B", grid).failing_set == ()
+    with pytest.raises(UnknownAxis, match="'A'"):
+        non_constancy_check(flat, "X", "B", marginalize(grid, ("B", "X")))
     monkeypatch.setattr(sem_module, "MAX_CANDIDATES", 0)
     with pytest.raises(BudgetExceeded):
         non_constancy_check(sem, "X", "B", grid)
@@ -589,6 +598,25 @@ def test_non_constancy_refuses_a_grid_finer_than_the_model(ex1):
     sem, _ = ex1
     with pytest.raises(ShapeMismatch, match="grid axis 'B' \\(93 points\\)"):
         non_constancy_check(sem, "X", "B", propagate(example1(0.05)))
+
+
+def test_non_constancy_keys_the_grid_once(ex1, monkeypatch):
+    # every conditioning set is searched on one marginal of the grid
+    sem, grid = ex1
+    keyed = []
+    for module in (grids_module, sem_module):
+        kernel = module._keyed_support
+        monkeypatch.setattr(
+            module,
+            "_keyed_support",
+            lambda g, roles, kernel=kernel: keyed.append(g) or kernel(g, roles),
+        )
+    for parent in ("B", "A"):
+        node = "X" if parent == "B" else "B"
+        keyed.clear()
+        report = non_constancy_check(sem, node, parent, grid)
+        assert sum(g is grid for g in keyed) == 1
+        assert len(keyed) == 1 + len(report.witnesses) + (not report.holds)
 
 
 def lattice_axis(name, m):

@@ -135,9 +135,9 @@ def test_only_the_reader_builds_grids_from_tables():
 
 
 # The functions that run a CI residual pass.  Every other function asks
-# grids._ci_residuals, which keeps each grid's answers; adding a caller
-# of the pass is a deliberate edit of this list.
-CI_PASS_CALLERS = ["grids._ci_residuals"]
+# grids.is_ci, which keeps each grid's answers; adding a caller of the
+# pass is a deliberate edit of this list.
+CI_PASS_CALLERS = ["grids.is_ci"]
 
 
 def names(ident):
