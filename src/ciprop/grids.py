@@ -259,17 +259,19 @@ def _checked(
     return index, mass
 
 
-def _distribution(probs: Iterable[float]) -> tuple[float, ...]:
-    """Nonempty ``probs`` as floats, refused unless none is negative
-    (``NegativeMass``) and they sum to 1 within ``NORM_TOL`` (``NotNormalized``)."""
+def _distribution(probs: Iterable[float]) -> None:
+    """Refuse nonempty ``probs`` unless none is negative (``NegativeMass``)
+    and they sum to 1 within ``NORM_TOL`` (``NotNormalized``)."""
     probs = tuple(map(float, probs))
     if min(probs) < 0.0:
         raise NegativeMass(f"negative noise probability {min(probs)!r}")
-    total = math.fsum(probs)
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # finite probabilities past the largest float
+        total = math.inf
     # written so that a NaN or infinite probability fails it
     if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalized(f"noise probabilities sum to {total!r}")
-    return probs
 
 
 def _from_support(
@@ -402,9 +404,8 @@ def _roles(
 _SMALL_SORT = 512
 # Keys with at most one descent per this many keys are nearly sorted: they
 # are few runs, which TimSort merges in about linear time.  Packed instead,
-# they made the example1_fine benchmark's op_ms_p50 worse in 8 of 8 pairs
-# of runs (median 7.0 -> 7.9 ms, 2-vCPU Xeon guest), though the descent
-# count does not measure how much the runs interleave.
+# they made example1_fine's op_ms_p50 worse in 12 of 13 benchmark pairs (see
+# CHANGES.md), though descents do not measure how much the runs interleave.
 _RUN_LENGTH = 256
 
 

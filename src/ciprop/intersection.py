@@ -132,8 +132,8 @@ class _Classes(NamedTuple):
 
 def classes_per_c(
     grid: DensityGrid,
-    a: str,
-    b: str,
+    a: str | Sequence[str],
+    b: str | Sequence[str],
     cond: Iterable[str] | None = None,
 ) -> dict[tuple[int, ...], UcAssignment]:
     """Class assignment of the (a, b) support for every conditioning cell.
@@ -154,7 +154,10 @@ def classes_per_c(
 
 
 def _class_table(
-    grid: DensityGrid, a: str, b: str, cond: Iterable[str] | None
+    grid: DensityGrid,
+    a: str | Sequence[str],
+    b: str | Sequence[str],
+    cond: Iterable[str] | None,
 ) -> _Classes:
     """The classes of :func:`classes_per_c` as one table.  The roles are
     checked on every call; :func:`_class_pass` runs once per grid."""
@@ -188,8 +191,8 @@ def _class_pass(
 
 def intersection_condition(
     grid: DensityGrid,
-    a: str = "A",
-    b: str = "B",
+    a: str | Sequence[str] = "A",
+    b: str | Sequence[str] = "B",
     cond: Iterable[str] | None = None,
 ) -> IntersectionVerdict:
     """Decide whether the intersection property holds for every X.
@@ -208,8 +211,8 @@ def intersection_condition(
 def verify_intersection(
     grid: DensityGrid,
     x: str = "X",
-    a: str = "A",
-    b: str = "B",
+    a: str | Sequence[str] = "A",
+    b: str | Sequence[str] = "B",
     cond: Iterable[str] = (),
     tol: float = DEFAULT_TOL,
 ) -> IntersectionReport:
@@ -237,8 +240,8 @@ def verify_intersection(
 def verify_weak_intersection(
     grid: DensityGrid,
     x: str = "X",
-    a: str = "A",
-    b: str = "B",
+    a: str | Sequence[str] = "A",
+    b: str | Sequence[str] = "B",
     cond: Iterable[str] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> WeakIntersectionReport:
@@ -307,8 +310,8 @@ def attach_class_variable(
     g: Callable[[tuple[int, ...], int], float],
     noise_points: Sequence[float],
     noise_probs: Sequence[float] | None = None,
-    a: str = "A",
-    b: str = "B",
+    a: str | Sequence[str] = "A",
+    b: str | Sequence[str] = "B",
     name: str = "X",
 ) -> DensityGrid:
     """Join a new variable ``name = g(c, uc) + noise`` onto ``base``.
@@ -321,17 +324,16 @@ def attach_class_variable(
     """
     _require_new_axis(base, name)
     roles = _roles(base, a, b, None)
-    found = _answer(base, _class_pass, roles)
     pts = np.asarray(noise_points, dtype=float)
     if pts.size == 0:
         raise ShapeMismatch("noise points must be nonempty")
     if noise_probs is None:
-        probs = np.full(pts.size, 1.0 / pts.size)
-    else:
-        probs = np.asarray(noise_probs, dtype=float)
+        noise_probs = np.full(pts.size, 1.0 / pts.size)
+    probs = np.asarray(noise_probs, dtype=float)
     if pts.shape != probs.shape:
         raise ShapeMismatch("noise points and probs must have the same length")
     _distribution(probs)
+    found = _answer(base, _class_pass, roles)
     c_pos = roles[2]
     c_shape = [base.axes[p].size for p in c_pos]
     coords, (index, masses) = base._coords, base._support
@@ -368,8 +370,8 @@ def _require_new_axis(base: DensityGrid, name: str) -> None:
 def construct_adversary(
     base: DensityGrid,
     target_c: Mapping[str, int] | None = None,
-    a: str = "A",
-    b: str = "B",
+    a: str | Sequence[str] = "A",
+    b: str | Sequence[str] = "B",
     name: str = "X",
 ) -> DensityGrid:
     """Build a variable violating the intersection implication on ``base``.
@@ -413,8 +415,7 @@ def construct_adversary(
     result = attach_class_variable(base, g, noise, None, a, b, name)
     report = verify_intersection(result, name, a, b, cond_names, 1e-9)
     margin = is_ci(result, name, b, cond_names).pointwise_deviation
-    broken = report.premises_hold and not report.conclusion.holds
-    if not (broken and margin >= 0.1 * (1.0 - 1e-9)):
+    if report.implication_holds or not margin >= 0.1 * (1.0 - 1e-9):
         xa, xb = report.premise_xa, report.premise_xb
         raise AdversaryCheckFailed(xa.deviation, xb.deviation, margin)
     return result

@@ -507,14 +507,14 @@ def ci_reference(grid, x, a, cond=()):
     return float(tv[k]), (x_idx, a_idx, c_cells[k]), point, residuals
 
 
-def ci_by_slice(grid, x, a, cond, cells_per_batch=1 << 21):
+def ci_by_slice(grid, x, a, cond):
     """CI residuals one conditioning cell at a time, from the support cells.
 
     The support cells are grouped by their conditioning bins (``np.unique``
     of their ``np.unravel_index`` bins); each positive c-cell's dense
-    |x| x |a| block is summed by ``bincount``, a batch of blocks at a time,
-    and scored by :func:`tv_residual` and :func:`pointwise_residual`, so no
-    table of the whole grid is built.  Returns ``(deviation, pointwise,
+    |x| x |a| block is summed by ``bincount``, in batches of about 2**21
+    cells, and scored by :func:`tv_residual` and :func:`pointwise_residual`,
+    so no table of the whole grid is built.  Returns ``(deviation, pointwise,
     c_cell, residuals)``: the worst total-variation residual, the pointwise
     residual, the bins of the worst c-cell (the first, on ties) and its
     residual table over (x axes..., a axes...).
@@ -537,7 +537,7 @@ def ci_by_slice(grid, x, a, cond, cells_per_batch=1 << 21):
     by_slice = np.argsort(slice_of, kind="stable")
     cell = ((slice_of * n_x + x_key) * n_a + a_key)[by_slice]
     mass = grid._support[1][by_slice]
-    step = max(1, cells_per_batch // block)
+    step = max(1, (1 << 21) // block)
     cuts = np.searchsorted(slice_of[by_slice], np.arange(0, c_keys.size + step, step))
     best, point, worst = -1.0, 0.0, None
     for lo, start, end in zip(range(0, c_keys.size, step), cuts, cuts[1:]):

@@ -423,6 +423,7 @@ def test_attach_rejects_name_collisions_and_bad_noise():
         ((1.5, -0.5), NegativeMass),
         ((float("nan"), 1.0), NotNormalized),
         ((0.5, 0.6), NotNormalized),
+        ((1e308, 1e308), NotNormalized),
     ]:
         with pytest.raises(error, match="noise probabilit"):
             attach_class_variable(base, lambda c, uc: float(uc), (0.0, 0.0), probs)

@@ -149,7 +149,7 @@ def test_noise_validation():
     with pytest.raises(NotNormalized):
         NoiseSpec((-1.0, 1.0), (0.5, 0.6))
     nan = float("nan")
-    for probs in ((nan, 1.0), (0.5, nan)):
+    for probs in ((nan, 1.0), (0.5, nan), (1e308, 1e308)):
         with pytest.raises(NotNormalized):
             NoiseSpec((-1.0, 1.0), probs)
     for points in ((nan,), (-1.0, nan)):
