@@ -8,9 +8,9 @@ suppressed under ``--deterministic``.
 The topology subcommands (``components``, ``classes``, ``intersection``,
 ``adversary``, ``weak-intersection`` and ``report``) read the support as
 the cells of positive mass and find the classes of all conditioning cells
-in one pass over the grid's support cells, as one class table, and label
-the components of all slices at once; ``--c`` finds those of its slice
-alone, by ``condition``.  A grid keeps its class tables, so a command
+in one pass over the grid's support cells, as the class of each cell, and
+label the components of all slices at once; ``--c`` finds those of its
+slice alone, by ``condition``.  A grid keeps its classes, so a command
 computes its grid's classes once (``intersection -o`` once more, for its
 marginal), and ``report`` takes its three CI rows from one
 ``verify_intersection``.  A given ``--x`` must name an axis; the default

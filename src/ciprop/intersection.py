@@ -14,14 +14,16 @@ conditioning cell counts when it holds one of them.
 Every query keys the grid's support cells by (c, a, b), merging the
 cells that the summed-out axes put on one key, and finds the classes of
 every conditioning cell in one call to the kernel of
-:mod:`ciprop.topology`: one table of the class of each a-bin, then of
-each b-bin, per c-cell.  :func:`verify_weak_intersection` reads the same
-support cells keyed by (c, a, b, x), and it and the adversary give each
-support cell its class by one gather through its (c-cell, a-bin); only
-:func:`classes_per_c` wraps the rows in ``UcAssignment`` views.  A grid
-computes each (a, b, cond) table once and keeps it with its CI answers
-(two threads that both miss store equal tables: no lock), and
-:func:`attach_class_variable` hands the grid it makes its base's table.
+:mod:`ciprop.topology` over the occupied (c, a) columns and (c, b) rows:
+the (c-cell, class) group of each support cell.  ``a`` and ``b`` may be
+groups of axes, their bins flattened row-major in grid order.
+:func:`verify_weak_intersection` reads the same support cells keyed by
+(c, a, b, x), and it and the adversary gather each cell's group through
+its (c, a, b) cell; only :func:`classes_per_c` wraps each c-cell's cells
+in a ``UcAssignment``.  A grid computes each (a, b, cond) answer once and
+keeps it with its CI answers (two threads that both miss store equal
+answers: no lock), and :func:`attach_class_variable` hands the grid it
+makes its base's answer.
 
 With two or more classes a violating X always exists and
 :func:`construct_adversary` builds one; with one class the conclusion is
@@ -110,24 +112,20 @@ class WeakIntersectionReport:
 
 
 class _Classes(NamedTuple):
-    """The positive c-cells in row-major order, as bin tuples and flat keys,
-    their class counts and class table, and the (c, a, b) keys of the support."""
+    """The positive c-cells in row-major order, as bin tuples, the start of
+    each one's support cells and its class count, and the (c, a, b) keys of
+    the support cells with the group of each, the (c-cell, class) number."""
 
     cells: list[tuple[int, ...]]
-    keys: np.ndarray
+    starts: np.ndarray
     counts: np.ndarray
-    classes: np.ndarray
+    group: np.ndarray
     support: np.ndarray
     shape: tuple[int, int]
 
     def groups(self) -> list[tuple[tuple[int, ...], int]]:
         """Every (c-cell, class) in order; group g is the g-th."""
         return [(c, k + 1) for c, n in zip(self.cells, self.counts) for k in range(n)]
-
-    def group(self, c_run: np.ndarray, a_bins: np.ndarray) -> np.ndarray:
-        """The group of each support cell, given its c-cell number and a-bin."""
-        first = np.cumsum(self.counts) - self.counts
-        return first[c_run] + self.classes[c_run, a_bins] - 1
 
 
 def classes_per_c(
@@ -141,16 +139,18 @@ def classes_per_c(
     Keys are positive-mass conditioning cells, as bin tuples over the
     conditioning axes in grid order, in row-major order.  The support
     cells are read keyed by (c, a, b); the axes outside ``a``, ``b`` and
-    ``cond`` are summed out.  Each assignment views a row of one class table.
+    ``cond`` are summed out.  A group of axes is one role, its bins
+    flattened row-major in grid order.
     """
     found = _class_table(grid, a, b, cond)
-    size = found.shape[0] * found.shape[1]
-    cuts = np.searchsorted(found.support, found.keys[1:] * size)
-    rows = zip(found.cells, found.counts.tolist(), np.split(found.support % size, cuts))
-    return {
-        c: UcAssignment(n, found.shape, ab, row)
-        for (c, n, ab), row in zip(rows, found.classes)
-    }
+    sizes = np.diff(found.starts, append=found.group.size)
+    first = np.cumsum(found.counts) - found.counts
+    labels = found.group - np.repeat(first - 1, sizes)
+    labels.flags.writeable = False
+    cuts = found.starts[1:]
+    cells = np.split(found.support % (found.shape[0] * found.shape[1]), cuts)
+    rows = zip(found.cells, found.counts.tolist(), cells, np.split(labels, cuts))
+    return {c: UcAssignment(n, found.shape, ab, k) for c, n, ab, k in rows}
 
 
 def _class_table(
@@ -159,8 +159,8 @@ def _class_table(
     b: str | Sequence[str],
     cond: Iterable[str] | None,
 ) -> _Classes:
-    """The classes of :func:`classes_per_c` as one table.  The roles are
-    checked on every call; :func:`_class_pass` runs once per grid."""
+    """The classes of :func:`classes_per_c`, one group per support cell.  The
+    roles are checked on every call; :func:`_class_pass` runs once per grid."""
     return _answer(grid, _class_pass, _roles(grid, a, b, cond))
 
 
@@ -170,23 +170,25 @@ def _class_pass(
     b_pos: tuple[int, ...],
     c_pos: tuple[int, ...],
 ) -> _Classes:
-    """:func:`_class_table` given the roles' positions; the arrays are read-only."""
-    if len(a_pos) != 1 or len(b_pos) != 1:
-        raise ShapeMismatch("a and b must each name one axis")
-    (ia,), (ib,) = a_pos, b_pos
-    keys = _keyed_support(grid, (c_pos, a_pos, b_pos))[0]
-    n_a, n_b = grid.axes[ia].size, grid.axes[ib].size
+    """:func:`_class_table` given the roles' positions; the arrays are read-only.
+
+    The keys ascend in (c, a, b) order, so runs of ``keys // n_b`` number
+    the occupied (c, a) columns in order; the occupied (c, b) rows are
+    numbered by one more sort.
+    """
+    keys, mass, (_, n_a, n_b) = _keyed_support(grid, (c_pos, a_pos, b_pos))
     c_start, c_run = _runs(keys // (n_a * n_b))
+    col_start, col = _runs(keys // n_b)
+    row = _groups(c_run * n_b + keys % n_b, mass)[1]
+    group, is_root = _class_assignments(col, row)
+    counts = np.bincount(c_run[col_start[is_root]])
     c_keys = keys[c_start] // (n_a * n_b)
     c_shape = [grid.axes[p].size for p in c_pos]
     c_bins = np.unravel_index(c_keys, c_shape) if c_pos else ()
     cells = np.reshape(c_bins, (len(c_pos), c_keys.size)).T.tolist()
-    counts, classes = _class_assignments(
-        c_run, keys // n_b % n_a, keys % n_b, c_keys.size, (n_a, n_b)
-    )
-    for array in (c_keys, counts, classes, keys):
+    for array in (c_start, counts, group, keys):
         array.flags.writeable = False
-    return _Classes(list(map(tuple, cells)), c_keys, counts, classes, keys, (n_a, n_b))
+    return _Classes(list(map(tuple, cells)), c_start, counts, group, keys, (n_a, n_b))
 
 
 def intersection_condition(
@@ -278,20 +280,18 @@ def _weak_residuals(
 ) -> dict[tuple[tuple[int, ...], int], float]:
     """Weak-form residual per (c-cell, class), read from the support cells.
 
-    On the support the class is a function of the a-bin, so each support
-    cell of the (c, a, b, x) marginal gets the class of its (c, a).  An
-    on-class (a, b) cell without mass at x has residual
+    Each support cell of the (c, a, b, x) marginal gets the group of its
+    (c, a, b) cell.  An on-class (a, b) cell without mass at x has residual
     ``|0 - mixture(x)|``: a (c, class, x) row with fewer cells than its
     class has (a, b) cells adds ``mixture(x)``.
     """
     found = _class_table(grid, a, b, cond)
     a_pos, b_pos, c_pos = _roles(grid, a, b, cond)
-    keys, mass, (_, n_a, n_b, n_x) = _keyed_support(grid, (c_pos, a_pos, b_pos, x_pos))
+    keys, mass, (*_, n_x) = _keyed_support(grid, (c_pos, a_pos, b_pos, x_pos))
     cell_start, cell_run = _runs(keys // n_x)
     m_cell = np.add.reduceat(mass, cell_start)
-    # the c-cells of the classes are those of the keys, in the same order
-    c_run = _runs(keys // (n_a * n_b * n_x))[1]
-    group = found.group(c_run, keys // (n_b * n_x) % n_a)
+    # the (c, a, b) cells of the keys are the classes' support cells, in order
+    group = found.group[cell_run]
     rows, row_run, m_row = _groups(group * n_x + keys % n_x, mass)
     row_group = rows // n_x
     g_start = _runs(row_group)[0]
@@ -334,15 +334,14 @@ def attach_class_variable(
         raise ShapeMismatch("noise points and probs must have the same length")
     _distribution(probs)
     found = _answer(base, _class_pass, roles)
-    c_pos = roles[2]
-    c_shape = [base.axes[p].size for p in c_pos]
-    coords, (index, masses) = base._coords, base._support
+    index, masses = base._support
     level = np.array([float(g(cell, cls)) for cell, cls in found.groups()])
-    # each support cell's c-cell, a key of the classes (all keys 0 without
-    # conditioning axes)
-    c_flat = np.ravel_multi_index(tuple(coords[p] for p in c_pos), c_shape)
-    c_run = np.searchsorted(found.keys, c_flat)
-    levels = level[found.group(c_run, coords[roles[0][0]])]
+    # base's axes are the roles' axes, so each support cell's (c, a, b) key
+    # is its own, and the sorted keys are the classes' support cells
+    axes = (*roles[2], *roles[0], *roles[1])
+    shape = [base.axes[p].size for p in axes]
+    key = np.ravel_multi_index(tuple(base._coords[p] for p in axes), shape)
+    levels = level[found.group[_groups(key, masses)[1]]]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))
     x_axis = Axis(name, tuple(float(v) for v in values))

@@ -586,9 +586,11 @@ def _first_witness(
     """The witness of the first group that has one, or None.
 
     Groups are the cells of the (others, cset) axes of the marginal, in
-    row-major order.  A group has a witness when one of its positive
-    parent bins maps to an output more than 1e-9 away from the output of
-    its first positive parent bin; the mechanism sees those cells only.
+    row-major order.  A group has a witness when the outputs of its
+    positive parent bins span more than 1e-9, max minus min, and the
+    witness is its first bin of least output and its first of greatest;
+    the mechanism sees those cells only.  Neither depends on the order of
+    the bins, and a witness for a set is one for each of its subsets.
     """
     kept = _kept(grid, (parent, *others, *cset))
     j = grid.axis_index(parent)
@@ -598,17 +600,19 @@ def _first_witness(
     values = {n: sem.axes[n].values()[b] for n, b in bins.items()}
     out = sem.mechanisms[node].evaluate(values, bins, sem.dag.parents[node])
     out = np.broadcast_to(out, keys.shape)
-    start, run = _runs(keys // sizes[-1])
-    spread = np.abs(out - out[start][run]) > 1e-9
+    start = _runs(keys // sizes[-1])[0]
+    spread = np.maximum.reduceat(out, start) - np.minimum.reduceat(out, start) > 1e-9
     if not spread.any():
         return None
-    k = int(np.argmax(spread))
+    g = int(np.argmax(spread))
+    group = slice(start[g], start[g + 1] if g + 1 < start.size else keys.size)
+    lo, hi = (group.start + int(f(out[group])) for f in (np.argmin, np.argmax))
     points = grid.axes[j].points
     return (
-        float(points[bins[parent][start[run[k]]]]),
-        float(points[bins[parent][k]]),
-        {n: grid.axis(n).points[bins[n][k]] for n in others},
-        {c: grid.axis(c).points[bins[c][k]] for c in cset},
+        float(points[bins[parent][lo]]),
+        float(points[bins[parent][hi]]),
+        {n: grid.axis(n).points[bins[n][lo]] for n in others},
+        {c: grid.axis(c).points[bins[c][lo]] for c in cset},
     )
 
 

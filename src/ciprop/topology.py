@@ -13,20 +13,20 @@ the grid's support cells, keyed by (c, a, b).
 Both questions are connected components of a graph, answered by one
 kernel.  Labeling takes the maximal runs of support cells along the last
 axis as nodes, and joins two runs of neighboring rows whose bins overlap.
-Classes take the A bins and the B bins as nodes and the support cells as
-edges: neighboring cells share a row or a column, so two cells share a
-class exactly when this bipartite graph joins them (Fink 2011, *The
-binomial ideal of the intersection axiom for conditional
-probabilities*).
+Classes take the occupied (c, a) columns and (c, b) rows of the support
+as nodes and the support cells as edges: neighboring cells share a row
+or a column, so two cells share a class exactly when this bipartite
+graph joins them (Fink 2011, *The binomial ideal of the intersection
+axiom for conditional probabilities*).  Nothing in it is sized by the
+axes, so a role may be a group of axes, its bins flattened row-major.
 
 The class structure induces a derived variable ``uc`` over the (A, B)
 lattice: class index ``i >= 1`` on cells of class ``i``, and ``0`` on
 off-support cells.  Projections of distinct classes are disjoint on both
 axes, so on-support ``uc`` is simultaneously a function of the A bin alone
-and of the B bin alone.  So the kernel returns one table of the class of
-each A bin, then of each B bin, per slice, which callers gather from;
-:class:`UcAssignment` views one row and builds its projections and ``uc``
-on demand.
+and of the B bin alone.  The kernel returns the class of each support
+cell, which callers gather from; :class:`UcAssignment` holds one slice's
+cells and classes and builds its projections and ``uc`` on demand.
 """
 
 from __future__ import annotations
@@ -44,33 +44,33 @@ _CHARSET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 @dataclass(frozen=True)
 class UcAssignment:
-    """The classes of one slice's support, a view of its row of the class table.
+    """The classes of one slice's support.
 
     Classes are numbered by their first cell in row-major order.  The
-    slice's support cells are ``_cells``, as flat indices ``a * nB + b``,
-    and ``_classes`` holds the class of each A bin, then of each B bin, 0
-    off support.  Built on first read: ``proj_a`` / ``proj_b``, each
-    class's bins per axis (disjoint across classes), and ``uc``, class i
-    on cells of class i and 0 off support.
+    slice's support cells are ``_cells``, ascending flat indices
+    ``a * nB + b``, and ``_labels`` holds the class of each.  Built on
+    first read: ``proj_a`` / ``proj_b``, each class's bins per axis
+    (disjoint across classes), and ``uc``, class i on cells of class i
+    and 0 off support.
     """
 
     class_count: int
     _shape: tuple[int, int]
     _cells: np.ndarray
-    _classes: np.ndarray
+    _labels: np.ndarray
 
     @cached_property
     def proj_a(self) -> Mapping[int, tuple[int, ...]]:
-        return _projection(self._classes[: self._shape[0]])
+        return _projection(self._labels, self._cells // self._shape[1], self._shape[0])
 
     @cached_property
     def proj_b(self) -> Mapping[int, tuple[int, ...]]:
-        return _projection(self._classes[self._shape[0] :])
+        return _projection(self._labels, self._cells % self._shape[1], self._shape[1])
 
     def _uc(self) -> np.ndarray:
         """A new ``uc`` table, for a caller that drops it after use."""
         uc = np.zeros(self._shape, dtype=np.int64)
-        uc.flat[self._cells] = self._classes[self._cells // self._shape[1]]
+        uc.flat[self._cells] = self._labels
         return uc
 
     @cached_property
@@ -80,11 +80,12 @@ class UcAssignment:
         return uc
 
 
-def _projection(classes: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """Each class's bins, ascending, from the class of each bin of one axis."""
-    bins = np.flatnonzero(classes)
-    bins = bins[np.argsort(classes[bins], kind="stable")]
-    cuts = np.flatnonzero(np.diff(classes[bins])) + 1
+def _projection(
+    labels: np.ndarray, bins: np.ndarray, size: int
+) -> dict[int, tuple[int, ...]]:
+    """Each class's bins, ascending, from the class and bin of each cell."""
+    label, bins = np.divmod(np.unique(labels * size + bins), size)
+    cuts = np.flatnonzero(np.diff(label)) + 1
     return {k: tuple(p.tolist()) for k, p in enumerate(np.split(bins, cuts), 1)}
 
 
@@ -157,30 +158,22 @@ def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _class_assignments(
-    k: np.ndarray, i: np.ndarray, j: np.ndarray, n_c: int, shape: tuple[int, int]
+    col: np.ndarray, row: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise classes of the (A, B) supports of ``n_c`` slices.
+    """Coordinate-wise classes of support cells, given their columns and rows.
 
-    Support cell m of slice ``k[m]`` sits at A bin ``i[m]`` and B bin
-    ``j[m]`` of a lattice of ``shape``; the cells come in ascending
-    (k, i, j) order and every slice holds at least one.  All slices go
-    through one kernel call.  Slice k owns the nodes ``k * (nA + nB) + i``
-    for its A bins and ``k * (nA + nB) + nA + j`` for its B bins, and its
-    support cells are the edges.  A class's root is its smallest A bin,
-    which holds the class's first row-major cell, so ranking the roots of
-    a slice numbers its classes by first cell.  Returns the class counts
-    and the class of each A bin, then of each B bin, per slice.
+    Support cell m sits in column ``col[m]`` and row ``row[m]``; the cells
+    come in row-major order, so the columns ascend, and the columns and
+    the rows are each numbered 0, 1, ... with none empty.  The columns,
+    then the rows, are the nodes and the cells the edges.  A class's root
+    is its smallest column, which holds the class's first row-major cell,
+    so ranking the roots numbers the classes by first cell.  Returns each
+    cell's class, 0, 1, ..., and whether each column is a class's root.
     """
-    n_a, n_b = shape
-    width = n_a + n_b
-    roots = _roots(n_c * width, k * width + i, k * width + n_a + j)
-    root = roots[k * width + i] - k * width  # each cell's class root, an A bin
-    classes = np.zeros((n_c, width), dtype=np.int64)
-    classes[k, root] = 1  # number the roots of a slice by their A bin
-    rank = np.cumsum(classes, axis=1)
-    classes[k, i] = rank[k, root]
-    classes[k, n_a + j] = classes[k, i]
-    return rank[:, -1], classes
+    n_col = int(col[-1]) + 1
+    roots = _roots(n_col + int(row.max()) + 1, col, n_col + row)[:n_col]
+    is_root = roots == np.arange(n_col)
+    return (np.cumsum(is_root) - 1)[roots[col]], is_root
 
 
 def render_labels(labels: np.ndarray) -> str:

@@ -378,7 +378,8 @@ def non_constancy_reference(sem, node, parent, grid):
 
     For each conditioning set, the groups of the marginal are scanned in
     row-major order with ``np.ndindex``, and the mechanism is evaluated on
-    scalars for every positive parent bin of a group.
+    scalars for every positive parent bin of a group.  A group whose
+    outputs span more than 1e-9 names its first least and first greatest.
     """
     candidates = sorted(non_descendants(sem.dag, node) - {parent})
     mech = sem.mechanisms[node]
@@ -414,14 +415,12 @@ def non_constancy_reference(sem, node, parent, grid):
                 continue
             group_bins = dict(zip((marg.axes[i].name for i in group_axes), group_idx))
             outputs = [scalar(int(jb), group_bins) for jb in j_bins]
-            spread = [
-                jb for jb, out in zip(j_bins, outputs) if abs(out - outputs[0]) > 1e-9
-            ]
-            if spread:
+            if max(outputs) - min(outputs) > 1e-9:
                 j_axis = marg.axis(parent)
+                lo, hi = outputs.index(min(outputs)), outputs.index(max(outputs))
                 found = (
-                    float(j_axis.points[int(j_bins[0])]),
-                    float(j_axis.points[int(spread[0])]),
+                    float(j_axis.points[int(j_bins[lo])]),
+                    float(j_axis.points[int(j_bins[hi])]),
                     {k: grid.axis(k).points[group_bins[k]] for k in others},
                     {c: grid.axis(c).points[group_bins[c]] for c in cset},
                 )
@@ -606,9 +605,12 @@ def classes_reference(grid, a, b, cond):
 
 
 def _slice_classes(mask):
-    """Classes of one (a, b) support mask through the class kernel."""
-    counts, classes = _class_assignments(*np.nonzero(mask[None]), 1, mask.shape)
-    return UcAssignment(int(counts[0]), mask.shape, np.flatnonzero(mask), classes[0])
+    """Classes of one (a, b) support mask through the class kernel, its
+    occupied A and B bins numbered by ``np.unique``."""
+    cells = np.flatnonzero(mask)
+    col, row = (np.unique(bins, return_inverse=True)[1] for bins in np.nonzero(mask))
+    group, is_root = _class_assignments(col, row)
+    return UcAssignment(int(is_root.sum()), mask.shape, cells, group + 1)
 
 
 def weak_reference(grid, x, a, b, cond):

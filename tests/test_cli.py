@@ -383,16 +383,17 @@ def test_components_with_fixed_slice(workdir, capsys):
 
 def test_a_fixed_slice_hands_the_class_kernel_one_cell(workdir, monkeypatch, capsys):
     _, _, grid = workdir
-    slices = []
+    cells = []
     kernel = intersection_module._class_assignments
 
-    def counted(k, i, j, n_c, shape):
-        slices.append(n_c)
-        return kernel(k, i, j, n_c, shape)
+    def counted(col, row):
+        cells.append(col.size)
+        return kernel(col, row)
 
     monkeypatch.setattr(intersection_module, "_class_assignments", counted)
     assert run(["classes", str(grid), "--c", "X=3"]) == 0
-    assert slices == [1]
+    sliced = marginalize(condition(load_grid(str(grid)), {"X": 3}), ("A", "B"))
+    assert cells == [sliced._support[0].size]
     assert "c-cell (3): components=1 classes=1\n" in capsys.readouterr().out
     # the roles are checked on the whole grid, before it is sliced
     assert run(["classes", str(grid), "--c", "A=0"]) == 3

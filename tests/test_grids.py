@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -893,6 +894,86 @@ def test_queries_on_built_grids_never_build_their_table(monkeypatch, tmp_path):
     assert reads == []
     assert grid.prob.shape == (22, 47, 107)
     assert reads == [grid]
+
+
+# -- a query does not grow with the lattice --------------------------------------
+
+# Sized by the lattice by design, each built only when asked for: the dense
+# table, a slice's class variable and a document that lists every cell.
+LATTICE_SIZED = ("DensityGrid.prob", "UcAssignment.uc", "the dense prob document")
+
+SUPPORT_QUERIES = {
+    "is_ci": lambda g, adv, doc: is_ci(g, "A", "B", ("C0", "C1", "C2")),
+    "marginalize": lambda g, adv, doc: marginalize(g, ("C0", "A", "B")),
+    "condition": lambda g, adv, doc: condition(g, {"C0": 0}),
+    "classes_per_c": lambda g, adv, doc: classes_per_c(g, "A", "B"),
+    "intersection_condition": lambda g, adv, doc: intersection_condition(g),
+    "verify_intersection": lambda g, adv, doc: verify_intersection(
+        adv, "X", "A", "B", ("C0", "C1", "C2")
+    ),
+    "verify_weak_intersection": lambda g, adv, doc: verify_weak_intersection(adv),
+    "attach_class_variable": lambda g, adv, doc: attach_class_variable(
+        g, lambda c, uc: float(uc), (0.0, 0.5)
+    ),
+    "construct_adversary": lambda g, adv, doc: construct_adversary(g),
+    "joint_support_components": lambda g, adv, doc: joint_support_components(g),
+    "grid_to_json": lambda g, adv, doc: grid_to_json(g),
+    "grid_from_json": lambda g, adv, doc: grid_from_json(doc),
+}
+
+
+def padded_grids(rng, n_ab=80):
+    """Two grids over (C0, C1, C2, A, B), 8 bins per C axis, with the same
+    1,024 support cells: A and B have ``n_ab`` bins, then twice as many,
+    the added bins empty."""
+    c_bins = np.unravel_index(np.repeat(np.arange(8**3), 2), (8, 8, 8))
+    ab_bins = tuple(rng.integers(n_ab, size=(2, c_bins[0].size)))
+    mass = rng.random(c_bins[0].size) + 0.5
+    grids = []
+    for size in (n_ab, 2 * n_ab):
+        axes = tuple(
+            Axis(name, tuple(float(k) for k in range(n)))
+            for name, n in zip(("C0", "C1", "C2", "A", "B"), (8, 8, 8, size, size))
+        )
+        flat = np.ravel_multi_index((*c_bins, *ab_bins), [ax.size for ax in axes])
+        index, mass_of = grids_module._groups(flat, mass)[::2]
+        grids.append(grids_module._from_support(axes, index, mass_of / mass_of.sum()))
+    return grids
+
+
+def traced_peak(ask, *args):
+    tracemalloc.start()
+    try:
+        ask(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fresh(grid):
+    """A copy of ``grid`` with no answers kept."""
+    return grids_module._from_support(grid.axes, *grid._support)
+
+
+def test_a_query_does_not_grow_with_the_lattice():
+    # every query but LATTICE_SIZED reads the support cells: padding A and B
+    # with empty bins quadruples the lattice and leaves its peak memory
+    grids = padded_grids(np.random.default_rng(17))
+    assert grids[0]._support[0].size == grids[1]._support[0].size > 1000
+    inputs = [(g, construct_adversary(g), grid_to_json(g)) for g in grids]
+    assert all('"index"' in doc for _, _, doc in inputs)
+    grown = {}
+    for name, ask in SUPPORT_QUERIES.items():
+        plain, padded = (
+            traced_peak(ask, fresh(g), fresh(adv), doc) for g, adv, doc in inputs
+        )
+        if padded > 1.1 * plain + 64 * 1024:
+            grown[name] = (plain, padded)
+    assert grown == {}
+    # the gate sees a table of the lattice
+    plain, padded = (traced_peak(lambda g: fresh(g).prob, g) for g in grids)
+    assert padded > 3 * plain
+
 
 
 def widest_keys(rng, n):

@@ -619,17 +619,17 @@ def test_verdict_decides_adversary_existence_on_small_masks():
             assert oracles.o_ci_tv(names, shape, mass, "X", ("A", "B"), ()) > 1e-6
 
 
-# -- one class table per question ------------------------------------------------
+# -- one class pass per question -------------------------------------------------
 
 
 def counted_class_kernel(monkeypatch):
-    """The slice count of each class-kernel call from now on, as a growing list."""
+    """The cell count of each class-kernel call from now on, as a growing list."""
     calls = []
     kernel = intersection_module._class_assignments
 
-    def counted(k, i, j, n_c, shape):
-        calls.append(n_c)
-        return kernel(k, i, j, n_c, shape)
+    def counted(col, row):
+        calls.append(col.size)
+        return kernel(col, row)
 
     monkeypatch.setattr(intersection_module, "_class_assignments", counted)
     return calls
@@ -666,7 +666,7 @@ def test_the_order_of_the_names_adds_no_class_table():
     assert class_table(grid, None) == first
     # the kept table is read-only
     with pytest.raises(ValueError):
-        next(iter(classes_per_c(grid, "A", "B").values()))._classes[0] = 7
+        next(iter(classes_per_c(grid, "A", "B").values()))._labels[0] = 7
 
 
 def test_the_weak_form_of_an_adversary_reads_its_classes(monkeypatch):
@@ -737,16 +737,46 @@ def test_a_role_of_one_name_is_the_name():
     assert answers(grid, ["B"], ("A",)) == answers(grid, "B", "A")
 
 
-def test_a_class_role_names_one_axis():
-    adv = construct_adversary(layouts.sliced_grid(np.random.default_rng(3)))
-    asks = [
-        lambda: intersection_condition(adv, ("A", "X"), "B"),
-        lambda: classes_per_c(adv, "B", ("A", "X")),
-        lambda: attach_class_variable(
-            adv, lambda c, uc: 0.0, (0.0,), None, ("A", "X"), "B", "Y"
-        ),
-        lambda: construct_adversary(adv, None, ("A", "X"), "B", "Y"),
-    ]
-    for ask in asks:
-        with pytest.raises(ShapeMismatch, match="must each name one axis"):
-            ask()
+def test_a_class_role_may_be_a_group():
+    # a group of axes is one role, its bins flattened row-major in grid
+    # order: the product axis of oracles.flatten_axes, given in any order
+    base = layouts.sliced_grid(np.random.default_rng(3))
+    group = ("C2", "A")
+    flat = oracles.flatten_axes(base, group, "AC")
+    for cond in ((), ("C1",)):
+        for a, b, flat_a, flat_b in ((group, "B", "AC", "B"), ("B", group, "B", "AC")):
+            per_c = classes_per_c(base, a, b, cond)
+            ref = oracles.classes_csgraph(flat, flat_a, flat_b, cond)
+            assert list(per_c) == list(ref)
+            for cell, asg in per_c.items():
+                count, bins = ref[cell]
+                n_a, n_b = asg._shape
+                assert asg.class_count == count
+                assert np.array_equal(asg._labels, bins[asg._cells // n_b])
+                assert np.array_equal(asg._labels, bins[n_a + asg._cells % n_b])
+            assert intersection_condition(base, a, b, cond) == intersection_condition(
+                flat, flat_a, flat_b, cond
+            )
+
+    def cells(grid):
+        return grid.axes, [arr.tolist() for arr in grid._support]
+
+    def flattened(grid):
+        return cells(oracles.flatten_axes(grid, group, "AC"))
+
+    def g(c_cell, uc):
+        return float(uc + 2 * c_cell[0])
+
+    attached = attach_class_variable(base, g, (0.0, 0.5), None, group, "B", "Y")
+    assert flattened(attached) == cells(
+        attach_class_variable(flat, g, (0.0, 0.5), None, "AC", "B", "Y")
+    )
+    adv = construct_adversary(base, None, group, "B", "Y")
+    flat_adv = construct_adversary(flat, None, "AC", "B", "Y")
+    assert flattened(adv) == cells(flat_adv)
+    weak = verify_weak_intersection(adv, "Y", group, "B")
+    flat_weak = verify_weak_intersection(flat_adv, "Y", "AC", "B")
+    assert len(weak.per_class) == 8
+    assert {k: v.hex() for k, v in weak.per_class.items()} == {
+        k: v.hex() for k, v in flat_weak.per_class.items()
+    }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -696,6 +697,64 @@ def test_non_constancy_matches_per_bin_reference(kind):
             )
     assert verdicts == {True, False}
     assert other_parent_sets > 0
+
+
+def three_bin_sem(outputs):
+    """P on three bins of mass 1/3 and Y = outputs[P], with no noise on Y."""
+    return SemSpec(
+        dag=Dag(("P", "Y"), {"Y": ("P",)}),
+        noises={
+            "P": NoiseSpec((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)),
+            "Y": NoiseSpec((0.0,), (1.0,)),
+        },
+        mechanisms={"Y": TableMechanism(np.array(outputs))},
+        axes={"P": Axis("P", (-1.0, 0.0, 1.0)), "Y": Axis("Y", (0.0,))},
+    )
+
+
+@pytest.mark.parametrize(
+    "outputs, holds", [((0.0, -6e-10, 6e-10), True), ((0.0, -4e-10, 4e-10), False)]
+)
+def test_non_constancy_does_not_depend_on_bin_order(outputs, holds):
+    # a witness is a spread of more than 1e-9 in a group, named by its
+    # first least and first greatest output, whichever bins they sit on
+    for perm in itertools.permutations(outputs):
+        report = non_constancy_check(three_bin_sem(perm), "Y", "P")
+        assert report.holds == holds
+        if holds:
+            lo, hi = report.witnesses[()][:2]
+            assert (perm[int(lo) + 1], perm[int(hi) + 1]) == (min(perm), max(perm))
+        else:
+            assert report.failing_set == ()
+
+
+def test_non_constancy_holds_when_the_full_set_has_a_witness():
+    # W -> P -> Y with P = W + N_P on five bins: a witness for a set is one
+    # for each of its subsets, so the search holds exactly when {W} has
+    # one.  Outputs 6e-10 apart spread past 1e-9 only in some groups.
+    unit = NoiseSpec((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25))
+    verdicts = set()
+    for outputs in itertools.product((-6e-10, 0.0, 6e-10), repeat=5):
+        sem = SemSpec(
+            dag=Dag(("P", "W", "Y"), {"P": ("W",), "Y": ("P",)}),
+            noises={"W": unit, "P": unit, "Y": NoiseSpec((0.0,), (1.0,))},
+            mechanisms={
+                "P": AffineMechanism(0.0, {"W": 1.0}),
+                "Y": TableMechanism(np.array(outputs)),
+            },
+            axes={
+                "W": lattice_axis("W", 1),
+                "P": lattice_axis("P", 2),
+                "Y": Axis("Y", (0.0,)),
+            },
+        )
+        grid = propagate(sem)
+        report = non_constancy_check(sem, "Y", "P", grid)
+        witness = sem_module._first_witness(sem, grid, "Y", "P", (), ("W",))
+        assert report.holds == (witness is not None)
+        assert report == oracles.non_constancy_reference(sem, "Y", "P", grid)
+        verdicts.add(report.holds)
+    assert verdicts == {True, False}
 
 
 def test_dependence_conclusion_on_example1(ex1):

@@ -152,9 +152,9 @@ def test_ci_residual_pass_callers():
 
 
 # The functions that name the class pass.  Every other function asks
-# intersection._class_table, which keeps each grid's class tables;
+# intersection._class_table, which keeps each grid's classes;
 # attach_class_variable runs the pass through the same memo and hands its
-# result the base's table.  Adding a caller is a deliberate edit of this list.
+# result the base's classes.  Adding a caller is a deliberate edit of this list.
 CLASS_PASS_CALLERS = ["intersection._class_table", "intersection.attach_class_variable"]
 
 
@@ -187,10 +187,10 @@ def test_hooking_kernel_callers():
 
 
 # The functions that build the per-slice class objects.  Every query reads
-# the one class table of topology._class_assignments; classes_per_c, the
-# public view, is the only function that turns its rows into
-# UcAssignment objects, and adding a builder is a deliberate edit of this
-# list.
+# the class of each support cell from topology._class_assignments;
+# classes_per_c, the public view, is the only function that turns each
+# c-cell's cells into a UcAssignment, and adding a builder is a deliberate
+# edit of this list.
 UC_BUILDERS = ["intersection.classes_per_c"]
 
 

@@ -491,11 +491,13 @@ def test_classes_against_csgraph(seed):
     classes = classes_per_c(grid, "A", "B", cond)
     ref = oracles.classes_csgraph(grid, "A", "B", cond)
     assert list(classes) == list(ref)
-    n_a = grid.axis("A").size
+    n_a, n_b = grid.axis("A").size, grid.axis("B").size
     for cell, asg in classes.items():
         count, bins = ref[cell]
         assert asg.class_count == count
-        assert np.array_equal(asg._classes, bins)
+        # each cell has the class of its A bin and of its B bin
+        assert np.array_equal(asg._labels, bins[asg._cells // n_b])
+        assert np.array_equal(asg._labels, bins[n_a + asg._cells % n_b])
         for proj, cls in ((asg.proj_a, bins[:n_a]), (asg.proj_b, bins[n_a:])):
             assert proj == {
                 k: tuple(np.flatnonzero(cls == k).tolist()) for k in range(1, count + 1)
