@@ -15,11 +15,15 @@ computes its grid's classes once (``intersection -o`` once more, for its
 marginal), and ``report`` takes its three CI rows from one
 ``verify_intersection``.  A given ``--x`` must name an axis; the default
 ``X`` may be absent.
+
+``run`` builds its parser once per process, so the handlers are bound at
+its first call; ``build_parser`` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -433,10 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

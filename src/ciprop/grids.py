@@ -647,7 +647,7 @@ def _sparse(index: object, mass: object, cells: int) -> tuple[np.ndarray, ...]:
             f"'index' has {len(index)} entries, 'mass' has {len(mass)}"
         )
     # bool is an int subclass, and numpy would read true as 1
-    if any(type(i) is not int for i in index):
+    if not {*map(type, index)} <= {int}:
         raise ShapeMismatch("'index' entries must be integers")
     try:
         flat = np.array(index, dtype=np.int64)

@@ -34,7 +34,7 @@ from ciprop import (
 )
 from ciprop import cli
 from ciprop import intersection as intersection_module
-from ciprop.cli import run
+from ciprop.cli import build_parser, run
 
 import layouts
 
@@ -83,6 +83,34 @@ def test_usage_errors_exit_2(capsys):
 
 def test_help_exits_0():
     assert run(["--help"]) == 0
+
+
+def test_the_parser_keeps_no_state_between_commands(workdir, capsys):
+    commands = (["components"], ["classes", str(workdir[2])], ["--help"])
+    alone = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        alone.append((run(argv), *capsys.readouterr()))
+    cli._parser.cache_clear()
+    in_turn = [(run(argv), *capsys.readouterr()) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [2, 0, 0]
+    assert build_parser() is not build_parser()
+
+
+def test_written_files_keep_their_bytes(tmp_path):
+    """The files written at step 0.1 are byte-identical across versions."""
+    model, grid, adversary = (tmp_path / f"{n}.json" for n in ("m", "g", "a"))
+    assert run(["sem", "example1", "--step", "0.1", "-o", str(model)]) == 0
+    assert run(["sem", "propagate", str(model), "-o", str(grid)]) == 0
+    assert run(["intersection", str(grid), "-o", str(adversary)]) == 0
+    files = (model, grid, adversary)
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in files] == [
+        "e05fa63de067c5043aedc355c762df6f5c065a41cf9167bcba1d5dbf62c1a4f2",
+        "e2ebd3ab1ff3ac05b1a7846118c98c443413b87b77ee3c5c10c1236c1e152e69",
+        "193f43fb40f6db32f08063d4e97b97a5f9ec20adbeb5fe063477afe42d30fde2",
+    ]
 
 
 def test_missing_file_exits_3(capsys):

@@ -42,6 +42,7 @@ from ciprop import (
     verify_intersection,
     verify_weak_intersection,
 )
+from ciprop.jsonio import render_json
 
 import layouts
 import oracles
@@ -409,6 +410,76 @@ def test_json_round_trip_is_exact():
         assert np.array_equal(back.prob, g.prob)
         # files are byte-stable
         assert grid_to_json(back) == text
+
+
+def per_scalar_render(value, indent=0):
+    """Reference renderer: every list item by item, each float to 17 digits."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite value {float(value)!r}")
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        scalar = (type(None), bool, int, float, str)
+        if all(isinstance(v, scalar) for v in value):
+            return "[" + ", ".join(per_scalar_render(v) for v in value) + "]"
+        body = ",\n".join(inner + per_scalar_render(v, indent + 1) for v in value)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {per_scalar_render(v, indent + 1)}"
+            for k, v in value.items()
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def test_lists_render_as_item_by_item():
+    rng = np.random.default_rng(61)
+    wide = (rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist()
+    docs = [
+        [0, -1, -7, 2**63, 2**64 + 5, -(2**70)],
+        [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 1.0, -1e22, 2.5e-10],
+        wide,
+        rng.integers(-(2**62), 2**62, 500).tolist(),
+        [0, 0.5],
+        [0.5, 0],
+        [True, 1],
+        [False, 0.0],
+        [np.float64(0.1), 0.2],
+        [np.float64(1 / 3)],
+        [None, "a", 1, 0.5],
+        [],
+        (0.25, 0.5),
+        [[1, 2], [0.1, 0.2], [], [[True], [np.float64(2.0)]]],
+        {"axes": [{"name": "A", "points": [0.0, 1.5]}], "mass": [0.5, 0.5]},
+    ]
+    for doc in docs:
+        assert render_json(doc) == per_scalar_render(doc) + "\n"
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        nested = [[0.5], [bad]]
+        for doc in ([0.1, bad, float("nan")], [1, bad], nested, [np.float64(bad)]):
+            with pytest.raises(ValueError) as joined:
+                render_json(doc)
+            with pytest.raises(ValueError) as reference:
+                per_scalar_render(doc)
+            assert str(joined.value) == str(reference.value)
+            assert repr(bad) in str(joined.value)
+    for doc in ([1, np.int64(2)], [np.int64(2)], [0.5, np.int64(2)]):
+        with pytest.raises(TypeError):
+            render_json(doc)
+        with pytest.raises(TypeError):
+            per_scalar_render(doc)
 
 
 def test_json_loader_sorts_axes_alphabetically():
