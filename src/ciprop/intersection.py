@@ -72,6 +72,7 @@ from .grids import (
     _distribution,
     _groups,
     _keyed_support,
+    _keys,
     _merged,
     _roles,
     _runs,
@@ -173,15 +174,16 @@ def _class_pass(
     """:func:`_class_table` given the roles' positions; the arrays are read-only.
 
     The keys ascend in (c, a, b) order, so runs of ``keys // n_b`` number
-    the occupied (c, a) columns in order; the occupied (c, b) rows are
-    numbered by one more sort.
+    the occupied (c, a) columns in order, and runs of the columns' c-keys
+    the c-cells; the occupied (c, b) rows are numbered by one more sort.
     """
     keys, mass, (_, n_a, n_b) = _keyed_support(grid, (c_pos, a_pos, b_pos))
-    c_start, c_run = _runs(keys // (n_a * n_b))
     col_start, col = _runs(keys // n_b)
-    row = _groups(c_run * n_b + keys % n_b, mass)[1]
+    c_col, col_c = _runs(keys[col_start] // (n_a * n_b))
+    c_start = col_start[c_col]
+    row = _groups(col_c[col] * n_b + keys % n_b, mass)[1]
     group, is_root = _class_assignments(col, row)
-    counts = np.bincount(c_run[col_start[is_root]])
+    counts = np.bincount(col_c[is_root])
     c_keys = keys[c_start] // (n_a * n_b)
     c_shape = [grid.axes[p].size for p in c_pos]
     c_bins = np.unravel_index(c_keys, c_shape) if c_pos else ()
@@ -223,7 +225,7 @@ def verify_intersection(
     ``vacuous`` distinguishes an implication that only holds because a
     premise fails from one whose premises and conclusion all hold.
     """
-    a, b, cond = _as_names(a), _as_names(b), tuple(cond)
+    a, b, cond = _as_names(a), _as_names(b), _as_names(cond)
     premise_xa = is_ci(grid, x, a, (*b, *cond), tol)
     premise_xb = is_ci(grid, x, b, (*a, *cond), tol)
     conclusion = is_ci(grid, x, (*a, *b), cond, tol)
@@ -296,10 +298,13 @@ def _weak_residuals(
     row_group = rows // n_x
     g_start = _runs(row_group)[0]
     mixture = m_row / np.add.reduceat(m_row, g_start)[row_group]
-    laws = mass / m_cell[cell_run]
+    resid = mass / m_cell[cell_run]
+    resid -= mixture[row_run]
+    np.abs(resid, out=resid)
+    # each (c, a, b) cell lies in one group: its cells' maximum first
     worst = np.zeros(int(found.counts.sum()))
-    np.maximum.at(worst, group, np.abs(laws - mixture[row_run]))
-    on_class = np.bincount(group[cell_start], minlength=worst.size)
+    np.maximum.at(worst, found.group, np.maximum.reduceat(resid, cell_start))
+    on_class = np.bincount(found.group, minlength=worst.size)
     short = np.bincount(row_run) < on_class[row_group]
     np.maximum.at(worst, row_group[short], mixture[short])
     return dict(zip(found.groups(), worst.tolist()))
@@ -339,8 +344,7 @@ def attach_class_variable(
     # base's axes are the roles' axes, so each support cell's (c, a, b) key
     # is its own, and the sorted keys are the classes' support cells
     axes = (*roles[2], *roles[0], *roles[1])
-    shape = [base.axes[p].size for p in axes]
-    key = np.ravel_multi_index(tuple(base._coords[p] for p in axes), shape)
+    key = _keys([base._coords[p] for p in axes], [base.axes[p].size for p in axes])
     levels = level[found.group[_groups(key, masses)[1]]]
 
     values = np.unique(np.round(levels[:, None] + pts[None, :], 9))

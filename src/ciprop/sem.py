@@ -46,6 +46,7 @@ from .grids import (
     DensityGrid,
     _distribution,
     _keyed_support,
+    _keys,
     _kept,
     _merged,
     _numbers,
@@ -383,10 +384,9 @@ def _configurations(sem: SemSpec) -> tuple[tuple[Axis, ...], np.ndarray, np.ndar
         values[node] = value
         bins[node] = _snap(sem.axes[node], value, node)
 
-    flat_bins = [np.broadcast_to(bins[n], full).ravel() for n in alpha]
     return (
         tuple(sem.axes[n] for n in alpha),
-        np.ravel_multi_index(tuple(flat_bins), dims),
+        _keys([np.broadcast_to(bins[n], full) for n in alpha], dims).ravel(),
         np.broadcast_to(weights, full).ravel(),
     )
 

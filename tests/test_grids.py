@@ -1047,10 +1047,10 @@ def test_a_query_does_not_grow_with_the_lattice():
 
 
 
-def widest_keys(rng, n):
-    """``n`` scrambled keys of which the largest, at 5, just packs with
-    the positions: key bits plus position bits make 63."""
-    top = 2 ** (63 - (n - 1).bit_length())
+def keys_of_width(rng, n, bits):
+    """``n`` scrambled keys of which the largest, at 5, packs with the
+    positions into exactly ``bits`` bits."""
+    top = 2 ** (bits - (n - 1).bit_length())
     keys = rng.integers(0, top, n)
     keys[5] = top - 1
     return keys
@@ -1071,8 +1071,14 @@ def sort_cases():
         ("few descents", np.concatenate(runs)),
         ("scrambled", rng.integers(0, 10**9, n)),
         ("many ties", rng.integers(0, 3, n)),
-        ("at the packing limit", widest_keys(rng, n)),
+        ("at the packing limit", keys_of_width(rng, n, 63)),
+        ("at the 32-bit limit", keys_of_width(rng, n, 32)),
+        ("past the 32-bit limit", keys_of_width(rng, n, 33)),
     ]
+
+
+PACKED = ("scrambled", "many ties", "at the packing limit", "at the 32-bit limit",
+          "past the 32-bit limit")
 
 
 @pytest.mark.parametrize("name,keys", sort_cases())
@@ -1080,19 +1086,49 @@ def test_sort_kernel_is_the_stable_argsort(name, keys):
     n = keys.size
     descents = int(np.count_nonzero(keys[1:] < keys[:-1]))
     packs = n >= grids_module._SMALL_SORT and descents * grids_module._RUN_LENGTH > n
-    assert packs == (name in ("scrambled", "many ties", "at the packing limit"))
+    assert packs == (name in PACKED)
     order, ordered = grids_module._sort(keys)
     expected = np.argsort(keys, kind="stable")
-    assert order.dtype == expected.dtype and np.array_equal(order, expected)
+    if name in ("sorted", "all equal"):  # in order: no permutation to gather by
+        assert order is None and np.array_equal(expected, np.arange(n))
+    else:
+        assert order.dtype == expected.dtype and np.array_equal(order, expected)
     assert ordered.dtype == keys.dtype and np.array_equal(ordered, keys[expected])
 
 
 def test_sort_kernel_refuses_keys_too_wide_to_pack():
     # a packed value would wrap, not raise
-    keys = widest_keys(np.random.default_rng(67), 2 * grids_module._SMALL_SORT)
-    keys[5] += 1
+    keys = keys_of_width(np.random.default_rng(67), 2 * grids_module._SMALL_SORT, 64)
     with pytest.raises(BudgetExceeded, match="exceed 63 bits"):
         grids_module._sort(keys)
+
+
+def test_key_builder_is_ravel_multi_index():
+    # the sizes at the edges of the narrow bin types of DensityGrid._coords
+    rng = np.random.default_rng(73)
+    sizes = (1, 256, 257, 65_536, 65_537)
+    bins = [rng.integers(0, n, 600) for n in sizes]
+    for b, n in zip(bins, sizes):
+        b[:2] = 0, n - 1
+    bins = [b.astype(np.min_scalar_type(n - 1)) for b, n in zip(bins, sizes)]
+    for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1), (3,)):
+        args = [bins[i] for i in order], [sizes[i] for i in order]
+        keys = grids_module._keys(*args)
+        expected = np.ravel_multi_index(*args)
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected)
+    # broadcast views, as a pushforward's node bins are
+    col, row = np.arange(3).reshape(-1, 1), np.arange(257).reshape(1, -1)
+    keys = grids_module._keys(np.broadcast_arrays(col, row), [3, 257])
+    assert np.array_equal(keys.ravel(), np.arange(3 * 257))
+
+
+def test_key_builder_refuses_keys_that_would_wrap():
+    bins = [np.array([1], dtype=np.uint32)] * 3
+    sizes = [2**21, 2**21, 2**21 - 1]  # 2^63 - 2^42 cells
+    assert grids_module._keys(bins, sizes) == np.ravel_multi_index(bins, sizes)
+    # an in-place int64 multiply would wrap, not raise
+    with pytest.raises(BudgetExceeded, match="past 63 bits"):
+        grids_module._keys(bins, [2**21, 2**21, 2**21])
 
 
 def test_runs_match_unique():

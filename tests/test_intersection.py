@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -735,6 +736,44 @@ def test_a_role_of_one_name_is_the_name():
     grid = layouts.sliced_grid(np.random.default_rng(3))
     assert answers(grid, ("A",), ["B"]) == answers(grid, "A", "B")
     assert answers(grid, ["B"], ("A",)) == answers(grid, "B", "A")
+
+
+def test_a_conditioning_set_of_one_name_is_the_name():
+    # a bare name is not split into its letters: "C1" is not C and 1
+    grid = layouts.sliced_grid(np.random.default_rng(3))
+    adv = construct_adversary(marginalize(grid, ("A", "B", "C1")))
+    for check in (verify_intersection, verify_weak_intersection):
+        assert check(adv, "X", "A", "B", "C1") == check(adv, "X", "A", "B", ("C1",))
+
+
+def query_digest():
+    """sha256 over float hex of the CI residuals and witnesses of example1
+    at step 0.1, the weak-form residuals of that grid and of three
+    adversaries, and the support cells of those adversaries, built on
+    example1's (A, B) marginal and on two sliced grids."""
+    grid = propagate(example1(0.1))
+    lines = []
+    for x, a, c in permutations(grid.axis_names):
+        r = is_ci(grid, x, a, (c,))
+        lines.append(f"{r.deviation.hex()} {r.pointwise_deviation.hex()} {r.witness}")
+    bases = [marginalize(grid, ("A", "B"))]
+    bases += [layouts.sliced_grid(np.random.default_rng(seed)) for seed in (3, 5)]
+    weak = [verify_weak_intersection(grid, "X", "A", "B", ())]
+    cells = []
+    for base in bases:
+        adv = construct_adversary(base)
+        weak.append(verify_weak_intersection(adv, "X", "A", "B"))
+        cells += [array.tobytes() for array in adv._support]
+    lines += [f"{k} {v.hex()}" for report in weak for k, v in report.per_class.items()]
+    return hashlib.sha256("\n".join(lines).encode() + b"".join(cells)).hexdigest()
+
+
+def test_query_outputs_keep_their_bits():
+    """Residuals, witnesses and adversary cells are bit-identical across
+    versions of the support kernels."""
+    assert query_digest() == (
+        "e7ac905d70e40a160a8571823bcfc61ac07e9021a2f2cc1fce1f3b561054c365"
+    )
 
 
 def test_a_class_role_may_be_a_group():

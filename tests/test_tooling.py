@@ -215,3 +215,9 @@ def test_sort_callers():
         return any(names(f)(node) for f in ("argsort", "sort", "unique", "lexsort"))
 
     assert scopes_where(sorts) == SORT_CALLERS
+
+
+def test_keys_have_one_builder():
+    # grids._keys builds every row-major key and refuses a lattice whose
+    # keys would wrap int64; ravel_multi_index elsewhere would bypass it
+    assert scopes_where(names("ravel_multi_index")) == []
