@@ -29,8 +29,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .errors import CipropError
 from .grids import (
     DEFAULT_TOL,
@@ -61,7 +59,7 @@ from .sem import (
     propagate,
     save_sem,
 )
-from .topology import UcAssignment, _components, render_labels
+from .topology import UcAssignment, _slice_components, render_labels
 
 
 class _UsageError(Exception):
@@ -150,41 +148,20 @@ def _classes_by_cell(
     return {cell: classes_per_c(condition(grid, fixed), args.a, args.b, ())[()]}
 
 
-def _component_labels(
-    assignments: dict[tuple[int, ...], UcAssignment],
-) -> tuple[list[np.ndarray], list[int]]:
-    """Each slice's component labels of its support cells and its count of
-    components, by one labelling of the slices stacked along A with an empty
-    row after each, so that no face joins two; numbered by first cell, a
-    slice's labels run on from the largest label before it."""
-    slices = list(assignments.values())
-    n_a, n_b = slices[0]._shape
-    stride = (n_a + 1) * n_b
-    cells = np.concatenate([asg._cells + k * stride for k, asg in enumerate(slices)])
-    labels = _components(cells, (len(slices) * (n_a + 1), n_b))[0]
-    ends = np.cumsum([asg._cells.size for asg in slices])
-    top = np.maximum.accumulate(labels)[ends - 1]
-    before = np.append(0, top[:-1])
-    parts = zip(np.split(labels, ends[:-1]), before)
-    return [p - b for p, b in parts], (top - before).tolist()
-
-
 def _cmd_components(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     assignments = _classes_by_cell(args, grid)
-    labels, counts = _component_labels(assignments)
+    labels, counts = _slice_components(assignments)
     for (cell, asg), cell_labels, count in zip(assignments.items(), labels, counts):
-        table = np.zeros(asg._shape, dtype=np.int64)
-        table.flat[asg._cells] = cell_labels
         print(f"c-cell {_cell_name(cell)}: components={count}")
-        print(render_labels(table))
+        print(render_labels(asg._table(cell_labels)))
     return 0
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     assignments = _classes_by_cell(args, grid)
-    counts = _component_labels(assignments)[1]
+    counts = _slice_components(assignments)[1]
     single_class = True
     for (cell, assignment), count in zip(assignments.items(), counts):
         single_class = single_class and assignment.class_count <= 1
@@ -222,8 +199,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     grid = load_grid(args.grid)
     target = _parse_fixed(args.target) or None
     adversary = construct_adversary(grid, target, args.a, args.b, args.x)
-    cond = tuple(n for n in grid.axis_names if n not in (args.a, args.b))
-    report = verify_intersection(adversary, args.x, args.a, args.b, cond, args.tol)
+    report = verify_intersection(adversary, args.x, args.a, args.b, None, args.tol)
     save_grid(adversary, args.out)
     print(f"adversary grid written to {args.out}")
     print(_ci_line(f"{args.x} _||_ {args.a} | {args.b}", report.premise_xa))
@@ -296,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     grid = grid_from_json(data.decode("utf-8"))
     x, cond = _x_cond(args, grid)
     assignments = classes_per_c(grid, args.a, args.b, cond)
-    counts = _component_labels(assignments)[1]
+    counts = _slice_components(assignments)[1]
     lines = [
         f"input sha256: {hashlib.sha256(data).hexdigest()[:16]}",
         f"axes: {', '.join(f'{ax.name}({ax.size})' for ax in grid.axes)}",

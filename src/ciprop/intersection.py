@@ -217,15 +217,18 @@ def verify_intersection(
     x: str = "X",
     a: str | Sequence[str] = "A",
     b: str | Sequence[str] = "B",
-    cond: Iterable[str] = (),
+    cond: Iterable[str] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> IntersectionReport:
     """Evaluate both premises and the conclusion on a concrete grid.
 
+    ``cond`` defaults to every axis besides ``x``, ``a`` and ``b``.
     ``vacuous`` distinguishes an implication that only holds because a
     premise fails from one whose premises and conclusion all hold.
     """
-    a, b, cond = _as_names(a), _as_names(b), _as_names(cond)
+    a, b = _as_names(a), _as_names(b)
+    c_pos = _roles(grid, x, (*a, *b), cond)[2]
+    cond = tuple(grid.axis_names[p] for p in c_pos)
     premise_xa = is_ci(grid, x, a, (*b, *cond), tol)
     premise_xb = is_ci(grid, x, b, (*a, *cond), tol)
     conclusion = is_ci(grid, x, (*a, *b), cond, tol)
@@ -385,10 +388,11 @@ def construct_adversary(
     variable exists.  The new variable is 10 on class 1 of the target cell
     and 0 elsewhere, plus noise uniform on five points of [-0.1, 0.1].
     The output joint satisfies both premises within 1e-9 and breaks the
-    conclusion: the pointwise conditional residual of x vs b at the target
-    cell is at least ``max(w, 1-w) / 5 >= 0.1`` with ``w`` the class-1
-    mass of the target slice.  Both postconditions, and
-    the failure of the conclusion, are checked before returning;
+    conclusion: the pointwise conditional residual of x vs (a, b) at the
+    target cell is at least ``max(w, 1-w) / 5 >= 0.1`` with ``w`` the
+    class-1 mass of the target slice.  Both postconditions, and the
+    failure of the conclusion, are checked before returning, by the three
+    questions of :func:`verify_intersection`;
     :class:`AdversaryCheckFailed` carries the measured values otherwise.
     """
     _require_new_axis(base, name)
@@ -417,7 +421,7 @@ def construct_adversary(
     noise = np.linspace(-0.1, 0.1, 5)
     result = attach_class_variable(base, g, noise, None, a, b, name)
     report = verify_intersection(result, name, a, b, cond_names, 1e-9)
-    margin = is_ci(result, name, b, cond_names).pointwise_deviation
+    margin = report.conclusion.pointwise_deviation
     if report.implication_holds or not margin >= 0.1 * (1.0 - 1e-9):
         xa, xb = report.premise_xa, report.premise_xb
         raise AdversaryCheckFailed(xa.deviation, xb.deviation, margin)

@@ -71,6 +71,8 @@ class Dag:
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
+        if not nodes:
+            raise ShapeMismatch("a model needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ShapeMismatch(f"duplicate node names in {nodes}")
         parents = {n: tuple(self.parents.get(n, ())) for n in nodes}

@@ -26,7 +26,9 @@ off-support cells.  Projections of distinct classes are disjoint on both
 axes, so on-support ``uc`` is simultaneously a function of the A bin alone
 and of the B bin alone.  The kernel returns the class of each support
 cell, which callers gather from; :class:`UcAssignment` holds one slice's
-cells and classes and builds its projections and ``uc`` on demand.
+cells and classes and builds its projections and ``uc`` on demand.  Only
+this module reads that layout: other modules ask a ``UcAssignment`` for
+a table, and :func:`_slice_components` for the components of its slices.
 """
 
 from __future__ import annotations
@@ -67,11 +69,16 @@ class UcAssignment:
     def proj_b(self) -> Mapping[int, tuple[int, ...]]:
         return _projection(self._labels, self._cells % self._shape[1], self._shape[1])
 
+    def _table(self, values: np.ndarray) -> np.ndarray:
+        """A new table of the slice: ``values``, one per support cell, on the
+        support and 0 off it."""
+        table = np.zeros(self._shape, dtype=np.int64)
+        table.flat[self._cells] = values
+        return table
+
     def _uc(self) -> np.ndarray:
         """A new ``uc`` table, for a caller that drops it after use."""
-        uc = np.zeros(self._shape, dtype=np.int64)
-        uc.flat[self._cells] = self._labels
-        return uc
+        return self._table(self._labels)
 
     @cached_property
     def uc(self) -> np.ndarray:
@@ -138,6 +145,25 @@ def _components(cells: np.ndarray, shape: Sequence[int]) -> tuple[np.ndarray, in
     roots = _roots(starts.size, np.concatenate(u), np.concatenate(v))
     is_root = roots == np.arange(starts.size)
     return np.repeat(np.cumsum(is_root)[roots], lengths), int(is_root.sum())
+
+
+def _slice_components(
+    assignments: dict[tuple[int, ...], UcAssignment],
+) -> tuple[list[np.ndarray], list[int]]:
+    """Each slice's component labels of its support cells and its count of
+    components, by one labelling of the slices stacked along A with an empty
+    row after each, so that no face joins two; numbered by first cell, a
+    slice's labels run on from the largest label before it."""
+    slices = list(assignments.values())
+    n_a, n_b = slices[0]._shape
+    stride = (n_a + 1) * n_b
+    cells = np.concatenate([asg._cells + k * stride for k, asg in enumerate(slices)])
+    labels = _components(cells, (len(slices) * (n_a + 1), n_b))[0]
+    ends = np.cumsum([asg._cells.size for asg in slices])
+    top = np.maximum.accumulate(labels)[ends - 1]
+    before = np.append(0, top[:-1])
+    parts = zip(np.split(labels, ends[:-1]), before)
+    return [p - b for p, b in parts], (top - before).tolist()
 
 
 def label_support_nd(support: np.ndarray) -> tuple[np.ndarray, int]:

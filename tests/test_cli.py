@@ -223,7 +223,21 @@ def test_malformed_number_in_model_file_exits_3(tmp_path, capsys):
     assert "error[ShapeMismatch]" in capsys.readouterr().err
 
 
-BIG = 10**400  # a JSON integer too large for a float
+def test_a_model_without_nodes_exits_3(tmp_path, capsys):
+    path, out = tmp_path / "empty.json", tmp_path / "grid.json"
+    path.write_text(
+        '{"nodes": [], "parents": {}, "noise": {}, "mechanism": {}, "output_axis": {}}'
+    )
+    for argv in (["sem", "propagate", str(path), "-o", str(out)],
+                 ["sem", "check-prop3", str(path)]):
+        assert run(argv) == 3
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == "error[ShapeMismatch]: a model needs at least one node\n"
+    assert not out.exists()
+
+
+BIG =10**400  # a JSON integer too large for a float
 
 
 def grid_doc(points=(0, 1), name="A", **fields):

@@ -582,10 +582,10 @@ def test_adversary_satisfies_the_weak_form():
         assert weak.holds and weak.residual <= 1e-12
 
 
-def test_adversary_verify_and_weak_form_ask_four_questions(monkeypatch):
-    # the adversary checks both premises, the margin and the conclusion;
-    # verifying it and its weak form ask three of them again, and get the
-    # kept answers
+def test_adversary_verify_and_weak_form_ask_three_questions(monkeypatch):
+    # the adversary checks both premises and the conclusion, whose pointwise
+    # residual is its margin; verifying it and its weak form ask them again,
+    # and get the kept answers
     passes = []
     kernel = grids_module._ci_pass
     monkeypatch.setattr(
@@ -595,7 +595,49 @@ def test_adversary_verify_and_weak_form_ask_four_questions(monkeypatch):
     report = verify_intersection(adv, cond=("C1", "C2"))
     weak = verify_weak_intersection(adv)
     assert report.premises_hold and not report.implication_holds and weak.holds
-    assert len(passes) == len(set(passes)) == 4
+    assert len(passes) == len(set(passes)) == 3
+
+
+def check_margin(base, adv, cond):
+    """The conclusion's pointwise residual is the margin of x vs b alone, at
+    least ``max(w, 1-w) / 5`` with ``w`` the class-1 mass of the target slice."""
+    target = intersection_condition(base, "A", "B", cond).failing_c
+    uc = classes_per_c(base, "A", "B", cond)[target].uc
+    mass = base.prob[(slice(None), slice(None), *target)]
+    w = mass[uc == 1].sum() / mass.sum()
+    residual = verify_intersection(adv, cond=cond).conclusion.pointwise_deviation
+    assert residual == pytest.approx(
+        is_ci(adv, "X", "B", cond).pointwise_deviation, rel=0, abs=1e-15
+    )
+    assert residual >= max(w, 1.0 - w) / 5.0 - 1e-12
+
+
+def test_the_conclusion_residual_is_the_adversary_margin():
+    # on the support uc is a function of b alone, so p(x | b, c) = p(x | a, b, c)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(6):
+        base = layouts.sliced_grid(rng)
+        if not intersection_condition(base, "A", "B", ("C1", "C2")).holds:
+            check_margin(base, construct_adversary(base), ("C1", "C2"))
+            checked += 1
+    assert checked
+    base = marginalize(propagate(example1(0.1)), ("A", "B"))
+    check_margin(base, construct_adversary(base), ())
+
+
+def test_verify_intersection_conditions_on_the_other_axes_by_default():
+    blocks = layouts.two_block_mask(4).astype(float)
+    table = np.stack([np.full((4, 4), 1.0), blocks], axis=-1)
+    table /= table.sum()
+    base = DensityGrid(
+        (index_axis("A", 4), index_axis("B", 4), index_axis("C", 2)), table
+    )
+    adv = construct_adversary(base)
+    assert adv.axis_names == ("X", "A", "B", "C")
+    report = verify_intersection(adv)
+    assert report == verify_intersection(adv, cond=("C",))
+    assert report.premises_hold and not report.implication_holds
 
 
 # -- verdict vs. adversary: the two sides of the criterion -----------------------

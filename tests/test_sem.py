@@ -99,6 +99,11 @@ def test_dag_rejects_cycles_and_bad_parents():
         Dag(("A", "B"), {"B": ("A", "A")})
 
 
+def test_a_model_needs_a_node():
+    with pytest.raises(ShapeMismatch, match="a model needs at least one node"):
+        Dag((), {})
+
+
 def test_topological_order_on_fixed_graphs():
     chain = Dag(("X", "B", "A"), {"B": ("A",), "X": ("B",)})
     assert topological_order(chain) == ["A", "B", "X"]

@@ -186,6 +186,32 @@ def test_hooking_kernel_callers():
     assert scopes_where(names("_roots")) == ROOTS_CALLERS
 
 
+# The functions that read a slice's layout: a UcAssignment's support cells,
+# their classes and the slice's shape.  Every other function asks topology
+# for projections, tables or component labels; adding a reader is a
+# deliberate edit of this list.
+SLICE_READERS = [
+    "topology.UcAssignment._table", "topology.UcAssignment._uc",
+    "topology.UcAssignment.proj_a", "topology.UcAssignment.proj_b",
+    "topology._slice_components",
+]
+# The functions that label face-neighbor components of support cells.
+COMPONENTS_CALLERS = [
+    "sem.joint_support_components", "topology._slice_components",
+    "topology.label_support_nd",
+]
+
+
+def test_slice_layout_readers():
+    def reads(node):
+        return isinstance(node, ast.Attribute) and node.attr in (
+            "_cells", "_labels", "_shape"
+        )
+
+    assert scopes_where(reads) == SLICE_READERS
+    assert scopes_where(names("_components")) == COMPONENTS_CALLERS
+
+
 # The functions that build the per-slice class objects.  Every query reads
 # the class of each support cell from topology._class_assignments;
 # classes_per_c, the public view, is the only function that turns each
